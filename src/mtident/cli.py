@@ -35,7 +35,7 @@ from .errors import (
 from .identifiability import analyze_target_set
 from .matrixio import write_matrix, write_vector
 from .scenario import (
-    _build_system,
+    build_system,
     generate_example_system,
     load_config,
     monte_carlo,
@@ -134,7 +134,7 @@ def _cmd_gen_system(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    ts, _ = _build_system(cfg)
+    ts, _ = build_system(cfg)
     report = analyze_target_set(ts)
     print(f"configurations: {ts.l}, state dimension: {ts.n}, sensors: {ts.m}")
     print(f"schedule period: {ts.period} (recommended minimum {2 * ts.n})")

@@ -9,13 +9,14 @@ Three layers:
   sensor attack through the filter: the difference between an attacked and a
   clean run with common noise is a deterministic linear recursion in the
   injected values.
-* Per-sensor reduced-order filters (:func:`kalman_decomposition`,
-  :class:`LocalFilterBank`) with exact cross-covariances, fused each step by
-  a minimum-variance unbiased combiner (:class:`FusionEstimator`) that
-  solves in the sensors' stacked observable coordinates. Local
-  filters require each sensor's unobservable subspace to be the same under
-  every configuration; the moving target is designed so switching changes
-  dynamics but not which directions a sensor can see.
+* Per-sensor reduced-order filters (:func:`kalman_decomposition`) run as
+  one joint filter (:class:`LocalFilterBank`): the sensors' observable
+  coordinates are stacked into one state whose covariance carries the exact
+  cross-covariances between sensors. Each step a minimum-variance unbiased
+  combiner (:class:`FusionEstimator`) fuses the active sensors' rows of that
+  joint state. Local filters require each sensor's unobservable subspace to
+  be the same under every configuration; the moving target is designed so
+  switching changes dynamics but not which directions a sensor can see.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .errors import DecompositionError, FilterError, ModelError
 from .linalg import (
@@ -289,34 +290,51 @@ def kalman_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# local filter bank with exact cross-covariances
+# local filter bank: one joint state with exact cross-covariances
 
 
 @dataclass
 class BankStep:
-    """Per-sensor residues and posterior state of the bank at one step.
+    """Residues and joint posterior of the bank at one step.
 
-    ``zeta_post[s]`` and ``P_post[(s1, s2)]`` (for ``s1 <= s2``) are the
-    posterior reduced estimates and their exact joint covariance blocks.
+    ``residues[i]`` is the whitened residue of the bank's ``i``-th sensor;
+    ``zeta_post`` stacks the sensors' posterior reduced estimates in bank
+    order (rows ``offsets[i]:offsets[i+1]`` of :class:`LocalFilterBank`) and
+    ``P_post`` is their exact joint error covariance.
     """
 
-    residues: dict[int, float]
-    zeta_post: dict[int, np.ndarray]
-    P_post: dict[tuple[int, int], np.ndarray]
+    residues: np.ndarray  # (m_bank,)
+    zeta_post: np.ndarray  # (N,)
+    P_post: np.ndarray  # (N, N)
+
+
+def _stack_T_o(decomps, sensors) -> np.ndarray:
+    """``H``: the sensors' ``T_o'`` stacked, mapping the state to the joint
+    reduced coordinates."""
+    return np.vstack([decomps[s].T_o.T for s in sensors])
 
 
 class LocalFilterBank:
-    """One scalar-measurement Kalman filter per sensor plus all cross-covariances.
+    """One scalar-measurement Kalman filter per sensor, run as one joint filter.
 
-    Each sensor filters its own output on its reduced observable coordinates;
-    because the filters share process noise and priors, their errors are
-    correlated, and the fusion step needs the *joint* covariance. The
-    cross blocks evolve exactly:
+    Sensor ``s`` filters its own output ``y[s]`` on its reduced observable
+    coordinates ``zeta_s = T_o,s' x``. The filters share process noise and
+    priors, so their errors are correlated and fusion needs their *joint*
+    covariance. The bank therefore keeps one stacked state ``zeta`` in
+    ``R^N`` (``N = sum n_obs``) with covariance ``P``; configuration ``j``
+    acts through the block-diagonal ``A = diag(A_red,s[j])`` and ``C =
+    diag(C_red,s[j])``, and each sensor's gain stays inside its own block:
 
-        P^+_{s1,s2} = (I - K_1 C_1) P^-_{s1,s2} (I - K_2 C_2)' + K_1 R_{s1,s2} K_2'
-        P^-_{s1,s2} <- A_1 P^+_{s1,s2} A_2' + Q_{s1,s2}
+        den_s = C_s P_ss C_s' + R_ss,   K = (P C' o mask) / den
+        P^+   = (I - K C) P (I - K C)' + K R_sub K'
+        P^-  <- A P^+ A' + H Q H'
 
-    with ``Q_{s1,s2} = T_1' Q T_2`` the reduced process-noise cross block.
+    with ``H`` stacking the ``T_o,s'`` and ``R_sub`` the bank's rows and
+    columns of ``R``. Because ``K`` is not the joint optimal gain, the
+    covariance update keeps the Joseph form.
+
+    ``decomps`` holds the bank's sensors in bank order; sensor ``i`` of the
+    bank owns rows ``offsets[i]:offsets[i+1]`` of the joint state.
     """
 
     def __init__(
@@ -330,27 +348,26 @@ class LocalFilterBank:
         if (noise.n, noise.m) != (ts.n, ts.m):
             raise ModelError("noise model dimensions do not match the target set")
         self.ts = ts
-        self.noise = noise
         self.sensors = tuple(sensors) if sensors is not None else tuple(range(ts.m))
-        self.decomps = decomps or {s: kalman_decomposition(ts, s) for s in self.sensors}
-        for s in self.sensors:
-            if s not in self.decomps:
-                self.decomps[s] = kalman_decomposition(ts, s)
+        given = decomps or {}
+        self.decomps = {
+            s: given[s] if s in given else kalman_decomposition(ts, s) for s in self.sensors
+        }
+        decs = [self.decomps[s] for s in self.sensors]
+        dims = [d.n_obs for d in decs]
+        self.offsets = np.concatenate([[0], np.cumsum(dims)])
+        self.H = _stack_T_o(self.decomps, self.sensors)
+        self.A_blk = [block_diag(*(d.A_red[j] for d in decs)) for j in range(ts.l)]
+        self.C_blk = [block_diag(*(d.C_red[j].reshape(1, -1) for d in decs)) for j in range(ts.l)]
+        self.Q_red = self.H @ noise.Q @ self.H.T
+        self._idx = np.array(self.sensors, dtype=np.intp)
+        self.R_sub = noise.R[np.ix_(self._idx, self._idx)]
+        self._mask = block_diag(*(np.ones((d, 1)) for d in dims))
         x0 = noise.x0_mean
         if mean_offset is not None:
             x0 = x0 + np.asarray(mean_offset, dtype=float).reshape(ts.n)
-        self.zeta_prior = {s: self.decomps[s].T_o.T @ x0 for s in self.sensors}
-        self.P_prior = {}
-        self.Q_red = {}
-        self.R_red = {}
-        for i, s1 in enumerate(self.sensors):
-            T1 = self.decomps[s1].T_o
-            for s2 in self.sensors[i:]:
-                T2 = self.decomps[s2].T_o
-                self.P_prior[(s1, s2)] = T1.T @ noise.P0 @ T2
-                self.Q_red[(s1, s2)] = T1.T @ noise.Q @ T2
-                self.R_red[(s1, s2)] = float(noise.R[s1, s2])
-        self.k = 0
+        self.zeta_prior = self.H @ x0
+        self.P_prior = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
 
     def step(self, model_index: int, y) -> BankStep:
         """Update every sensor filter with its own row of ``y``, then predict.
@@ -361,41 +378,24 @@ class LocalFilterBank:
         if y.shape[0] != self.ts.m:
             raise ModelError(f"output has {y.shape[0]} rows, expected {self.ts.m}")
         j = int(model_index)
-        gains, ikc, z, zeta_post = {}, {}, {}, {}
-        for s in self.sensors:
-            dec = self.decomps[s]
-            C = dec.C_red[j]
-            Pp = self.P_prior[(s, s)]
-            den = float(C @ Pp @ C) + self.R_red[(s, s)]
-            K = (Pp @ C) / den
-            nu = float(y[s] - C @ self.zeta_prior[s])
-            gains[s] = (K, C)
-            ikc[s] = np.eye(dec.n_obs) - np.outer(K, C)
-            z[s] = nu / np.sqrt(den)
-            zeta_post[s] = self.zeta_prior[s] + K * nu
-        P_post = {}
-        for i, s1 in enumerate(self.sensors):
-            K1, _ = gains[s1]
-            for s2 in self.sensors[i:]:
-                K2, _ = gains[s2]
-                P_post[(s1, s2)] = (
-                    ikc[s1] @ self.P_prior[(s1, s2)] @ ikc[s2].T
-                    + self.R_red[(s1, s2)] * np.outer(K1, K2)
-                )
-        for i, s1 in enumerate(self.sensors):
-            A1 = self.decomps[s1].A_red[j]
-            self.zeta_prior[s1] = A1 @ zeta_post[s1]
-            for s2 in self.sensors[i:]:
-                A2 = self.decomps[s2].A_red[j]
-                self.P_prior[(s1, s2)] = A1 @ P_post[(s1, s2)] @ A2.T + self.Q_red[(s1, s2)]
-        self.k += 1
-        return BankStep(residues=z, zeta_post=zeta_post, P_post=P_post)
+        A, C = self.A_blk[j], self.C_blk[j]
+        P = self.P_prior
+        PC = P @ C.T
+        den = np.einsum("ij,ji->i", C, PC) + self.R_sub.diagonal()
+        K = (PC * self._mask) / den
+        nu = y[self._idx] - C @ self.zeta_prior
+        zeta_post = self.zeta_prior + K @ nu
+        # Joseph form with each factor (I - K C) applied as a low-rank
+        # update; C P = (P C')' because P is symmetric
+        IKC_P = P - K @ PC.T
+        P_post = sym(IKC_P + (K @ self.R_sub - IKC_P @ C.T) @ K.T)
+        self.zeta_prior = A @ zeta_post
+        self.P_prior = sym(A @ P_post @ A.T + self.Q_red)
+        return BankStep(residues=nu / np.sqrt(den), zeta_post=zeta_post, P_post=P_post)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
         """Add a known full-state offset to every sensor's predicted state."""
-        delta = np.asarray(delta, dtype=float).reshape(self.ts.n)
-        for s in self.sensors:
-            self.zeta_prior[s] = self.zeta_prior[s] + self.decomps[s].T_o.T @ delta
+        self.zeta_prior = self.zeta_prior + self.H @ np.asarray(delta, dtype=float).reshape(self.ts.n)
 
 
 # ---------------------------------------------------------------------------
@@ -409,21 +409,24 @@ class FusionResult:
 
 
 class FusionEstimator:
-    """Minimum-variance unbiased combination of the local estimates.
+    """Minimum-variance unbiased combination of a bank's local estimates.
 
-    Each sensor contributes ``x^o_s = T^o_s zeta_s + eta_s``, its estimate
-    lifted to full coordinates and blurred by ``eta_s ~ N(0, eps I)``. The
-    stacked model has unknowns ``(T_uo-coordinates per sensor, x)`` and
-    block rows ``[0 .. -T^uo_s .. 0  I]`` (design ``W``); the fused estimate
-    is its generalized least-squares fit. Rotating sensor ``s``'s rows by the
-    orthogonal ``[T^o_s  T^uo_s]'`` leaves ``T^uo_s`` rows that carry only
-    ``T^uo_s' eta_s``, uncorrelated with every ``T^o`` row and matched
-    exactly by their own free nuisance, so they say nothing about ``x``.
-    :meth:`fuse` therefore solves only the reduced problem
-    ``zeta~ = H x + e``: ``H`` stacks the ``T^o_s'``, ``zeta~_s = zeta_s +
-    T^o_s' eta_s`` and ``cov(e) = P_joint + eps I``. ``W`` remains for the
-    observability checks: it must have full column rank, i.e. the active
-    sensors must jointly observe the whole state.
+    Each active sensor contributes ``x^o_s = T^o_s zeta_s + eta_s``, its
+    estimate lifted to full coordinates and blurred by ``eta_s ~ N(0, eps
+    I)``. The lifted model has unknowns ``(T_uo-coordinates per sensor,
+    x)``; rotating sensor ``s``'s rows by the orthogonal ``[T^o_s
+    T^uo_s]'`` leaves ``T^uo_s`` rows that carry only ``T^uo_s' eta_s``,
+    uncorrelated with every ``T^o`` row and matched exactly by their own
+    free nuisance, so they say nothing about ``x``. :meth:`fuse` therefore
+    solves only the reduced problem ``zeta~ = H x + e``: ``H`` stacks the
+    active ``T^o_s'``, ``zeta~_s = zeta_s + T^o_s' eta_s`` and ``cov(e) =
+    P_joint + eps I``. The active sensors must jointly observe the state,
+    i.e. ``H`` must have rank ``n``.
+
+    ``decomps`` lists the bank's sensors in the bank's order, as
+    :attr:`LocalFilterBank.decomps` does, so its ``n_obs`` give the bank's
+    block offsets; the row index of the active sensors in the joint state
+    is computed from them once, here.
     """
 
     def __init__(
@@ -432,35 +435,25 @@ class FusionEstimator:
         epsilon: float = 1e-6,
         sensors=None,
     ):
-        self.sensors = tuple(sensors) if sensors is not None else tuple(sorted(decomps))
+        order = tuple(decomps)
+        self.sensors = tuple(sensors) if sensors is not None else order
         if not self.sensors:
             raise DecompositionError("fusion needs at least one sensor")
-        self.decomps = decomps
         self.epsilon = float(epsilon)
         self.n = decomps[self.sensors[0]].T_o.shape[0]
-        self.W = self._design_matrix(decomps, self.sensors, self.n)
-        if numerical_rank(self.W) < self.W.shape[1]:
+        self.H = _stack_T_o(decomps, self.sensors)
+        if numerical_rank(self.H) < self.n:
             raise DecompositionError(
-                "active sensors do not jointly observe the state (design matrix "
-                "is rank deficient)"
+                "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
             )
-        self.H = np.vstack([decomps[s].T_o.T for s in self.sensors])
-        ends = np.cumsum([decomps[s].n_obs for s in self.sensors])
-        self._blocks = [slice(e - decomps[s].n_obs, e) for s, e in zip(self.sensors, ends)]
-
-    @staticmethod
-    def _design_matrix(decomps, sensors, n) -> np.ndarray:
-        widths = [decomps[s].n_unobs for s in sensors]
-        cols = sum(widths) + n
-        W = np.zeros((len(sensors) * n, cols))
-        off = 0
-        for i, s in enumerate(sensors):
-            u = decomps[s].n_unobs
-            if u:
-                W[i * n : (i + 1) * n, off : off + u] = -decomps[s].T_uo
-            W[i * n : (i + 1) * n, cols - n :] = np.eye(n)
-            off += u
-        return W
+        if self.sensors == order:
+            self._rows = None
+        else:
+            ends = np.cumsum([d.n_obs for d in decomps.values()])
+            rows = {s: np.arange(e - decomps[s].n_obs, e) for s, e in zip(order, ends)}
+            self._rows = np.concatenate([rows[s] for s in self.sensors])
+        # row r of H belongs to the owner[r]-th active sensor
+        self._owner = np.repeat(np.arange(len(self.sensors)), [decomps[s].n_obs for s in self.sensors])
 
     @classmethod
     def removal_keeps_observability(cls, decomps, remaining) -> bool:
@@ -468,37 +461,26 @@ class FusionEstimator:
         remaining = tuple(remaining)
         if not remaining:
             return False
-        n = decomps[remaining[0]].T_o.shape[0]
-        W = cls._design_matrix(decomps, remaining, n)
-        return numerical_rank(W) == W.shape[1]
+        H = _stack_T_o(decomps, remaining)
+        return numerical_rank(H) == H.shape[1]
 
-    def fuse(
-        self,
-        zeta_post: dict[int, np.ndarray],
-        P_post: dict[tuple[int, int], np.ndarray],
-        rng: np.random.Generator,
-    ) -> FusionResult:
-        """One fusion step from the bank's posterior state.
+    def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray, rng: np.random.Generator) -> FusionResult:
+        """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.
 
-        Solves ``zeta~ = H x + e`` via Cholesky factorizations of
-        ``S = P_joint + eps I`` and of ``G = H' S^{-1} H``:
-        ``x* = G^{-1} H' S^{-1} zeta~`` with covariance ``G^{-1}``, equal in
-        exact arithmetic to the GLS fit with design ``W``.
+        Takes the active sensors' rows, draws one ``eta_s`` per active sensor
+        in order, and solves ``zeta~ = H x + e`` via Cholesky factorizations
+        of ``S = P_joint + eps I`` and of ``G = H' S^{-1} H``: ``x* = G^{-1}
+        H' S^{-1} zeta~`` with covariance ``G^{-1}``, equal in exact
+        arithmetic to the lifted GLS fit.
         """
         n, eps = self.n, self.epsilon
+        if self._rows is not None:
+            zeta_post = zeta_post[self._rows]
+            P_post = P_post[np.ix_(self._rows, self._rows)]
         dim = self.H.shape[0]
-        zt = np.empty(dim)
-        S = np.empty((dim, dim))
-        sq = np.sqrt(eps)
-        for s, b in zip(self.sensors, self._blocks):
-            eta = sq * rng.standard_normal(n)
-            zt[b] = zeta_post[s] + self.decomps[s].T_o.T @ eta
-        for i, (s1, b1) in enumerate(zip(self.sensors, self._blocks)):
-            for s2, b2 in zip(self.sensors[i:], self._blocks[i:]):
-                blk = P_post[(s1, s2)] if (s1, s2) in P_post else P_post[(s2, s1)].T
-                S[b1, b2] = blk
-                S[b2, b1] = blk.T
-        S = sym(S) + eps * np.eye(dim)
+        eta = np.sqrt(eps) * rng.standard_normal(len(self.sensors) * n)
+        zt = zeta_post + np.einsum("ij,ij->i", self.H, eta.reshape(-1, n)[self._owner])
+        S = sym(P_post) + eps * np.eye(dim)
         try:
             cf = cho_factor(S)
         except np.linalg.LinAlgError:

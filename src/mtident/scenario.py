@@ -48,7 +48,7 @@ from .detection import (
     RemovalTracker,
     identify_and_remove,
 )
-from .errors import ConditioningError, ConfigError
+from .errors import ConditioningError, ConfigError, MtidentError
 from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
@@ -379,10 +379,7 @@ def generate_example_system(
                     raise ConditioningError("pair unobservable")
             for s in range(m):
                 kalman_decomposition(ts, s)
-        except ConditioningError as exc:
-            last_err = exc
-            continue
-        except Exception as exc:  # decomposition failures: retry with a new draw
+        except (MtidentError, np.linalg.LinAlgError) as exc:  # retry with a new draw
             last_err = exc
             continue
         return ts, noise
@@ -396,7 +393,8 @@ def generate_example_system(
 # building blocks
 
 
-def _build_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
+def build_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
+    """The configured target set and noise model, generated or read from files."""
     sysd = cfg.system
     if sysd.kind == "generated":
         period = cfg.schedule.period
@@ -491,7 +489,7 @@ class RunReport:
 
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     """Run one seeded scenario end to end."""
-    ts, noise = _build_system(cfg)
+    ts, noise = build_system(cfg)
     n, m = ts.n, ts.m
     T = cfg.horizon
     schedule = sample_schedule(ts, T)
@@ -510,7 +508,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     central = CentralKalmanFilter(noise, mean_offset=offset)
     bank = LocalFilterBank(ts, noise, decomps=decomps, mean_offset=offset)
     active = list(range(m))
-    fusion = FusionEstimator(decomps, cfg.estimator.epsilon, tuple(active))
+    fusion = FusionEstimator(bank.decomps, cfg.estimator.epsilon, tuple(active))
 
     det = cfg.detector
     sensor_cfg = DetectorConfig.from_alpha(
@@ -550,8 +548,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         err_fused[k] = float(np.linalg.norm(fres.x_star))
         trace_P[k] = float(np.trace(cres.P_prior))
         fused_trace[k] = float(np.trace(fres.cov))
-        for s in range(m):
-            local_z[k, s] = bres.residues[s]
+        local_z[k] = bres.residues
 
         w = noise.Q_factor @ rng_sim.standard_normal(n)
         central.shift_prediction(-w)
@@ -583,7 +580,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
                 for s in removed:
                     active.remove(s)
                     events.append((k, s, "removed"))
-                fusion = FusionEstimator(decomps, cfg.estimator.epsilon, tuple(active))
+                fusion = FusionEstimator(bank.decomps, cfg.estimator.epsilon, tuple(active))
                 # central residue dimension changed: recalibrate and restart
                 central_det = Chi2Detector(
                     DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)

@@ -1,5 +1,11 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
@@ -22,6 +28,7 @@ from mtident import (
     simulate_stochastic,
 )
 from mtident.estimation import SensorDecomposition
+from mtident.linalg import numerical_rank
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +236,100 @@ def test_decomposition_fully_observable_sensor():
 # local filter bank
 
 
+class _BlockBank:
+    """Reference bank: one filter per sensor, with the joint covariance kept
+    as ``(s1, s2)`` blocks (bank order, ``s1`` first) updated block by block:
+
+        P^+_{s1,s2} = (I - K_1 C_1) P^-_{s1,s2} (I - K_2 C_2)' + K_1 R_{s1,s2} K_2'
+        P^-_{s1,s2} <- A_1 P^+_{s1,s2} A_2' + T_1' Q T_2
+    """
+
+    def __init__(self, ts, noise, sensors, decomps):
+        self.sensors = tuple(sensors)
+        self.decomps = decomps
+        self.zeta_prior = {s: decomps[s].T_o.T @ noise.x0_mean for s in self.sensors}
+        self.P_prior, self.Q_red, self.R_red = {}, {}, {}
+        for i, s1 in enumerate(self.sensors):
+            T1 = decomps[s1].T_o
+            for s2 in self.sensors[i:]:
+                T2 = decomps[s2].T_o
+                self.P_prior[(s1, s2)] = T1.T @ noise.P0 @ T2
+                self.Q_red[(s1, s2)] = T1.T @ noise.Q @ T2
+                self.R_red[(s1, s2)] = float(noise.R[s1, s2])
+
+    def step(self, j, y):
+        gains, ikc, z, zeta_post = {}, {}, {}, {}
+        for s in self.sensors:
+            dec = self.decomps[s]
+            C = dec.C_red[j]
+            Pp = self.P_prior[(s, s)]
+            den = float(C @ Pp @ C) + self.R_red[(s, s)]
+            K = (Pp @ C) / den
+            nu = float(y[s] - C @ self.zeta_prior[s])
+            gains[s] = K
+            ikc[s] = np.eye(dec.n_obs) - np.outer(K, C)
+            z[s] = nu / np.sqrt(den)
+            zeta_post[s] = self.zeta_prior[s] + K * nu
+        P_post = {}
+        for i, s1 in enumerate(self.sensors):
+            for s2 in self.sensors[i:]:
+                P_post[(s1, s2)] = (
+                    ikc[s1] @ self.P_prior[(s1, s2)] @ ikc[s2].T
+                    + self.R_red[(s1, s2)] * np.outer(gains[s1], gains[s2])
+                )
+        for i, s1 in enumerate(self.sensors):
+            A1 = self.decomps[s1].A_red[j]
+            self.zeta_prior[s1] = A1 @ zeta_post[s1]
+            for s2 in self.sensors[i:]:
+                A2 = self.decomps[s2].A_red[j]
+                self.P_prior[(s1, s2)] = A1 @ P_post[(s1, s2)] @ A2.T + self.Q_red[(s1, s2)]
+        return z, zeta_post, P_post
+
+    def shift_prediction(self, delta):
+        for s in self.sensors:
+            self.zeta_prior[s] = self.zeta_prior[s] + self.decomps[s].T_o.T @ delta
+
+
+@functools.lru_cache(maxsize=None)
+def _bank_plant():
+    ts, noise = generate_example_system(seed=11, n=10, l=2)
+    return ts, noise, {s: kalman_decomposition(ts, s) for s in range(ts.m)}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_local_bank_matches_per_block_reference(data):
+    ts, noise, decomps = _bank_plant()
+    order = data.draw(st.permutations(range(ts.m)))
+    sensors = tuple(order[: data.draw(st.integers(1, ts.m))])
+    T = data.draw(st.integers(1, 8))
+    sched = data.draw(st.lists(st.integers(0, ts.l - 1), min_size=T, max_size=T))
+    values = st.floats(-5.0, 5.0)
+    ys = data.draw(arrays(float, (T, ts.m), elements=values))
+    shifts = data.draw(arrays(float, (T, ts.n), elements=values))
+    bank = LocalFilterBank(ts, noise, sensors=sensors, decomps=decomps)
+    ref = _BlockBank(ts, noise, sensors, decomps)
+    blocks = [slice(a, b) for a, b in zip(bank.offsets[:-1], bank.offsets[1:])]
+    for k in range(T):
+        got = bank.step(sched[k], ys[k])
+        z, zeta_post, P_post = ref.step(sched[k], ys[k])
+        for i, s1 in enumerate(sensors):
+            assert_allclose(got.residues[i], z[s1], atol=1e-9)
+            assert_allclose(got.zeta_post[blocks[i]], zeta_post[s1], atol=1e-9)
+            for j in range(i, len(sensors)):
+                assert_allclose(got.P_post[blocks[i], blocks[j]], P_post[(s1, sensors[j])], atol=1e-9)
+        bank.shift_prediction(shifts[k])
+        ref.shift_prediction(shifts[k])
+
+
+def test_local_bank_leaves_caller_decomps_untouched():
+    ts, noise, decomps = _bank_plant()
+    given_decomps = {3: decomps[3]}
+    bank = LocalFilterBank(ts, noise, sensors=(3, 4), decomps=given_decomps)
+    assert list(given_decomps) == [3]
+    assert bank.decomps[3] is decomps[3] and sorted(bank.decomps) == [3, 4]
+
+
 def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):
     """Independent implementation: stack the per-sensor filters into one
     block system and propagate the exact joint covariance densely."""
@@ -236,7 +337,6 @@ def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):
     offs = np.cumsum([0] + dims)
     N = offs[-1]
     zeta = np.concatenate([decomps[s].T_o.T @ noise.x0_mean for s in sensors])
-    Tbig = np.hstack([decomps[s].T_o for s in sensors])  # n x N (columns grouped)
     Sigma = np.zeros((N, N))
     Qbig = np.zeros((N, N))
     for i, s1 in enumerate(sensors):
@@ -278,15 +378,12 @@ def test_local_bank_matches_dense_joint_implementation():
     rng = np.random.default_rng(48)
     ys = rng.standard_normal((8, 10))
     offs, dense = _dense_joint_bank(decomps, sensors, ts, noise, sched, ys)
+    assert np.array_equal(bank.offsets, offs)
     for k in range(8):
         step = bank.step(int(sched[k]), ys[k])
         zeta_d, Sigma_d = dense[k]
-        for i, s1 in enumerate(sensors):
-            assert_allclose(step.zeta_post[s1], zeta_d[offs[i] : offs[i + 1]], atol=1e-9)
-            for j in range(i, len(sensors)):
-                s2 = sensors[j]
-                blk = Sigma_d[offs[i] : offs[i + 1], offs[j] : offs[j + 1]]
-                assert_allclose(step.P_post[(s1, s2)], blk, atol=1e-9)
+        assert_allclose(step.zeta_post, zeta_d, atol=1e-9)
+        assert_allclose(step.P_post, Sigma_d, atol=1e-9)
 
 
 def test_local_bank_covariance_is_calibrated_empirically():
@@ -306,20 +403,10 @@ def test_local_bank_covariance_is_calibrated_empirically():
         for k in range(4):
             step = bank.step(int(sched[k]), traj.outputs[k])
         P_last = step.P_post
-        errs.append(
-            np.concatenate(
-                [decomps[s].T_o.T @ traj.states[3] - step.zeta_post[s] for s in sensors]
-            )
-        )
+        errs.append(bank.H @ traj.states[3] - step.zeta_post)
     errs = np.array(errs)
     emp = errs.T @ errs / trials
-    d3 = decomps[3].n_obs
-    ref = np.block(
-        [
-            [P_last[(3, 3)], P_last[(3, 4)]],
-            [P_last[(3, 4)].T, P_last[(4, 4)]],
-        ]
-    )
+    ref = P_last
     assert np.mean(np.abs(errs)) < 10  # errors are bounded, not degenerate
     scale = float(np.linalg.norm(ref))
     assert float(np.linalg.norm(emp - ref)) < 0.15 * scale
@@ -332,9 +419,7 @@ def test_local_bank_residues_are_standardized():
     bank = LocalFilterBank(ts, noise)
     sched = sample_schedule(ts, 600)
     traj = simulate_stochastic(ts, sched, noise, np.random.default_rng(49))
-    zs = np.array(
-        [list(bank.step(int(sched[k]), traj.outputs[k]).residues.values()) for k in range(600)]
-    )
+    zs = np.array([bank.step(int(sched[k]), traj.outputs[k]).residues for k in range(600)])
     assert abs(float(np.mean(zs))) < 0.05
     assert abs(float(np.var(zs)) - 1.0) < 0.12
 
@@ -353,6 +438,21 @@ def _trivial_decomp(sensor, n):
     )
 
 
+def _design_matrix(decomps, sensors, n):
+    """Lifted GLS design: block row ``s`` is ``[0 .. -T_uo,s .. 0  I]``, one
+    nuisance column group per sensor and ``x`` last."""
+    widths = [decomps[s].n_unobs for s in sensors]
+    cols = sum(widths) + n
+    W = np.zeros((len(sensors) * n, cols))
+    off = 0
+    for i, s in enumerate(sensors):
+        u = decomps[s].n_unobs
+        W[i * n : (i + 1) * n, off : off + u] = -decomps[s].T_uo
+        W[i * n : (i + 1) * n, cols - n :] = np.eye(n)
+        off += u
+    return W
+
+
 def test_fusion_averages_independent_full_estimates():
     # two fully observing sensors with identity covariances and no cross
     # correlation: the GLS fusion is the plain average (up to the eta blur)
@@ -361,8 +461,7 @@ def test_fusion_averages_independent_full_estimates():
     fus = FusionEstimator(decomps, epsilon=1e-9)
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([5.0, 4.0, 3.0])
-    P = {(0, 0): np.eye(n), (0, 1): np.zeros((n, n)), (1, 1): np.eye(n)}
-    res = fus.fuse({0: a, 1: b}, P, np.random.default_rng(50))
+    res = fus.fuse(np.concatenate([a, b]), np.eye(2 * n), np.random.default_rng(50))
     eta = np.sqrt(1e-9) * np.random.default_rng(50).standard_normal((2, n))
     assert_allclose(res.x_star, 0.5 * (a + eta[0] + b + eta[1]), atol=1e-8)
     assert_allclose(res.cov, 0.5 * np.eye(n), atol=1e-6)
@@ -370,42 +469,37 @@ def test_fusion_averages_independent_full_estimates():
 
 def test_fusion_matches_explicit_gls_oracle():
     ts, noise = generate_example_system(seed=11, n=10, l=2)
+    # the bank holds a sensor fusion leaves out, in another order, so fuse
+    # must pick and reorder the active rows
+    bank = LocalFilterBank(ts, noise, sensors=(4, 1, 2, 0))
     sensors = (0, 2, 4)
-    decomps = {s: kalman_decomposition(ts, s) for s in sensors}
+    decomps = bank.decomps
     rng = np.random.default_rng(51)
     # any symmetric positive joint covariance will do for the algebra
-    dims = [decomps[s].n_obs for s in sensors]
-    big = spd(rng, sum(dims))
-    offs = np.cumsum([0] + dims)
-    P = {}
-    for i, s1 in enumerate(sensors):
-        for j in range(i, len(sensors)):
-            s2 = sensors[j]
-            P[(s1, s2)] = big[offs[i] : offs[i + 1], offs[j] : offs[j + 1]]
-    zeta = {s: rng.standard_normal(decomps[s].n_obs) for s in sensors}
+    big = spd(rng, bank.H.shape[0])
+    blocks = {s: slice(bank.offsets[i], bank.offsets[i + 1]) for i, s in enumerate(bank.sensors)}
+    zeta = rng.standard_normal(bank.H.shape[0])
     eps = 1e-6
     fus = FusionEstimator(decomps, epsilon=eps, sensors=sensors)
-    res = fus.fuse(zeta, P, np.random.default_rng(52))
+    res = fus.fuse(zeta, big, np.random.default_rng(52))
 
     # oracle: explicit normal equations with the same eta draws
     n = 10
     eta_rng = np.random.default_rng(52)
     yhat = np.concatenate(
         [
-            decomps[s].T_o @ zeta[s] + np.sqrt(eps) * eta_rng.standard_normal(n)
+            decomps[s].T_o @ zeta[blocks[s]] + np.sqrt(eps) * eta_rng.standard_normal(n)
             for s in sensors
         ]
     )
     Qbig = np.zeros((3 * n, 3 * n))
     for i, s1 in enumerate(sensors):
         for j, s2 in enumerate(sensors):
-            key = (s1, s2) if i <= j else (s2, s1)
-            blk = P[key] if i <= j else P[key].T
             Qbig[i * n : (i + 1) * n, j * n : (j + 1) * n] = (
-                decomps[s1].T_o @ blk @ decomps[s2].T_o.T
+                decomps[s1].T_o @ big[blocks[s1], blocks[s2]] @ decomps[s2].T_o.T
             )
     Qbig += eps * np.eye(3 * n)
-    W = fus.W
+    W = _design_matrix(decomps, sensors, n)
     Qi = np.linalg.inv(Qbig)
     G = W.T @ Qi @ W
     sol = np.linalg.solve(G, W.T @ Qi @ yhat)
@@ -427,24 +521,23 @@ def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
     res = fus.fuse(st.zeta_post, st.P_post, np.random.default_rng(54))
 
     n, sensors, dec = ts.n, fus.sensors, bank.decomps
+    blocks = [slice(a, b) for a, b in zip(bank.offsets[:-1], bank.offsets[1:])]
     eta_rng = np.random.default_rng(54)
     yhat = np.concatenate(
-        [dec[s].T_o @ st.zeta_post[s] + np.sqrt(eps) * eta_rng.standard_normal(n) for s in sensors]
+        [
+            dec[s].T_o @ st.zeta_post[b] + np.sqrt(eps) * eta_rng.standard_normal(n)
+            for s, b in zip(sensors, blocks)
+        ]
     )
     Qbig = np.block(
         [
-            [
-                dec[s1].T_o
-                @ (st.P_post[(s1, s2)] if s1 <= s2 else st.P_post[(s2, s1)].T)
-                @ dec[s2].T_o.T
-                for s2 in sensors
-            ]
-            for s1 in sensors
+            [dec[s1].T_o @ st.P_post[b1, b2] @ dec[s2].T_o.T for s2, b2 in zip(sensors, blocks)]
+            for s1, b1 in zip(sensors, blocks)
         ]
     )
     assert np.linalg.matrix_rank(Qbig) <= n + ts.m
     Qbig += eps * np.eye(len(sensors) * n)
-    W = fus.W
+    W = _design_matrix(dec, sensors, n)
     Qi = np.linalg.inv(Qbig)
     G = W.T @ Qi @ W
     sol = np.linalg.solve(G, W.T @ Qi @ yhat)
@@ -464,3 +557,18 @@ def test_fusion_requires_joint_observability():
     assert not FusionEstimator.removal_keeps_observability(decomps, ())
     with pytest.raises(DecompositionError):
         FusionEstimator({s: decomps[s] for s in (1, 2, 3, 4)}, sensors=(1, 2, 3, 4))
+
+
+def test_observability_rule_matches_design_matrix_rank_on_every_subset():
+    # rank(H) = n and full column rank of W both say that the sensors'
+    # unobservable subspaces meet only in {0}
+    ts, _ = generate_example_system(seed=7, n=15, l=7, period=30)
+    decomps = {s: kalman_decomposition(ts, s) for s in range(ts.m)}
+    verdicts = []
+    for size in range(1, ts.m + 1):
+        for subset in itertools.combinations(range(ts.m), size):
+            W = _design_matrix(decomps, subset, ts.n)
+            by_W = numerical_rank(W) == W.shape[1]
+            assert FusionEstimator.removal_keeps_observability(decomps, subset) == by_W, subset
+            verdicts.append(by_W)
+    assert len(verdicts) == 2**ts.m - 1 and any(verdicts) and not all(verdicts)
