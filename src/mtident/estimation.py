@@ -395,7 +395,8 @@ class LocalFilterBank:
 
     def shift_prediction(self, delta: np.ndarray) -> None:
         """Add a known full-state offset to every sensor's predicted state."""
-        self.zeta_prior = self.zeta_prior + self.H @ np.asarray(delta, dtype=float).reshape(self.ts.n)
+        delta = np.asarray(delta, dtype=float).reshape(self.ts.n)
+        self.zeta_prior = self.zeta_prior + self.H @ delta
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +454,8 @@ class FusionEstimator:
             rows = {s: np.arange(e - decomps[s].n_obs, e) for s, e in zip(order, ends)}
             self._rows = np.concatenate([rows[s] for s in self.sensors])
         # row r of H belongs to the owner[r]-th active sensor
-        self._owner = np.repeat(np.arange(len(self.sensors)), [decomps[s].n_obs for s in self.sensors])
+        dims = [decomps[s].n_obs for s in self.sensors]
+        self._owner = np.repeat(np.arange(len(self.sensors)), dims)
 
     @classmethod
     def removal_keeps_observability(cls, decomps, remaining) -> bool:
@@ -464,7 +466,9 @@ class FusionEstimator:
         H = _stack_T_o(decomps, remaining)
         return numerical_rank(H) == H.shape[1]
 
-    def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray, rng: np.random.Generator) -> FusionResult:
+    def fuse(
+        self, zeta_post: np.ndarray, P_post: np.ndarray, rng: np.random.Generator
+    ) -> FusionResult:
         """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.
 
         Takes the active sensors' rows, draws one ``eta_s`` per active sensor

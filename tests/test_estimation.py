@@ -317,7 +317,8 @@ def test_local_bank_matches_per_block_reference(data):
             assert_allclose(got.residues[i], z[s1], atol=1e-9)
             assert_allclose(got.zeta_post[blocks[i]], zeta_post[s1], atol=1e-9)
             for j in range(i, len(sensors)):
-                assert_allclose(got.P_post[blocks[i], blocks[j]], P_post[(s1, sensors[j])], atol=1e-9)
+                blk = P_post[(s1, sensors[j])]
+                assert_allclose(got.P_post[blocks[i], blocks[j]], blk, atol=1e-9)
         bank.shift_prediction(shifts[k])
         ref.shift_prediction(shifts[k])
 
