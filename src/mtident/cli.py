@@ -35,7 +35,7 @@ from .errors import (
 from .identifiability import analyze_target_set
 from .matrixio import write_matrix, write_vector
 from .scenario import (
-    build_system,
+    build_target_set,
     generate_example_system,
     load_config,
     monte_carlo,
@@ -99,9 +99,8 @@ def _load(args) -> object:
 def _cmd_gen_system(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ts, noise = generate_example_system(
-        seed=args.seed, n=args.n, l=args.l, period=args.period
-    )
+    plant = generate_example_system(seed=args.seed, n=args.n, l=args.l, period=args.period)
+    ts, noise = plant.ts, plant.noise
     pair_entries = []
     for j, pair in enumerate(ts.pairs):
         write_matrix(out / f"A_{j}.txt", pair.A)
@@ -134,7 +133,7 @@ def _cmd_gen_system(args) -> int:
 
 def _cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    ts, _ = build_system(cfg)
+    ts = build_target_set(cfg)
     report = analyze_target_set(ts)
     print(f"configurations: {ts.l}, state dimension: {ts.n}, sensors: {ts.m}")
     print(f"schedule period: {ts.period} (recommended minimum {2 * ts.n})")

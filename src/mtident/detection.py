@@ -16,16 +16,22 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 
 def threshold_from_alpha(window: int, dof_per_step: int, alpha: float) -> float:
-    """Chi-square alarm threshold with false-alarm probability ``alpha`` per window."""
+    """Chi-square alarm threshold with false-alarm probability ``alpha`` per window.
+
+    The ``1 - alpha`` quantile of chi-square with ``df`` degrees of freedom
+    is ``2 * gammaincinv(df / 2, 1 - alpha)``, the expression
+    ``scipy.stats.chi2.ppf`` evaluates, so the thresholds are the same bits
+    without importing ``scipy.stats``.
+    """
     if window < 1 or dof_per_step < 1:
         raise ValueError("window and dof_per_step must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return float(chi2.ppf(1.0 - alpha, window * dof_per_step))
+    return float(2 * gammaincinv(window * dof_per_step / 2, 1.0 - alpha))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,15 @@ state, which for the deliberately unstable example plant overflows doubles
 (and drowns innovations in cancellation) long before the 10^4-step horizons
 used for residue calibration.
 
+A run happens on a :class:`Plant`: the target set, the noise model and every
+sensor's Kalman decomposition. Generating the example plant already
+decomposes each sensor to validate the draw, and the plant keeps those
+decompositions; an explicit plant is decomposed once when it is built.
+Monte Carlo trials differ from their study only in seeds and schedule key,
+and no plant matrix depends on the key, so :func:`monte_carlo` builds the
+plant once and runs every trial on it under the trial's own key. A single
+run builds its own plant and then takes the same path.
+
 Reproducibility: every random quantity derives from config seeds (simulation
 noise and fusion blur from ``seed`` via spawned streams, the schedule from
 the schedule key, attacker guesses from the attack seed), so identical
@@ -53,6 +62,7 @@ from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
     LocalFilterBank,
+    SensorDecomposition,
     kalman_decomposition,
 )
 from .linalg import numerical_rank, observability_stack, spectral_radius
@@ -304,6 +314,20 @@ def load_config(path: str | os.PathLike) -> ScenarioConfig:
 # the worked example system
 
 
+@dataclass(frozen=True)
+class Plant:
+    """What every run of a study shares: the target set, the noise model, and
+    the decomposition of each sensor (keyed by sensor, in sensor order).
+
+    Nothing here depends on ``ts.key``, so trials run on one plant under
+    their own keys; nothing in a run writes to the plant.
+    """
+
+    ts: TargetSet
+    noise: NoiseModel
+    decomps: dict[int, SensorDecomposition]
+
+
 _BLOCK_PATTERN = ((0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4))
 
 
@@ -317,7 +341,7 @@ def generate_example_system(
     period: int | None = None,
     key=None,
     max_attempts: int = 40,
-) -> tuple[TargetSet, NoiseModel]:
+) -> Plant:
     """Random instance of the worked example: five coupled 3-dim blocks,
     two five-sensor banks, unstable block dynamics.
 
@@ -327,7 +351,8 @@ def generate_example_system(
     the per-sensor filter bank requires. Diagonal blocks are rescaled to a
     spectral radius drawn from ``radius`` (unstable by default). Draws are
     retried until every pair is observable and every sensor decomposes
-    cleanly.
+    cleanly; the returned plant keeps those decompositions. No retry depends
+    on ``key``.
     """
     if n % 5 != 0:
         raise ValueError("n must be divisible by 5 (five equal blocks)")
@@ -377,12 +402,11 @@ def generate_example_system(
             for p in pairs:
                 if numerical_rank(observability_stack(p.A, p.C, n)) < n:
                     raise ConditioningError("pair unobservable")
-            for s in range(m):
-                kalman_decomposition(ts, s)
+            decomps = {s: kalman_decomposition(ts, s) for s in range(m)}
         except (MtidentError, np.linalg.LinAlgError) as exc:  # retry with a new draw
             last_err = exc
             continue
-        return ts, noise
+        return Plant(ts, noise, decomps)
     raise ConditioningError(
         f"could not generate a well-posed example system after {max_attempts} attempts "
         f"(last failure: {last_err})"
@@ -393,22 +417,19 @@ def generate_example_system(
 # building blocks
 
 
-def build_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
-    """The configured target set and noise model, generated or read from files."""
+def config_schedule_key(cfg: ScenarioConfig) -> bytes:
+    """The schedule key ``cfg`` runs under: ``schedule.key`` when given,
+    else one derived from the system seed (generated systems) or from the
+    run seed (explicit systems). Monte Carlo trial keys derive from it."""
+    if cfg.schedule.key is not None:
+        return schedule_key(cfg.schedule.key)
+    if cfg.system.kind == "generated":
+        return schedule_key(f"mtident-example-{cfg.system.seed}")
+    return schedule_key(f"mtident-explicit-{cfg.seed}")
+
+
+def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     sysd = cfg.system
-    if sysd.kind == "generated":
-        period = cfg.schedule.period
-        key = cfg.schedule.key
-        return generate_example_system(
-            seed=sysd.seed,
-            n=sysd.n,
-            l=sysd.l,
-            radius=sysd.spectral_radius,
-            coupling=sysd.coupling,
-            noise_scale=sysd.noise_scale,
-            period=period,
-            key=key if key is not None else None,
-        )
     pairs = tuple(LtiPair(read_matrix(a), read_matrix(c)) for a, c in sysd.pair_files)
     Q = read_matrix(sysd.Q_file)
     R = read_matrix(sysd.R_file)
@@ -416,9 +437,39 @@ def build_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     P0 = read_matrix(sysd.P0_file) if sysd.P0_file else np.eye(Q.shape[0])
     n = pairs[0].n
     period = cfg.schedule.period if cfg.schedule.period is not None else 2 * n
-    key = cfg.schedule.key if cfg.schedule.key is not None else schedule_key(f"mtident-explicit-{cfg.seed}")
-    ts = TargetSet(pairs=pairs, period=period, key=key)
+    ts = TargetSet(pairs=pairs, period=period, key=config_schedule_key(cfg))
     return ts, NoiseModel(Q=Q, R=R, x0_mean=x0, P0=P0)
+
+
+def build_system(cfg: ScenarioConfig) -> Plant:
+    """The configured plant, generated or read from files.
+
+    A generated plant keeps the decompositions that validated its draw; an
+    explicit one is decomposed here.
+    """
+    sysd = cfg.system
+    if sysd.kind == "generated":
+        return generate_example_system(
+            seed=sysd.seed,
+            n=sysd.n,
+            l=sysd.l,
+            radius=sysd.spectral_radius,
+            coupling=sysd.coupling,
+            noise_scale=sysd.noise_scale,
+            period=cfg.schedule.period,
+            key=config_schedule_key(cfg),
+        )
+    ts, noise = _read_system(cfg)
+    return Plant(ts, noise, {s: kalman_decomposition(ts, s) for s in range(ts.m)})
+
+
+def build_target_set(cfg: ScenarioConfig) -> TargetSet:
+    """The configured target set for a design audit. An explicit system is
+    read but not decomposed, so designs without per-sensor filters can
+    still be audited."""
+    if cfg.system.kind == "generated":
+        return build_system(cfg).ts
+    return _read_system(cfg)[0]
 
 
 def _resolve_x0_star(spec: AttackSpec, ts: TargetSet) -> np.ndarray:
@@ -487,9 +538,17 @@ class RunReport:
     summary: dict
 
 
-def run_scenario(cfg: ScenarioConfig) -> RunReport:
-    """Run one seeded scenario end to end."""
-    ts, noise = build_system(cfg)
+def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
+    """Run one seeded scenario end to end.
+
+    ``plant`` defaults to ``build_system(cfg)``; :func:`monte_carlo` passes
+    its study's shared plant instead. Either way the run uses the plant
+    under ``cfg``'s schedule key and leaves the plant unchanged.
+    """
+    if plant is None:
+        plant = build_system(cfg)
+    ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
+    noise, decomps = plant.noise, plant.decomps
     n, m = ts.n, ts.m
     T = cfg.horizon
     schedule = sample_schedule(ts, T)
@@ -499,8 +558,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     ss_sim, ss_eta = master.spawn(2)
     rng_sim = np.random.default_rng(ss_sim)
     rng_eta = np.random.default_rng(ss_eta)
-
-    decomps = {s: kalman_decomposition(ts, s) for s in range(m)}
 
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
     e0 = noise.P0_factor @ rng_sim.standard_normal(n)
@@ -648,11 +705,8 @@ def trial_config(cfg: ScenarioConfig, index: int) -> ScenarioConfig:
     order or in parallel and still reproduce.
     """
     state = np.random.SeedSequence([cfg.seed, index]).generate_state(3)
-    base_key = cfg.schedule.key
-    if base_key is None:
-        base_key = schedule_key(f"mtident-example-{cfg.system.seed}")
     key_i = hashlib.sha256(
-        schedule_key(base_key) + int(index).to_bytes(8, "big")
+        config_schedule_key(cfg) + int(index).to_bytes(8, "big")
     ).digest()
     return dataclasses.replace(
         cfg,
@@ -665,13 +719,18 @@ def trial_config(cfg: ScenarioConfig, index: int) -> ScenarioConfig:
 def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloReport:
     """Run independent trials of the scenario and aggregate.
 
-    Trials are sequential here; per-trial seeding is index-based, so results
-    are exchangeable under permutation of trial indices.
+    The plant is built once and every trial runs on it through
+    :func:`run_scenario` under its own key; this equals building each
+    trial's plant afresh, because generation and its retries never depend
+    on the key. Trials are sequential here; per-trial seeding is
+    index-based, so results are exchangeable under permutation of trial
+    indices.
     """
     trials = trials if trials is not None else cfg.trials
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    reports = [run_scenario(trial_config(cfg, i)) for i in range(trials)]
+    plant = build_system(cfg)
+    reports = [run_scenario(trial_config(cfg, i), plant) for i in range(trials)]
     summaries = [r.summary for r in reports]
     mean_c = np.mean(np.stack([r.err_central for r in reports]), axis=0)
     mean_f = np.mean(np.stack([r.err_fused for r in reports]), axis=0)

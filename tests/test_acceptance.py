@@ -322,7 +322,8 @@ def test_criterion_07_fusion_tracks_central_filter():
 
 def test_criterion_08_prior_covariance_stays_bounded(long_clean_run):
     report, _ = long_clean_run
-    ts, noise = generate_example_system(seed=7, n=15, l=7, period=30, key="acceptance-calibration")
+    plant = generate_example_system(seed=7, n=15, l=7, period=30, key="acceptance-calibration")
+    ts, noise = plant.ts, plant.noise
     steady = [
         float(np.trace(solve_discrete_are(p.A.T, p.C.T, noise.Q, noise.R)))
         for p in ts.pairs

@@ -121,3 +121,30 @@ def test_numerical_failures_exit_with_3(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_analyze_audits_a_design_whose_sensors_do_not_decompose(tmp_path, capsys):
+    # sensor 0 sees x1 under configuration 0 and x2 under configuration 1, so
+    # its unobservable subspace moves: no per-sensor filter, but an audit
+    A = np.diag([1.1, 0.9])
+    pairs = []
+    for j, C in enumerate((np.eye(2), np.eye(2)[::-1])):
+        write_matrix(tmp_path / f"A{j}.txt", A)
+        write_matrix(tmp_path / f"C{j}.txt", C)
+        pairs.append({"A": f"A{j}.txt", "C": f"C{j}.txt"})
+    write_matrix(tmp_path / "Q.txt", np.eye(2))
+    write_matrix(tmp_path / "R.txt", np.eye(2))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "horizon": 5,
+                "seed": 1,
+                "system": {"kind": "explicit", "pairs": pairs, "Q": "Q.txt", "R": "R.txt"},
+            }
+        )
+    )
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    assert "configurations: 2, state dimension: 2, sensors: 2" in capsys.readouterr().out
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
+    assert "unobservable" in capsys.readouterr().err

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -51,6 +55,31 @@ def test_threshold_matches_high_precision_oracle(window, dof, alpha):
     assert abs(got - want) < 1e-9 * want
     # round trip: the exceedance probability at the threshold is alpha
     assert abs(float(chi2.sf(got, window * dof)) - alpha) < 1e-12 + 1e-6 * alpha
+
+
+def test_threshold_equals_scipy_stats_chi2_ppf_bit_for_bit():
+    # production settings: sensor detectors (5, 1, 6.9e-8); the central
+    # detector (3, d, 4.2e-4) for every active-set size d of the example plant
+    cases = [(5, 1, 6.9e-8)] + [(3, d, 4.2e-4) for d in range(1, 11)]
+    alphas = [float(a) for a in np.logspace(-12, -0.01, 60)] + [6.9e-8, 4.2e-4, 0.05, 0.5]
+    cases += [(df, 1, a) for df in range(1, 200) for a in alphas]
+    cases += [(3, d, a) for d in range(1, 11) for a in alphas]
+    mismatches = [
+        (w, d, a)
+        for w, d, a in cases
+        if threshold_from_alpha(w, d, a) != float(chi2.ppf(1.0 - a, w * d))
+    ]
+    assert not mismatches, mismatches[:5]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    import mtident
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtident.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mtident.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_threshold_rejects_bad_arguments():

@@ -197,7 +197,7 @@ def test_bias_recursion_is_linear_in_the_attack():
 
 
 def test_kalman_decomposition_block_structure():
-    ts, _ = generate_example_system(seed=7, n=10, l=2)
+    ts = generate_example_system(seed=7, n=10, l=2).ts
     expected_unobs = [2, 4, 6, 6, 8] * 2  # block reachability, two sensor banks
     for s in range(10):
         dec = kalman_decomposition(ts, s)
@@ -292,7 +292,8 @@ class _BlockBank:
 
 @functools.lru_cache(maxsize=None)
 def _bank_plant():
-    ts, noise = generate_example_system(seed=11, n=10, l=2)
+    plant = generate_example_system(seed=11, n=10, l=2)
+    ts, noise = plant.ts, plant.noise
     return ts, noise, {s: kalman_decomposition(ts, s) for s in range(ts.m)}
 
 
@@ -371,7 +372,8 @@ def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):
 
 
 def test_local_bank_matches_dense_joint_implementation():
-    ts, noise = generate_example_system(seed=11, n=10, l=2)
+    plant = generate_example_system(seed=11, n=10, l=2)
+    ts, noise = plant.ts, plant.noise
     sensors = (0, 3, 4)
     decomps = {s: kalman_decomposition(ts, s) for s in sensors}
     bank = LocalFilterBank(ts, noise, sensors=sensors, decomps=decomps)
@@ -390,7 +392,8 @@ def test_local_bank_matches_dense_joint_implementation():
 def test_local_bank_covariance_is_calibrated_empirically():
     # the reported joint covariance matches the sample covariance of the
     # actual reduced estimation errors T_o' x - zeta
-    ts, noise = generate_example_system(seed=11, n=10, l=2)
+    plant = generate_example_system(seed=11, n=10, l=2)
+    ts, noise = plant.ts, plant.noise
     sensors = (3, 4)
     decomps = {s: kalman_decomposition(ts, s) for s in sensors}
     sched = sample_schedule(ts, 4)
@@ -416,7 +419,8 @@ def test_local_bank_covariance_is_calibrated_empirically():
 def test_local_bank_residues_are_standardized():
     # stable variant: direct long simulation would overflow with the
     # default unstable block dynamics
-    ts, noise = generate_example_system(seed=11, n=10, l=2, radius=(0.55, 0.9))
+    plant = generate_example_system(seed=11, n=10, l=2, radius=(0.55, 0.9))
+    ts, noise = plant.ts, plant.noise
     bank = LocalFilterBank(ts, noise)
     sched = sample_schedule(ts, 600)
     traj = simulate_stochastic(ts, sched, noise, np.random.default_rng(49))
@@ -469,7 +473,8 @@ def test_fusion_averages_independent_full_estimates():
 
 
 def test_fusion_matches_explicit_gls_oracle():
-    ts, noise = generate_example_system(seed=11, n=10, l=2)
+    plant = generate_example_system(seed=11, n=10, l=2)
+    ts, noise = plant.ts, plant.noise
     # the bank holds a sensor fusion leaves out, in another order, so fuse
     # must pick and reorder the active rows
     bank = LocalFilterBank(ts, noise, sensors=(4, 1, 2, 0))
@@ -513,7 +518,8 @@ def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
     # the joint covariance of a real bank after its first update is the
     # lifted prior plus measurement terms: rank <= n + m = 25 of 72, so only
     # the eps blur keeps the lifted system invertible
-    ts, noise = generate_example_system(seed=7, n=15, l=7, period=30)
+    plant = generate_example_system(seed=7, n=15, l=7, period=30)
+    ts, noise = plant.ts, plant.noise
     bank = LocalFilterBank(ts, noise)
     y = noise.R_factor @ np.random.default_rng(53).standard_normal(ts.m)
     st = bank.step(0, y)
@@ -548,7 +554,7 @@ def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
 
 
 def test_fusion_requires_joint_observability():
-    ts, _ = generate_example_system(seed=7, n=10, l=2)
+    ts = generate_example_system(seed=7, n=10, l=2).ts
     decomps = {s: kalman_decomposition(ts, s) for s in range(10)}
     assert FusionEstimator.removal_keeps_observability(decomps, tuple(range(10)))
     assert FusionEstimator.removal_keeps_observability(decomps, (0, 1, 2, 3, 4))
@@ -563,7 +569,7 @@ def test_fusion_requires_joint_observability():
 def test_observability_rule_matches_design_matrix_rank_on_every_subset():
     # rank(H) = n and full column rank of W both say that the sensors'
     # unobservable subspaces meet only in {0}
-    ts, _ = generate_example_system(seed=7, n=15, l=7, period=30)
+    ts = generate_example_system(seed=7, n=15, l=7, period=30).ts
     decomps = {s: kalman_decomposition(ts, s) for s in range(ts.m)}
     verdicts = []
     for size in range(1, ts.m + 1):

@@ -1,13 +1,17 @@
+import copy
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from mtident import estimation, scenario
 from mtident import (
     CentralKalmanFilter,
     ConfigError,
     LocalFilterBank,
+    build_system,
     config_from_dict,
     generate_example_system,
     kalman_decomposition,
@@ -15,6 +19,7 @@ from mtident import (
     monte_carlo,
     run_scenario,
     sample_schedule,
+    schedule_key,
     trial_config,
     write_matrix,
     write_monte_carlo_outputs,
@@ -48,9 +53,10 @@ def _raw(**over):
 
 
 def _stable_system():
-    return generate_example_system(
+    plant = generate_example_system(
         seed=11, n=10, l=2, radius=(0.55, 0.9), period=5, key="scenario-test-key"
     )
+    return plant.ts, plant.noise
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +310,130 @@ def test_monte_carlo_aggregates_identification_outcomes():
     assert agg["trials_with_clean_removal"] == 0
     assert len(agg["first_detection_steps"]) == 3
     json.dumps(agg)
+
+
+def _guessing_raw():
+    # the example plant under criterion 10's attack: trials remove sensors
+    return {
+        "horizon": 60,
+        "seed": 77,
+        "system": {"kind": "generated", "seed": 7, "n": 15, "l": 7},
+        "schedule": {"period": 30, "key": "independence-test"},
+        "attack": {
+            "kind": "guessing",
+            "sensors": [5, 6, 7, 8, 9],
+            "x0_star_scale": 10.0,
+            "seed": 99,
+        },
+    }
+
+
+def _explicit_raw(tmp_path, key="explicit-mc-key"):
+    plant = generate_example_system(seed=11, n=10, l=2, radius=(0.55, 0.9))
+    pairs = []
+    for j, pair in enumerate(plant.ts.pairs):
+        write_matrix(tmp_path / f"A{j}.txt", pair.A)
+        write_matrix(tmp_path / f"C{j}.txt", pair.C)
+        pairs.append({"A": f"A{j}.txt", "C": f"C{j}.txt"})
+    write_matrix(tmp_path / "Q.txt", plant.noise.Q)
+    write_matrix(tmp_path / "R.txt", plant.noise.R)
+    raw = {
+        "horizon": 30,
+        "seed": 5,
+        "system": {"kind": "explicit", "pairs": pairs, "Q": "Q.txt", "R": "R.txt"},
+        "schedule": {"period": 5},
+        "attack": {"kind": "persistent_bias", "sensors": [2], "constant": 25.0},
+    }
+    if key is not None:
+        raw["schedule"]["key"] = key
+    return raw
+
+
+def _plant_snapshot(plant):
+    arrays = [plant.noise.Q, plant.noise.R, plant.noise.x0_mean, plant.noise.P0]
+    arrays += [M for p in plant.ts.pairs for M in (p.A, p.C)]
+    for d in plant.decomps.values():
+        arrays += [d.T_uo, d.T_o, *d.A_red, *d.C_red]
+    return list(plant.decomps), plant.ts.key, copy.deepcopy(arrays)
+
+
+def _assert_same_trial(got, want):
+    assert got.summary == want.summary
+    assert np.array_equal(got.err_central, want.err_central)
+    assert np.array_equal(got.err_fused, want.err_fused)
+
+
+@pytest.mark.parametrize("kind", ["guessing", "explicit"])
+def test_monte_carlo_trials_are_independent_of_the_shared_plant(kind, tmp_path, monkeypatch):
+    if kind == "guessing":
+        cfg = config_from_dict(_guessing_raw())
+    else:
+        cfg = config_from_dict(_explicit_raw(tmp_path), base_dir=tmp_path)
+    trials = 4
+    in_study = []
+
+    def recorded(*args, **kwargs):
+        in_study.append(run_scenario(*args, **kwargs))
+        return in_study[-1]
+
+    monkeypatch.setattr(scenario, "run_scenario", recorded)
+    mc = monte_carlo(cfg, trials=trials)
+    monkeypatch.undo()
+    alone = [run_scenario(trial_config(cfg, i)) for i in range(trials)]
+    assert sum(len(r.summary["removed"]) for r in alone) > 0
+    assert len(in_study) == trials
+    for i, r in enumerate(alone):
+        _assert_same_trial(in_study[i], r)
+        assert mc.summaries[i] == r.summary
+
+    # the trials again, in reverse order, on one shared plant
+    plant = build_system(cfg)
+    before = _plant_snapshot(plant)
+    for i in reversed(range(trials)):
+        _assert_same_trial(run_scenario(trial_config(cfg, i), plant), alone[i])
+    after = _plant_snapshot(plant)
+    assert after[:2] == before[:2]
+    assert all(np.array_equal(a, b) for a, b in zip(after[2], before[2], strict=True))
+
+
+def test_monte_carlo_builds_and_decomposes_the_plant_once(monkeypatch):
+    calls = {"generate": 0, "decompose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        scenario, "generate_example_system", counted("generate", scenario.generate_example_system)
+    )
+    decompose = counted("decompose", estimation.kalman_decomposition)
+    monkeypatch.setattr(scenario, "kalman_decomposition", decompose)
+    monkeypatch.setattr(estimation, "kalman_decomposition", decompose)
+    cfg = config_from_dict(_raw(horizon=10))
+    build_system(cfg)
+    once = dict(calls)
+    assert once["generate"] == 1 and once["decompose"] >= 10
+    monte_carlo(cfg, trials=3)
+    assert calls == {name: 2 * c for name, c in once.items()}
+
+
+def test_keyless_explicit_studies_derive_keys_from_their_seed(tmp_path):
+    raw = _explicit_raw(tmp_path, key=None)
+    cfg = config_from_dict(raw, base_dir=tmp_path)
+    other = config_from_dict(dict(raw, seed=6), base_dir=tmp_path)
+    base = schedule_key("mtident-explicit-5")
+    assert scenario.config_schedule_key(cfg) == base
+    assert build_system(cfg).ts.key == base
+    for i in range(3):
+        key_i = trial_config(cfg, i).schedule.key
+        assert key_i == hashlib.sha256(base + i.to_bytes(8, "big")).digest()
+        assert key_i != trial_config(other, i).schedule.key
+    # a generated system's keyless studies keep the system-seed rule
+    gen = config_from_dict(_raw(schedule={"period": 5}))
+    assert scenario.config_schedule_key(gen) == schedule_key("mtident-example-11")
 
 
 # ---------------------------------------------------------------------------
