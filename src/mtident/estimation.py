@@ -4,7 +4,8 @@ Three layers:
 
 * :class:`CentralKalmanFilter` — the standard time-varying Kalman filter on
   the full output vector, producing whitened residues
-  ``z_k = P_yy^{-1/2} (y_k - C_k xhat_k^-)``.
+  ``z_k = U^{-T} (y_k - C_k xhat_k^-)`` with ``P_yy = U' U`` the upper
+  Cholesky factorization of the innovation covariance.
 * :func:`bias_recursion` — the exact, noise-free propagation of an additive
   sensor attack through the filter: the difference between an attacked and a
   clean run with common noise is a deterministic linear recursion in the
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DecompositionError, FilterError, ModelError
 from .linalg import (
-    inv_sqrt_psd,
     nullspace,
     numerical_rank,
     observability_stack,
@@ -44,13 +45,11 @@ from .system_model import AttackSet, LtiPair, NoiseModel, TargetSet
 
 @dataclass
 class CentralStep:
-    """One filter step: whitened residue, posterior estimate, and diagnostics."""
+    """One filter step: whitened residue, posterior estimate, and the prior
+    covariance the step used."""
 
     residue: np.ndarray
     x_post: np.ndarray
-    innovation: np.ndarray
-    innovation_cov: np.ndarray
-    gain: np.ndarray
     P_prior: np.ndarray
 
 
@@ -59,24 +58,20 @@ class CentralKalmanFilter:
 
     Update with the step-k pair, then predict with the same pair:
 
-        P_yy = C P C' + R,    K = P C' P_yy^{-1}
-        z    = P_yy^{-1/2} (y - C xhat^-)
+        P_yy = C P C' + R = U' U,    K = P C' P_yy^{-1}
+        z    = U^{-T} (y - C xhat^-)
         xhat = xhat^- + K (y - C xhat^-)
         P^+  = P - K C P
         xhat^- <- A xhat,   P <- A P^+ A' + Q
 
-    The inverse square root uses a symmetric eigendecomposition with
-    eigenvalues floored at ``sqrt_floor``. ``mean_offset`` shifts the initial
-    predicted state by a known amount (used by the scenario engine to run the
-    filter in error coordinates).
+    ``U`` is the upper Cholesky factor of ``P_yy``, so ``z`` is white with
+    ``|z|^2 = innov' P_yy^{-1} innov``; one factorization gives both the
+    gain and the residue. ``mean_offset`` shifts the initial predicted state
+    by a known amount (used by the scenario engine to run the filter in
+    error coordinates).
     """
 
-    def __init__(
-        self,
-        noise: NoiseModel,
-        mean_offset: np.ndarray | None = None,
-        sqrt_floor: float = 1e-12,
-    ):
+    def __init__(self, noise: NoiseModel, mean_offset: np.ndarray | None = None):
         self.noise = noise
         self.n = noise.n
         self.m = noise.m
@@ -84,7 +79,6 @@ class CentralKalmanFilter:
         if mean_offset is not None:
             self.x_prior = self.x_prior + np.asarray(mean_offset, dtype=float).reshape(self.n)
         self.P_prior = noise.P0.copy()
-        self.sqrt_floor = sqrt_floor
         self.k = 0
 
     def _active(self, pair: LtiPair, active):
@@ -95,40 +89,29 @@ class CentralKalmanFilter:
 
     def step_covariance(self, pair: LtiPair, active=None):
         """Advance the attack-free Riccati recursion only; returns
-        ``(gain, P_yy_inv_sqrt, C_active, P_prior_used, P_yy)``."""
+        ``(gain, U, C_active, P_prior_used)`` with ``P_yy = U' U``."""
         C, R = self._active(pair, active)
         P = self.P_prior
-        Pyy = sym(C @ P @ C.T + R)
-        try:
-            cf = cho_factor(Pyy)
-        except np.linalg.LinAlgError as exc:  # impossible with R > 0
-            raise FilterError("innovation covariance lost positive definiteness") from exc
-        K = cho_solve(cf, C @ P).T
-        P_used = P.copy()
+        U, info = dpotrf(sym(C @ P @ C.T + R))
+        if info or not np.isfinite(U).all():  # impossible with finite R > 0
+            raise FilterError("innovation covariance lost positive definiteness")
+        K = dpotrs(U, C @ P)[0].T
         P_post = sym(P - K @ C @ P)
         self.P_prior = sym(pair.A @ P_post @ pair.A.T + self.noise.Q)
         self.k += 1
-        return K, inv_sqrt_psd(Pyy, self.sqrt_floor), C, P_used, Pyy
+        return K, U, C, P
 
     def step(self, pair: LtiPair, y, active=None) -> CentralStep:
         """Full measurement update + prediction with the step-k configuration."""
         y = np.asarray(y, dtype=float).reshape(-1)
         x = self.x_prior
-        K, Pyy_inv_sqrt, C, P_used, Pyy = self.step_covariance(pair, active)
+        K, U, C, P_used = self.step_covariance(pair, active)
         if y.shape[0] != C.shape[0]:
             raise ModelError(f"measurement has {y.shape[0]} rows, expected {C.shape[0]}")
         innov = y - C @ x
-        z = Pyy_inv_sqrt @ innov
         x_post = x + K @ innov
         self.x_prior = pair.A @ x_post
-        return CentralStep(
-            residue=z,
-            x_post=x_post,
-            innovation=innov,
-            innovation_cov=Pyy,
-            gain=K,
-            P_prior=P_used,
-        )
+        return CentralStep(residue=dtrtrs(U, innov, trans=1)[0], x_post=x_post, P_prior=P_used)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
         """Add a known offset to the current predicted state.
@@ -160,7 +143,7 @@ def bias_recursion(
     With gains and covariances from the attack-free Riccati recursion and
     prior bias ``b_k = A_{k-1} de_{k-1}`` (``b_0 = 0``):
 
-        dz_k = P_yy^{-1/2} (C_k b_k + D d_k)
+        dz_k = U_k^{-T} (C_k b_k + D d_k),   P_yy,k = U_k' U_k
         de_k = b_k - K_k (C_k b_k + D d_k)
 
     By linearity this equals the exact difference between an attacked and a
@@ -179,10 +162,9 @@ def bias_recursion(
     dz = np.empty((T, ts.m))
     for k in range(T):
         pair = ts.pairs[schedule[k]]
-        K, Pyy_inv_sqrt, C, _, _ = filt.step_covariance(pair)
-        a = attack.D @ dvals[k]
-        cb = C @ b + a
-        dz[k] = Pyy_inv_sqrt @ cb
+        K, U, C, _ = filt.step_covariance(pair)
+        cb = C @ b + attack.D @ dvals[k]
+        dz[k] = dtrtrs(U, cb, trans=1)[0]
         de[k] = b - K @ cb
         b = pair.A @ de[k]
     return BiasTrace(delta_e=de, delta_z=dz)

@@ -91,14 +91,6 @@ def psd_factor(M: np.ndarray, tol: float | None = None, name: str = "matrix") ->
     return V * np.sqrt(w)
 
 
-def inv_sqrt_psd(M: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Symmetric inverse square root, eigenvalues floored at ``floor``."""
-    M = np.asarray(M, dtype=float)
-    w, V = np.linalg.eigh(sym(M))
-    w = np.maximum(w, floor)
-    return (V / np.sqrt(w)) @ V.T
-
-
 def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(A)))))
 

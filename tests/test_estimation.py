@@ -42,12 +42,11 @@ def test_central_filter_scalar_riccati_closed_form():
         Q=np.array([[0.0]]), R=np.array([[1.0]]), x0_mean=np.zeros(1), P0=np.array([[1.0]])
     )
     f = CentralKalmanFilter(nm)
-    rng = np.random.default_rng(40)
     for k in range(6):
         assert_allclose(f.P_prior[0, 0], 1.0 / (k + 1), atol=1e-12)
-        step = f.step(pair, rng.standard_normal(1))
-        assert_allclose(step.gain[0, 0], 1.0 / (k + 2), atol=1e-12)
-        assert_allclose(step.innovation_cov[0, 0], 1.0 / (k + 1) + 1.0, atol=1e-12)
+        K, U, _, _ = f.step_covariance(pair)
+        assert_allclose(K[0, 0], 1.0 / (k + 2), atol=1e-12)
+        assert_allclose((U.T @ U)[0, 0], 1.0 / (k + 1) + 1.0, atol=1e-12)
 
 
 def _textbook_filter(pairs, sched, noise, ys):
@@ -60,8 +59,8 @@ def _textbook_filter(pairs, sched, noise, ys):
         Pyy = C @ P @ C.T + noise.R
         K = P @ C.T @ np.linalg.inv(Pyy)
         innov = y - C @ x
-        w, U = np.linalg.eigh(0.5 * (Pyy + Pyy.T))
-        zs.append(U @ np.diag(1.0 / np.sqrt(w)) @ U.T @ innov)
+        L = np.linalg.cholesky(Pyy)  # Pyy = L L', so z = L^{-1} innov is white
+        zs.append(np.linalg.solve(L, innov))
         x = x + K @ innov
         xs.append(x.copy())
         P = P - K @ C @ P
