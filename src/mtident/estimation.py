@@ -15,9 +15,11 @@ Three layers:
   coordinates are stacked into one state whose covariance carries the exact
   cross-covariances between sensors. Each step a minimum-variance unbiased
   combiner (:class:`FusionEstimator`) fuses the active sensors' rows of that
-  joint state. Local filters require each sensor's unobservable subspace to
-  be the same under every configuration; the moving target is designed so
-  switching changes dynamics but not which directions a sensor can see.
+  joint state by Rao's unified least squares, which needs no inverse of
+  their often singular covariance. Local filters require each sensor's
+  unobservable subspace to be the same under every configuration; the moving
+  target is designed so switching changes dynamics but not which directions
+  a sensor can see.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtrtrs
 
 from .errors import DecompositionError, FilterError, ModelError
 from .linalg import (
@@ -385,26 +387,38 @@ class LocalFilterBank:
 # fusion
 
 
+# dpstrf stops at the first pivot below this tolerance; a negative value
+# selects LAPACK's default, N * eps * max(diag T)
+FUSION_RANK_TOL = -1.0
+
+
 @dataclass(frozen=True)
 class FusionResult:
+    """Fused state estimate, its error covariance, and the rank of ``T``
+    that the solve used."""
+
     x_star: np.ndarray
     cov: np.ndarray
+    rank: int
 
 
 class FusionEstimator:
     """Minimum-variance unbiased combination of a bank's local estimates.
 
-    Each active sensor contributes ``x^o_s = T^o_s zeta_s + eta_s``, its
-    estimate lifted to full coordinates and blurred by ``eta_s ~ N(0, eps
-    I)``. The lifted model has unknowns ``(T_uo-coordinates per sensor,
-    x)``; rotating sensor ``s``'s rows by the orthogonal ``[T^o_s
-    T^uo_s]'`` leaves ``T^uo_s`` rows that carry only ``T^uo_s' eta_s``,
-    uncorrelated with every ``T^o`` row and matched exactly by their own
-    free nuisance, so they say nothing about ``x``. :meth:`fuse` therefore
-    solves only the reduced problem ``zeta~ = H x + e``: ``H`` stacks the
-    active ``T^o_s'``, ``zeta~_s = zeta_s + T^o_s' eta_s`` and ``cov(e) =
-    P_joint + eps I``. The active sensors must jointly observe the state,
-    i.e. ``H`` must have rank ``n``.
+    Sensor ``s``'s posterior ``zeta_s`` estimates ``T^o_s' x``, so the active
+    sensors' rows of the bank's joint posterior form the linear model
+    ``zeta = H x + e``: ``H`` stacks the active ``T^o_s'`` and ``cov(e) = P``
+    is their block of the joint covariance. ``P`` is singular early in a run
+    (rank 25 of 72 after the first update on the example plant) and badly
+    conditioned later, so :meth:`fuse` does not invert it. It uses Rao's
+    unified least squares (C. R. Rao, Sankhya A 33, 1971) with
+
+        T = P + H H',   G = H' T^- H,   x* = G^{-1} H' T^- zeta,
+        cov(x* - x) = G^{-1} - I,
+
+    which holds for any generalized inverse ``T^-`` and is the limit as
+    eps -> 0 of the GLS fit with ``cov(e) = P + eps I``. The active sensors
+    must jointly observe the state, i.e. ``H`` must have rank ``n``.
 
     ``decomps`` lists the bank's sensors in the bank's order, as
     :attr:`LocalFilterBank.decomps` does, so its ``n_obs`` give the bank's
@@ -412,32 +426,24 @@ class FusionEstimator:
     is computed from them once, here.
     """
 
-    def __init__(
-        self,
-        decomps: dict[int, SensorDecomposition],
-        epsilon: float = 1e-6,
-        sensors=None,
-    ):
+    def __init__(self, decomps: dict[int, SensorDecomposition], sensors=None):
         order = tuple(decomps)
         self.sensors = tuple(sensors) if sensors is not None else order
         if not self.sensors:
             raise DecompositionError("fusion needs at least one sensor")
-        self.epsilon = float(epsilon)
         self.n = decomps[self.sensors[0]].T_o.shape[0]
         self.H = _stack_T_o(decomps, self.sensors)
         if numerical_rank(self.H) < self.n:
             raise DecompositionError(
                 "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
             )
+        self._HHt = self.H @ self.H.T
         if self.sensors == order:
             self._rows = None
         else:
             ends = np.cumsum([d.n_obs for d in decomps.values()])
             rows = {s: np.arange(e - decomps[s].n_obs, e) for s, e in zip(order, ends)}
             self._rows = np.concatenate([rows[s] for s in self.sensors])
-        # row r of H belongs to the owner[r]-th active sensor
-        dims = [decomps[s].n_obs for s in self.sensors]
-        self._owner = np.repeat(np.arange(len(self.sensors)), dims)
 
     @classmethod
     def removal_keeps_observability(cls, decomps, remaining) -> bool:
@@ -448,37 +454,30 @@ class FusionEstimator:
         H = _stack_T_o(decomps, remaining)
         return numerical_rank(H) == H.shape[1]
 
-    def fuse(
-        self, zeta_post: np.ndarray, P_post: np.ndarray, rng: np.random.Generator
-    ) -> FusionResult:
+    def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray) -> FusionResult:
         """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.
 
-        Takes the active sensors' rows, draws one ``eta_s`` per active sensor
-        in order, and solves ``zeta~ = H x + e`` via Cholesky factorizations
-        of ``S = P_joint + eps I`` and of ``G = H' S^{-1} H``: ``x* = G^{-1}
-        H' S^{-1} zeta~`` with covariance ``G^{-1}``, equal in exact
-        arithmetic to the lifted GLS fit.
+        Takes the active sensors' rows and factors ``T = P + H H'`` by
+        pivoted Cholesky (LAPACK ``dpstrf``, upper): ``T[p, p] = U_11' U_11``
+        for the first ``r = rank(T)`` pivots ``p``, where the factorization
+        stops at the first pivot below ``N eps max(diag T)``
+        (:data:`FUSION_RANK_TOL`). Restricted to those rows and columns,
+        ``T[p, p]^{-1}`` is a generalized inverse of ``T``, so one triangular
+        solve ``U_11' [B b] = [H[p] zeta[p]]`` gives ``G = B'B``, ``x* =
+        G^{-1} B' b`` and ``cov = G^{-1} - I``.
         """
-        n, eps = self.n, self.epsilon
         if self._rows is not None:
             zeta_post = zeta_post[self._rows]
             P_post = P_post[np.ix_(self._rows, self._rows)]
-        dim = self.H.shape[0]
-        eta = np.sqrt(eps) * rng.standard_normal(len(self.sensors) * n)
-        zt = zeta_post + np.einsum("ij,ij->i", self.H, eta.reshape(-1, n)[self._owner])
-        S = sym(P_post) + eps * np.eye(dim)
-        try:
-            cf = cho_factor(S)
-        except np.linalg.LinAlgError:
-            try:
-                cf = cho_factor(S + 10.0 * eps * np.eye(dim))
-            except np.linalg.LinAlgError as exc:
-                raise FilterError("fusion covariance lost positive definiteness") from exc
-        X = cho_solve(cf, self.H)
-        G = sym(self.H.T @ X)
-        try:
-            gf = cho_factor(G)
-        except np.linalg.LinAlgError as exc:
-            raise FilterError("fusion normal matrix lost positive definiteness") from exc
-        cov = cho_solve(gf, np.eye(n))
-        return FusionResult(x_star=cho_solve(gf, X.T @ zt), cov=sym(cov))
+        T = P_post + self._HHt
+        if not np.isfinite(T).all():
+            raise FilterError("fusion covariance is not finite")
+        U, piv, r, _ = dpstrf(T, tol=FUSION_RANK_TOL)
+        p = piv[:r] - 1
+        Bb = dtrtrs(U[:r, :r], np.column_stack((self.H[p], zeta_post[p])), trans=1)[0]
+        B, b = Bb[:, :-1], Bb[:, -1]
+        Gf, info = dpotrf(B.T @ B)
+        if info:
+            raise FilterError("fusion normal matrix lost positive definiteness")
+        cov = dpotrs(Gf, np.eye(self.n))[0] - np.eye(self.n)
+        return FusionResult(x_star=dpotrs(Gf, B.T @ b)[0], cov=sym(cov), rank=int(r))

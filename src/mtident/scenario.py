@@ -23,9 +23,9 @@ plant once and runs every trial on it under the trial's own key. A single
 run builds its own plant and then takes the same path.
 
 Reproducibility: every random quantity derives from config seeds (simulation
-noise and fusion blur from ``seed`` via spawned streams, the schedule from
-the schedule key, attacker guesses from the attack seed), so identical
-configurations produce byte-identical outputs.
+noise from ``seed``, the schedule from the schedule key, attacker guesses
+from the attack seed), so identical configurations produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -123,11 +123,6 @@ class AttackSpec:
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    epsilon: float = 1e-6
-
-
-@dataclass(frozen=True)
 class DetectorSpec:
     sensor_window: int = 5
     sensor_alpha: float = 6.9e-8
@@ -144,7 +139,6 @@ class ScenarioConfig:
     system: SystemSpec = field(default_factory=SystemSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     attack: AttackSpec = field(default_factory=AttackSpec)
-    estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
     detector: DetectorSpec = field(default_factory=DetectorSpec)
     trials: int = 1
 
@@ -255,15 +249,6 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
     if attack.kind != "none" and not attack.sensors:
         raise ConfigError(f"attack.kind '{attack.kind}' needs attack.sensors")
 
-    est_d = _section(d, "estimator")
-    d.pop("estimator", None)
-    estimator = EstimatorSpec(
-        epsilon=float(_pop(est_d, "epsilon", 1e-6, (int, float), "estimator"))
-    )
-    _reject_unknown(est_d, "estimator")
-    if estimator.epsilon <= 0:
-        raise ConfigError("estimator.epsilon must be positive")
-
     det_d = _section(d, "detector")
     d.pop("detector", None)
     detector = DetectorSpec(
@@ -292,7 +277,6 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
         system=system,
         schedule=schedule,
         attack=attack,
-        estimator=estimator,
         detector=detector,
         trials=trials,
     )
@@ -555,9 +539,8 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     attack, policy = _build_attack(cfg, ts, schedule)
 
     master = np.random.SeedSequence(cfg.seed)
-    ss_sim, ss_eta = master.spawn(2)
+    ss_sim, _ = master.spawn(2)  # spawning two keeps rng_sim's stream unchanged
     rng_sim = np.random.default_rng(ss_sim)
-    rng_eta = np.random.default_rng(ss_eta)
 
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
     e0 = noise.P0_factor @ rng_sim.standard_normal(n)
@@ -565,7 +548,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     central = CentralKalmanFilter(noise, mean_offset=offset)
     bank = LocalFilterBank(ts, noise, decomps=decomps, mean_offset=offset)
     active = list(range(m))
-    fusion = FusionEstimator(bank.decomps, cfg.estimator.epsilon, tuple(active))
+    fusion = FusionEstimator(bank.decomps, tuple(active))
 
     det = cfg.detector
     sensor_cfg = DetectorConfig.from_alpha(
@@ -599,7 +582,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
         y_central = y_err if mask is None else y_err[list(mask)]
         cres = central.step(pair, y_central, active=mask)
         bres = bank.step(j, y_err)
-        fres = fusion.fuse(bres.zeta_post, bres.P_post, rng_eta)
+        fres = fusion.fuse(bres.zeta_post, bres.P_post)
 
         err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
         err_fused[k] = float(np.linalg.norm(fres.x_star))
@@ -637,7 +620,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
                 for s in removed:
                     active.remove(s)
                     events.append((k, s, "removed"))
-                fusion = FusionEstimator(bank.decomps, cfg.estimator.epsilon, tuple(active))
+                fusion = FusionEstimator(bank.decomps, tuple(active))
                 # central residue dimension changed: recalibrate and restart
                 central_det = Chi2Detector(
                     DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)

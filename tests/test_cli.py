@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mtident import write_matrix, write_vector
+from mtident import schedule_key, write_matrix, write_vector
 from mtident.cli import main
 
 
@@ -148,3 +148,26 @@ def test_analyze_audits_a_design_whose_sensors_do_not_decompose(tmp_path, capsys
     assert "configurations: 2, state dimension: 2, sensors: 2" in capsys.readouterr().out
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 3
     assert "unobservable" in capsys.readouterr().err
+
+
+def test_schedule_key_reaches_no_output(tmp_path, capsys):
+    key = "do-not-leak-this-schedule-key"
+    raw = schedule_key(key)
+    secrets = (key.encode(), raw, raw.hex().encode(), raw.hex().upper().encode())
+    cfg = _write_cfg(
+        tmp_path / "cfg.json",
+        schedule={"period": 5, "key": key},
+        attack={"kind": "guessing", "sensors": [4], "x0_star_scale": 10.0},
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(out / "sim")]) == 0
+    assert main(
+        ["montecarlo", "--config", str(cfg), "--out-dir", str(out / "mc"), "--trials", "3"]
+    ) == 0
+    captured = capsys.readouterr()
+    written = sorted(p for p in out.rglob("*") if p.is_file())
+    names = {"metrics.csv", "events.csv", "summary.json", "trials.csv", "aggregate.json"}
+    assert names <= {p.name for p in written}
+    for blob in [p.read_bytes() for p in written] + [captured.out.encode(), captured.err.encode()]:
+        for secret in secrets:
+            assert secret not in blob

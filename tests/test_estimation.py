@@ -13,6 +13,7 @@ from helpers import random_target_set, spd, standard_noise
 from mtident import (
     CentralKalmanFilter,
     DecompositionError,
+    FilterError,
     FusionEstimator,
     LocalFilterBank,
     LtiPair,
@@ -459,16 +460,16 @@ def _design_matrix(decomps, sensors, n):
 
 def test_fusion_averages_independent_full_estimates():
     # two fully observing sensors with identity covariances and no cross
-    # correlation: the GLS fusion is the plain average (up to the eta blur)
+    # correlation: the fused estimate is the plain average
     n = 3
     decomps = {0: _trivial_decomp(0, n), 1: _trivial_decomp(1, n)}
-    fus = FusionEstimator(decomps, epsilon=1e-9)
+    fus = FusionEstimator(decomps)
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([5.0, 4.0, 3.0])
-    res = fus.fuse(np.concatenate([a, b]), np.eye(2 * n), np.random.default_rng(50))
-    eta = np.sqrt(1e-9) * np.random.default_rng(50).standard_normal((2, n))
-    assert_allclose(res.x_star, 0.5 * (a + eta[0] + b + eta[1]), atol=1e-8)
-    assert_allclose(res.cov, 0.5 * np.eye(n), atol=1e-6)
+    res = fus.fuse(np.concatenate([a, b]), np.eye(2 * n))
+    assert res.rank == 2 * n
+    assert_allclose(res.x_star, 0.5 * (a + b), rtol=1e-14)
+    assert_allclose(res.cov, 0.5 * np.eye(n), atol=1e-14)
 
 
 def test_fusion_matches_explicit_gls_oracle():
@@ -480,76 +481,98 @@ def test_fusion_matches_explicit_gls_oracle():
     sensors = (0, 2, 4)
     decomps = bank.decomps
     rng = np.random.default_rng(51)
-    # any symmetric positive joint covariance will do for the algebra
+    # any symmetric positive definite joint covariance will do for the algebra
     big = spd(rng, bank.H.shape[0])
-    blocks = {s: slice(bank.offsets[i], bank.offsets[i + 1]) for i, s in enumerate(bank.sensors)}
     zeta = rng.standard_normal(bank.H.shape[0])
-    eps = 1e-6
-    fus = FusionEstimator(decomps, epsilon=eps, sensors=sensors)
-    res = fus.fuse(zeta, big, np.random.default_rng(52))
+    fus = FusionEstimator(decomps, sensors=sensors)
+    res = fus.fuse(zeta, big)
 
-    # oracle: explicit normal equations with the same eta draws
-    n = 10
-    eta_rng = np.random.default_rng(52)
-    yhat = np.concatenate(
-        [
-            decomps[s].T_o @ zeta[blocks[s]] + np.sqrt(eps) * eta_rng.standard_normal(n)
-            for s in sensors
-        ]
-    )
-    Qbig = np.zeros((3 * n, 3 * n))
-    for i, s1 in enumerate(sensors):
-        for j, s2 in enumerate(sensors):
-            Qbig[i * n : (i + 1) * n, j * n : (j + 1) * n] = (
-                decomps[s1].T_o @ big[blocks[s1], blocks[s2]] @ decomps[s2].T_o.T
-            )
-    Qbig += eps * np.eye(3 * n)
-    W = _design_matrix(decomps, sensors, n)
-    Qi = np.linalg.inv(Qbig)
-    G = W.T @ Qi @ W
-    sol = np.linalg.solve(G, W.T @ Qi @ yhat)
-    cov = np.linalg.inv(G)[-n:, -n:]
-    assert_allclose(res.x_star, sol[-n:], atol=1e-7)
+    # oracle: plain GLS (H' P^-1 H)^-1 H' P^-1 zeta on the active rows
+    offs = bank.offsets
+    blocks = {s: np.arange(offs[i], offs[i + 1]) for i, s in enumerate(bank.sensors)}
+    rows = np.concatenate([blocks[s] for s in sensors])
+    H = np.vstack([decomps[s].T_o.T for s in sensors])
+    Pi = np.linalg.inv(big[np.ix_(rows, rows)])
+    cov = np.linalg.inv(H.T @ Pi @ H)
+    assert res.rank == rows.size
+    assert_allclose(res.x_star, cov @ H.T @ Pi @ zeta[rows], atol=1e-7)
     assert_allclose(res.cov, cov, atol=1e-7)
 
 
 def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
     # the joint covariance of a real bank after its first update is the
-    # lifted prior plus measurement terms: rank <= n + m = 25 of 72, so only
-    # the eps blur keeps the lifted system invertible
+    # lifted prior plus measurement terms: rank 25 = n + m of 72, so plain
+    # GLS does not exist. Fusion must be the limit eps -> 0 of the GLS fit
+    # with covariance P + eps I, which it approaches linearly in eps.
     plant = generate_example_system(seed=7, n=15, l=7, period=30)
     ts, noise = plant.ts, plant.noise
     bank = LocalFilterBank(ts, noise)
     y = noise.R_factor @ np.random.default_rng(53).standard_normal(ts.m)
     st = bank.step(0, y)
-    eps = 1e-6
-    fus = FusionEstimator(bank.decomps, epsilon=eps)
-    res = fus.fuse(st.zeta_post, st.P_post, np.random.default_rng(54))
+    res = FusionEstimator(bank.decomps).fuse(st.zeta_post, st.P_post)
+    assert np.linalg.matrix_rank(st.P_post) == res.rank == ts.n + ts.m
 
-    n, sensors, dec = ts.n, fus.sensors, bank.decomps
-    blocks = [slice(a, b) for a, b in zip(bank.offsets[:-1], bank.offsets[1:])]
-    eta_rng = np.random.default_rng(54)
-    yhat = np.concatenate(
-        [
-            dec[s].T_o @ st.zeta_post[b] + np.sqrt(eps) * eta_rng.standard_normal(n)
-            for s, b in zip(sensors, blocks)
-        ]
-    )
-    Qbig = np.block(
-        [
-            [dec[s1].T_o @ st.P_post[b1, b2] @ dec[s2].T_o.T for s2, b2 in zip(sensors, blocks)]
-            for s1, b1 in zip(sensors, blocks)
-        ]
-    )
-    assert np.linalg.matrix_rank(Qbig) <= n + ts.m
-    Qbig += eps * np.eye(len(sensors) * n)
-    W = _design_matrix(dec, sensors, n)
-    Qi = np.linalg.inv(Qbig)
-    G = W.T @ Qi @ W
-    sol = np.linalg.solve(G, W.T @ Qi @ yhat)
-    cov = np.linalg.inv(G)[-n:, -n:]
-    assert_allclose(res.x_star, sol[-n:], atol=1e-7)
-    assert_allclose(res.cov, cov, atol=1e-7)
+    H, N = bank.H, bank.H.shape[0]
+    gaps = []
+    for eps in (1e-6, 1e-8):
+        Si = np.linalg.inv(st.P_post + eps * np.eye(N))
+        cov = np.linalg.inv(H.T @ Si @ H)
+        x = cov @ H.T @ Si @ st.zeta_post
+        gaps.append(
+            (
+                np.linalg.norm(x - res.x_star) / np.linalg.norm(res.x_star),
+                np.abs(cov - res.cov).max(),
+            )
+        )
+    (x6, c6), (x8, c8) = gaps
+    # the eps-GLS is off by O(eps), so a hundredfold smaller eps gives a
+    # hundredfold smaller gap
+    assert 1e-7 < x6 < 1e-3 and 1e-7 < c6 < 1e-3
+    assert_allclose([x8 / x6, c8 / c6], 1e-2, rtol=0.05)
+
+
+def test_fusion_rejects_a_non_finite_covariance():
+    ts, noise, decomps = _bank_plant()
+    bank = LocalFilterBank(ts, noise, decomps=decomps)
+    st = bank.step(0, np.zeros(ts.m))
+    P = st.P_post.copy()
+    P[3, 5] = P[5, 3] = np.nan
+    with pytest.raises(FilterError, match="not finite"):
+        FusionEstimator(bank.decomps).fuse(st.zeta_post, P)
+
+
+@functools.lru_cache(maxsize=None)
+def _example_plant():
+    plant = generate_example_system(seed=7, n=15, l=7, period=30)
+    return plant.ts, plant.decomps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fusion_of_exact_local_estimates_is_unbiased(data):
+    # zeta = H x with no error is consistent with every PSD covariance, so
+    # the unbiased fusion must return x itself, however singular P is
+    ts, all_decomps = _example_plant()
+    order = data.draw(st.permutations(range(ts.m)))
+    decomps = {s: all_decomps[s] for s in order}  # the bank's layout
+    active = data.draw(st.permutations(range(ts.m)))
+    observes = FusionEstimator.removal_keeps_observability
+    size = next(i for i in range(1, ts.m + 1) if observes(decomps, active[:i]))
+    sensors = tuple(active[: data.draw(st.integers(size, ts.m))])
+    N = sum(d.n_obs for d in decomps.values())
+    rank = data.draw(st.integers(0, N))
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M = rng.standard_normal((N, rank))
+    P = scale * (M @ M.T)
+    x = rng.standard_normal(ts.n)
+    zeta = np.concatenate([d.T_o.T @ x for d in decomps.values()])
+
+    res = FusionEstimator(decomps, sensors=sensors).fuse(zeta, P)
+    assert_allclose(res.x_star, x, rtol=0, atol=1e-8 * np.linalg.norm(x))
+    assert np.array_equal(res.cov, res.cov.T)
+    # cov = G^-1 - I loses ~1e-10 * |P| to cancellation where it is 0
+    assert np.linalg.eigvalsh(res.cov).min() >= -1e-8 * max(1.0, scale)
 
 
 def test_fusion_requires_joint_observability():

@@ -10,6 +10,7 @@ from mtident import estimation, scenario
 from mtident import (
     CentralKalmanFilter,
     ConfigError,
+    FusionEstimator,
     LocalFilterBank,
     build_system,
     config_from_dict,
@@ -70,7 +71,6 @@ def test_config_defaults_and_parsing():
     assert cfg.system.spectral_radius == (0.55, 0.9)
     assert cfg.schedule.period == 5
     assert cfg.attack.kind == "none"
-    assert cfg.estimator.epsilon == 1e-6
     assert cfg.detector.sensor_window == 5 and cfg.detector.removal_policy == 2
     assert cfg.detector.removal_enabled is True
 
@@ -110,7 +110,8 @@ def test_config_rejects_unknown_keys(raw):
             "models",
         ),
         ({"horizon": 10, "seed": 1, "schedule": {"period": 0}}, "period"),
-        ({"horizon": 10, "seed": 1, "estimator": {"epsilon": -1.0}}, "epsilon"),
+        # fusion has no settings; the section older configs carried is unknown
+        ({"horizon": 10, "seed": 1, "estimator": {"epsilon": 1e-6}}, "estimator"),
         ({"horizon": 10, "seed": 1, "system": {"kind": "explicit"}}, "explicit"),
         ({"horizon": 10, "seed": 1, "system": {"kind": "magic"}}, "system.kind"),
         (
@@ -184,8 +185,8 @@ def test_generated_system_sensor_observability_profile():
 
 def test_run_scenario_matches_direct_coordinate_filtering():
     """The engine filters noise-only data in error coordinates; its reported
-    estimation errors and local residues must equal those of ordinary filters
-    run on the physically simulated outputs."""
+    estimation errors (central and fused) and local residues must equal those
+    of ordinary filters and fusion run on the physically simulated outputs."""
     cfg = config_from_dict(_raw())
     r = run_scenario(cfg)
 
@@ -202,6 +203,8 @@ def test_run_scenario_matches_direct_coordinate_filtering():
     f = CentralKalmanFilter(noise)
     decomps = {s: kalman_decomposition(ts, s) for s in range(m)}
     bank = LocalFilterBank(ts, noise, decomps=decomps)
+    fusion = FusionEstimator(bank.decomps)
+    assert not any(kind == "removed" for _, _, kind in r.events)
     for k in range(cfg.horizon):
         j = int(schedule[k])
         pair = ts.pairs[j]
@@ -213,6 +216,9 @@ def test_run_scenario_matches_direct_coordinate_filtering():
             np.linalg.norm(cres.x_post - x), abs=1e-8
         )
         assert r.trace_P[k] == pytest.approx(np.trace(cres.P_prior), abs=1e-9)
+        fres = fusion.fuse(bres.zeta_post, bres.P_post)
+        assert r.err_fused[k] == pytest.approx(np.linalg.norm(fres.x_star - x), abs=1e-8)
+        assert r.fused_trace[k] == pytest.approx(np.trace(fres.cov), abs=1e-9)
         for s in range(m):
             assert r.local_residues[k, s] == pytest.approx(bres.residues[s], abs=1e-8)
         w = noise.Q_factor @ rng.standard_normal(n)
