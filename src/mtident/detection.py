@@ -69,17 +69,6 @@ class Chi2Result:
     alarm: bool
 
 
-def chi2_test(residues, cfg: DetectorConfig) -> Chi2Result:
-    """Test one full window of residues (scalars, or vectors per step)."""
-    r = np.asarray(residues, dtype=float)
-    if r.ndim == 1:
-        r = r.reshape(-1, 1)
-    if r.shape[0] != cfg.window:
-        raise ValueError(f"expected {cfg.window} residues, got {r.shape[0]}")
-    stat = float(np.sum(r * r))
-    return Chi2Result(statistic=stat, alarm=stat > cfg.gamma)
-
-
 class Chi2Detector:
     """Sliding-window chi-square detector; no alarms until the window fills."""
 

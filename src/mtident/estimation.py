@@ -24,6 +24,7 @@ Three layers:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,16 +204,6 @@ class SensorDecomposition:
         return self.T_uo.shape[1]
 
 
-def check_common_nullspace(ts: TargetSet, sensor: int, rank_tol: float | None = None) -> bool:
-    """True when every configuration gives the sensor the same unobservable
-    subspace."""
-    try:
-        _common_nullspace_basis(ts, sensor, rank_tol)
-    except DecompositionError:
-        return False
-    return True
-
-
 def _common_nullspace_basis(ts: TargetSet, sensor: int, rank_tol: float | None):
     stacks = [
         observability_stack(p.A, p.C[[sensor]], ts.n) for p in ts.pairs
@@ -347,11 +338,30 @@ class LocalFilterBank:
         self._idx = np.array(self.sensors, dtype=np.intp)
         self.R_sub = noise.R[np.ix_(self._idx, self._idx)]
         self._mask = block_diag(*(np.ones((d, 1)) for d in dims))
-        x0 = noise.x0_mean
+        self._x0_mean = noise.x0_mean
+        self._P0 = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
+        self._reset(mean_offset)
+
+    def restarted(self, mean_offset: np.ndarray | None = None) -> "LocalFilterBank":
+        """A new bank at its prior, shifted by ``mean_offset``, that shares
+        this bank's arrays.
+
+        Only the prior mean depends on the run: the block-diagonal pairs,
+        ``H``, ``Q_red``, ``R_sub``, the gain mask and the prior covariance
+        depend only on the plant and the sensors. A study therefore builds
+        one bank per plant and restarts it for every trial. Stepping either
+        bank rebinds its own state and writes to no shared array.
+        """
+        bank = copy.copy(self)
+        bank._reset(mean_offset)
+        return bank
+
+    def _reset(self, mean_offset) -> None:
+        x0 = self._x0_mean
         if mean_offset is not None:
-            x0 = x0 + np.asarray(mean_offset, dtype=float).reshape(ts.n)
+            x0 = x0 + np.asarray(mean_offset, dtype=float).reshape(self.ts.n)
         self.zeta_prior = self.H @ x0
-        self.P_prior = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
+        self.P_prior = self._P0
 
     def step(self, model_index: int, y) -> BankStep:
         """Update every sensor filter with its own row of ``y``, then predict.
@@ -444,6 +454,7 @@ class FusionEstimator:
             ends = np.cumsum([d.n_obs for d in decomps.values()])
             rows = {s: np.arange(e - decomps[s].n_obs, e) for s, e in zip(order, ends)}
             self._rows = np.concatenate([rows[s] for s in self.sensors])
+            self._block = np.ix_(self._rows, self._rows)
 
     @classmethod
     def removal_keeps_observability(cls, decomps, remaining) -> bool:
@@ -468,7 +479,7 @@ class FusionEstimator:
         """
         if self._rows is not None:
             zeta_post = zeta_post[self._rows]
-            P_post = P_post[np.ix_(self._rows, self._rows)]
+            P_post = P_post[self._block]
         T = P_post + self._HHt
         if not np.isfinite(T).all():
             raise FilterError("fusion covariance is not finite")

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditioningError,
-    ConditioningWarning,
-    DegenerateWitnessError,
-    NotApplicableError,
-)
+from .errors import ConditioningError, ConditioningWarning, DegenerateWitnessError
 from .linalg import numerical_rank, nullity, nullspace, observability_stack, orth
 from .system_model import LtiPair, TargetSet, validate_design_recommendations
 
@@ -59,18 +54,6 @@ class ObservabilityStack:
     kind: str
     sensors: tuple[int, ...]
     horizon: int
-
-
-def observability_matrix(pair: LtiPair, sensors, steps: int) -> ObservabilityStack:
-    """Fixed-pair stack ``[C_S; C_S A; ...; C_S A^(steps-1)]`` for sensor rows S."""
-    sensors = tuple(int(s) for s in sensors)
-    for s in sensors:
-        if not 0 <= s < pair.m:
-            raise ValueError(f"sensor index {s} out of range")
-    if not sensors:
-        raise ValueError("sensor set must be non-empty")
-    M = observability_stack(pair.A, pair.C[list(sensors)], steps)
-    return ObservabilityStack(matrix=M, kind="fixed-pair", sensors=sensors, horizon=steps)
 
 
 def time_varying_observability(
@@ -459,32 +442,6 @@ def _v_stack_for(group: JordanEigenvalue, c_row: np.ndarray, r_max: int) -> np.n
     return np.hstack(blocks)
 
 
-def build_v_stack(
-    js1: JordanStructure,
-    js2: JordanStructure,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    lam: complex,
-    match_tol: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenstructure stacks of both models at a shared eigenvalue.
-
-    Both stacks use ``r_max = `` the largest chain length at ``lam`` across
-    the two models, so shorter models are zero-padded and the row meaning
-    (derivative order) lines up.
-    """
-    if match_tol is None:
-        match_tol = 1e-8 * (1.0 + abs(lam))
-    g1 = js1.group_near(lam, match_tol)
-    g2 = js2.group_near(lam, match_tol)
-    if g1 is None or g2 is None:
-        raise NotApplicableError(f"eigenvalue {lam:.6g} is not shared by both models")
-    r_max = max(max(g1.chain_lengths()), max(g2.chain_lengths()))
-    c1 = np.asarray(c1, dtype=float).reshape(-1)
-    c2 = np.asarray(c2, dtype=float).reshape(-1)
-    return _v_stack_for(g1, c1, r_max), _v_stack_for(g2, c2, r_max)
-
-
 @dataclass(frozen=True)
 class CrossModelWitness:
     """Shared-image witness: coefficients and initial states for each model.
@@ -711,24 +668,3 @@ def analyze_target_set(ts: TargetSet, jordan_kwargs: dict | None = None) -> Anal
         vulnerable_pairs=vulnerable,
         failures=failures,
     )
-
-
-def brute_force_unidentifiability_oracle(
-    pair1: LtiPair,
-    pair2: LtiPair,
-    sensor: int,
-    t: int,
-    rank_tol: float | None = None,
-) -> bool:
-    """Direct image-intersection test over the window ``0..t``.
-
-    True iff some nonzero output sequence is produced by both models, i.e.
-    ``rank([O1 O2]) < rank(O1) + rank(O2)`` for the stacked prediction
-    matrices with rows ``k = 0..t``. Intended as an independent check of
-    :func:`cross_model_unidentifiability` on small systems (use
-    ``t >= 2n - 1``).
-    """
-    O1 = observability_stack(pair1.A, pair1.C[[sensor]], t + 1)
-    O2 = observability_stack(pair2.A, pair2.C[[sensor]], t + 1)
-    r_both = numerical_rank(np.hstack([O1, O2]), tol=rank_tol)
-    return r_both < numerical_rank(O1, tol=rank_tol) + numerical_rank(O2, tol=rank_tol)

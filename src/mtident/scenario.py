@@ -13,14 +13,28 @@ state, which for the deliberately unstable example plant overflows doubles
 (and drowns innovations in cancellation) long before the 10^4-step horizons
 used for residue calibration.
 
+A run takes three passes over the horizon. Nothing a run draws depends on
+filter state, and every attack policy is open-loop, so the first pass draws
+all inputs at once. The filter bank runs every sensor whatever the removals,
+and removals depend only on the bank's residues, so the second pass steps
+the bank, tests all active sensors at once and fixes the removal timeline.
+Fusion runs in that pass too: it needs each step's joint bank covariance
+(72 x 72 on the example plant), and keeping those for a later pass would
+cost 41 MB per 1000 steps. The central filter's detector only logs, so the
+third pass runs the central filter over the known active-set timeline and
+then its detector as windowed sums, restarted at every removal. The result
+is bit for bit that of one loop over steps with a detector object per
+sensor.
+
 A run happens on a :class:`Plant`: the target set, the noise model and every
 sensor's Kalman decomposition. Generating the example plant already
 decomposes each sensor to validate the draw, and the plant keeps those
 decompositions; an explicit plant is decomposed once when it is built.
 Monte Carlo trials differ from their study only in seeds and schedule key,
 and no plant matrix depends on the key, so :func:`monte_carlo` builds the
-plant once and runs every trial on it under the trial's own key. A single
-run builds its own plant and then takes the same path.
+plant, with its filter bank's arrays, once and runs every trial on it under
+the trial's own key. A single run builds its own plant and then takes the
+same path.
 
 Reproducibility: every random quantity derives from config seeds (simulation
 noise from ``seed``, the schedule from the schedule key, attacker guesses
@@ -33,7 +47,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -50,13 +63,7 @@ from .adversary import (
     PersistentBiasPolicy,
     dominant_unstable_direction,
 )
-from .detection import (
-    Chi2Detector,
-    DetectorConfig,
-    IdentificationLog,
-    RemovalTracker,
-    identify_and_remove,
-)
+from .detection import DetectorConfig, IdentificationLog, identify_and_remove
 from .errors import ConditioningError, ConfigError, MtidentError
 from .estimation import (
     CentralKalmanFilter,
@@ -300,8 +307,10 @@ def load_config(path: str | os.PathLike) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class Plant:
-    """What every run of a study shares: the target set, the noise model, and
-    the decomposition of each sensor (keyed by sensor, in sensor order).
+    """What every run of a study shares: the target set, the noise model, the
+    decomposition of each sensor (keyed by sensor, in sensor order), and a
+    filter bank built on them (``bank``, derived on construction), which
+    each run restarts at its own prior (:meth:`LocalFilterBank.restarted`).
 
     Nothing here depends on ``ts.key``, so trials run on one plant under
     their own keys; nothing in a run writes to the plant.
@@ -310,6 +319,11 @@ class Plant:
     ts: TargetSet
     noise: NoiseModel
     decomps: dict[int, SensorDecomposition]
+    bank: LocalFilterBank = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bank = LocalFilterBank(self.ts, self.noise, decomps=self.decomps)
+        object.__setattr__(self, "bank", bank)  # the dataclass is frozen
 
 
 _BLOCK_PATTERN = ((0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4))
@@ -528,104 +542,42 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     ``plant`` defaults to ``build_system(cfg)``; :func:`monte_carlo` passes
     its study's shared plant instead. Either way the run uses the plant
     under ``cfg``'s schedule key and leaves the plant unchanged.
+
+    The run takes three passes over the horizon (see the module docstring):
+    the inputs (:func:`_draw_inputs`), the filter bank with fusion and the
+    sensor tests (:func:`_bank_pass`), which fixes the removal timeline, and
+    the central filter with its detector (:func:`_central_pass`). Their
+    events are merged in the order a single per-step loop logs them: the
+    central alarm, then sensor alarms in active order, then removals.
     """
     if plant is None:
         plant = build_system(cfg)
     ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
-    noise, decomps = plant.noise, plant.decomps
-    n, m = ts.n, ts.m
     T = cfg.horizon
     schedule = sample_schedule(ts, T)
     attack, policy = _build_attack(cfg, ts, schedule)
-
-    master = np.random.SeedSequence(cfg.seed)
-    ss_sim, _ = master.spawn(2)  # spawning two keeps rng_sim's stream unchanged
-    rng_sim = np.random.default_rng(ss_sim)
-
-    # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
-    e0 = noise.P0_factor @ rng_sim.standard_normal(n)
-    offset = -(noise.x0_mean + e0)
-    central = CentralKalmanFilter(noise, mean_offset=offset)
-    bank = LocalFilterBank(ts, noise, decomps=decomps, mean_offset=offset)
-    active = list(range(m))
-    fusion = FusionEstimator(bank.decomps, tuple(active))
-
     det = cfg.detector
     sensor_cfg = DetectorConfig.from_alpha(
         det.sensor_window, 1, det.sensor_alpha, det.removal_policy
     )
-    sensor_det = {s: Chi2Detector(sensor_cfg) for s in range(m)}
-    central_det = Chi2Detector(
-        DetectorConfig.from_alpha(det.central_window, m, det.central_alpha)
-    )
-    tracker = RemovalTracker(det.removal_policy)
+    DetectorConfig.from_alpha(det.central_window, ts.m, det.central_alpha)  # validate now
+
+    e0, y_err, w = _draw_inputs(cfg.seed, plant.noise, T, attack, policy)
+    # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
+    offset = -(plant.noise.x0_mean + e0)
     log = IdentificationLog()
-
-    err_central = np.empty(T)
-    err_fused = np.empty(T)
-    trace_P = np.empty(T)
-    fused_trace = np.empty(T)
-    local_z = np.empty((T, m))
-    events: list[tuple[int, int, str]] = []
-
-    for k in range(T):
-        j = int(schedule[k])
-        pair = ts.pairs[j]
-        v = noise.R_factor @ rng_sim.standard_normal(m)
-        if policy is not None:
-            dd = attack.D @ policy.values(k)
-        else:
-            dd = np.zeros(m)
-        y_err = v + dd  # y_k - C_k x_k of the attacked run
-
-        mask = None if len(active) == m else tuple(active)
-        y_central = y_err if mask is None else y_err[list(mask)]
-        cres = central.step(pair, y_central, active=mask)
-        bres = bank.step(j, y_err)
-        fres = fusion.fuse(bres.zeta_post, bres.P_post)
-
-        err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
-        err_fused[k] = float(np.linalg.norm(fres.x_star))
-        trace_P[k] = float(np.trace(cres.P_prior))
-        fused_trace[k] = float(np.trace(fres.cov))
-        local_z[k] = bres.residues
-
-        w = noise.Q_factor @ rng_sim.standard_normal(n)
-        central.shift_prediction(-w)
-        bank.shift_prediction(-w)
-
-        cver = central_det.update(cres.residue)
-        if cver is not None and cver.alarm:
-            events.append((k, -1, "central_alarm"))
-            log.record_central_alarm(k)
-        candidates = []
-        for s in active:
-            r = sensor_det[s].update(local_z[k, s])
-            if r is None:
-                continue
-            if r.alarm:
-                events.append((k, s, "alarm"))
-                log.record_alarm(k, s)
-            if tracker.update(s, r.alarm) and det.removal_enabled:
-                candidates.append(s)
-        if candidates:
-            removed = identify_and_remove(
-                candidates,
-                active,
-                lambda rest: FusionEstimator.removal_keeps_observability(decomps, rest),
-                log,
-                k,
-            )
-            if removed:
-                for s in removed:
-                    active.remove(s)
-                    events.append((k, s, "removed"))
-                fusion = FusionEstimator(bank.decomps, tuple(active))
-                # central residue dimension changed: recalibrate and restart
-                central_det = Chi2Detector(
-                    DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)
-                )
-
+    err_fused, fused_trace, local_z, sensor_events, segments = _bank_pass(
+        plant, schedule, y_err, w, offset, sensor_cfg, det.removal_enabled, log
+    )
+    err_central, trace_P, central_alarms = _central_pass(
+        plant.noise, ts, schedule, y_err, w, offset, segments, det
+    )
+    if central_alarms:
+        log.record_central_alarm(central_alarms[0])
+    events = sorted(
+        [(k, -1, "central_alarm") for k in central_alarms] + sensor_events,
+        key=lambda e: (e[0], e[1] >= 0),  # stable: sensor events keep their order
+    )
     report = RunReport(
         config=cfg,
         schedule=schedule,
@@ -640,6 +592,128 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     )
     report.summary = _summarize(report)
     return report
+
+
+def _draw_inputs(seed, noise: NoiseModel, T: int, attack, policy):
+    """Pass 1: the initial error ``e0``, the error-coordinate outputs
+    ``y_k - C_k x_k = v_k + D d_k`` and the process noise ``w_k``.
+
+    ``rng_sim`` yields ``e0`` and then ``(v_k, w_k)`` draws step by step;
+    one ``(T, m + n)`` block gives the same numbers. The batched mat-vecs
+    ``matmul(F, z[:, :, None])`` are bitwise the per-step ``F @ z_k``.
+    """
+    n, m = noise.n, noise.m
+    # spawning two keeps rng_sim's stream unchanged
+    ss_sim, _ = np.random.SeedSequence(seed).spawn(2)
+    rng_sim = np.random.default_rng(ss_sim)
+    e0 = noise.P0_factor @ rng_sim.standard_normal(n)
+    Z = rng_sim.standard_normal((T, m + n, 1))
+    v = np.matmul(noise.R_factor, Z[:, :m])[..., 0]
+    w = np.matmul(noise.Q_factor, Z[:, m:])[..., 0]
+    if policy is None:
+        return e0, v, w
+    return e0, v + np.matmul(attack.D, policy.sequence(T)[:, :, None])[..., 0], w
+
+
+def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_enabled, log):
+    """Pass 2: the filter bank, fusion over the active set, and the sensor tests.
+
+    The bank runs every sensor whatever the removals, but fusion at step
+    ``k`` needs the bank's joint covariance of that step, so fusion runs
+    here rather than in a later pass. Every sensor's detector starts at
+    step 0 and is never restarted, so one window over the stored squared
+    residues tests all active sensors at once, summed left to right as
+    ``sum`` over a deque does. A sensor whose alarm streak reaches the
+    removal policy is a candidate; removals take effect from the next step.
+
+    Returns ``err_fused``, ``fused_trace``, the local residues, the sensor
+    events in per-step order, and the active-set timeline as ``(first
+    step, active sensors)`` segments.
+    """
+    T, m = y_err.shape
+    decomps = plant.decomps
+    bank = plant.bank.restarted(offset)
+    active = list(range(m))
+    fusion = FusionEstimator(decomps, tuple(active))
+    window, gamma, policy = sensor_cfg.window, sensor_cfg.gamma, sensor_cfg.removal_policy
+    err_fused = np.empty(T)
+    fused_trace = np.empty(T)
+    local_z = np.empty((T, m))
+    sq = np.empty((T, m))
+    streak = np.zeros(m, dtype=np.int64)
+    events: list[tuple[int, int, str]] = []
+    segments = [(0, tuple(active))]
+    for k in range(T):
+        bres = bank.step(int(schedule[k]), y_err[k])
+        fres = fusion.fuse(bres.zeta_post, bres.P_post)
+        err_fused[k] = float(np.linalg.norm(fres.x_star))
+        fused_trace[k] = float(np.trace(fres.cov))
+        z = local_z[k] = bres.residues
+        bank.shift_prediction(-w[k])
+
+        sq[k] = z * z
+        if k < window - 1:
+            continue
+        alarm = sum(sq[k - window + 1 : k + 1]) > gamma
+        streak = np.where(alarm, streak + 1, 0)
+        if not alarm.any():
+            continue
+        hits = [s for s in active if alarm[s]]
+        for s in hits:
+            events.append((k, s, "alarm"))
+            log.record_alarm(k, s)
+        candidates = [s for s in hits if streak[s] >= policy] if removal_enabled else []
+        if not candidates:
+            continue
+        removed = identify_and_remove(
+            candidates,
+            active,
+            lambda rest: FusionEstimator.removal_keeps_observability(decomps, rest),
+            log,
+            k,
+        )
+        if removed:
+            for s in removed:
+                active.remove(s)
+                events.append((k, s, "removed"))
+            fusion = FusionEstimator(decomps, tuple(active))
+            segments.append((k + 1, tuple(active)))
+    return err_fused, fused_trace, local_z, events, segments
+
+
+def _central_pass(noise: NoiseModel, ts: TargetSet, schedule, y_err, w, offset, segments, det):
+    """Pass 3: the central filter over the known active-set timeline, then
+    its detector.
+
+    The detector only logs. Its residue dimension changes at every removal,
+    so it restarts at each segment with that segment's threshold; its
+    window sums of ``|z_k|^2`` are accumulated left to right, as ``sum``
+    over a deque does. Returns ``err_central``, ``trace_P`` and the steps of
+    central alarms.
+    """
+    T, m = y_err.shape
+    central = CentralKalmanFilter(noise, mean_offset=offset)
+    err_central = np.empty(T)
+    trace_P = np.empty(T)
+    zsq = np.empty(T)
+    alarms: list[int] = []
+    bounds = [start for start, _ in segments[1:]] + [T]
+    for (start, active), stop in zip(segments, bounds):
+        mask = None if len(active) == m else active
+        rows = list(active)
+        for k in range(start, stop):
+            y = y_err[k] if mask is None else y_err[k][rows]
+            cres = central.step(ts.pairs[schedule[k]], y, active=mask)
+            err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
+            trace_P[k] = float(np.trace(cres.P_prior))
+            zsq[k] = np.sum(cres.residue * cres.residue)
+            central.shift_prediction(-w[k])
+        window = det.central_window
+        gamma = DetectorConfig.from_alpha(window, len(active), det.central_alpha).gamma
+        alarms += [
+            k for k in range(start + window - 1, stop) if sum(zsq[k - window + 1 : k + 1]) > gamma
+        ]
+    return err_central, trace_P, alarms
 
 
 def _summarize(r: RunReport) -> dict:

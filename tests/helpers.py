@@ -1,15 +1,42 @@
-"""Shared construction helpers for the test suite.
+"""Shared construction helpers, oracles and reference code for the test suite.
 
 The Jordan-form constructions use unimodular integer similarity transforms,
 so the built matrices are exact in floating point and their true eigenvalues
-and chain structure are known by construction.
+and chain structure are known by construction. The oracles below are
+direct, slow restatements of what the package computes more cleverly; only
+tests call them. :func:`reference_run_scenario` is the scenario engine as
+one per-step loop with per-sensor detector objects.
 """
+
+import dataclasses
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from mtident import LtiPair, TargetSet, noise_model, schedule_key
+from mtident import (
+    CentralKalmanFilter,
+    Chi2Detector,
+    Chi2Result,
+    DetectorConfig,
+    FusionEstimator,
+    IdentificationLog,
+    LocalFilterBank,
+    LtiPair,
+    NotApplicableError,
+    RemovalTracker,
+    RunReport,
+    TargetSet,
+    build_system,
+    identify_and_remove,
+    noise_model,
+    sample_schedule,
+    schedule_key,
+)
+from mtident.errors import DecompositionError
+from mtident.estimation import _common_nullspace_basis
+from mtident.identifiability import ObservabilityStack, _v_stack_for
 from mtident.linalg import numerical_rank, observability_stack, spectral_radius
+from mtident.scenario import _build_attack, _summarize, config_schedule_key
 
 
 def unimodular(rng, n, ops=None, max_entry=40):
@@ -92,3 +119,180 @@ def spd(rng, n, scale=1.0):
 
 def standard_noise(rng, n, m, scale=1.0):
     return noise_model(Q=spd(rng, n, scale), R=spd(rng, m, scale))
+
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def chi2_test(residues, cfg: DetectorConfig) -> Chi2Result:
+    """Test one full window of residues (scalars, or vectors per step)."""
+    r = np.asarray(residues, dtype=float)
+    if r.ndim == 1:
+        r = r.reshape(-1, 1)
+    if r.shape[0] != cfg.window:
+        raise ValueError(f"expected {cfg.window} residues, got {r.shape[0]}")
+    stat = float(np.sum(r * r))
+    return Chi2Result(statistic=stat, alarm=stat > cfg.gamma)
+
+
+def check_common_nullspace(ts: TargetSet, sensor: int, rank_tol: float | None = None) -> bool:
+    """True when every configuration gives the sensor the same unobservable
+    subspace."""
+    try:
+        _common_nullspace_basis(ts, sensor, rank_tol)
+    except DecompositionError:
+        return False
+    return True
+
+
+def observability_matrix(pair: LtiPair, sensors, steps: int) -> ObservabilityStack:
+    """Fixed-pair stack ``[C_S; C_S A; ...; C_S A^(steps-1)]`` for sensor rows S."""
+    sensors = tuple(int(s) for s in sensors)
+    for s in sensors:
+        if not 0 <= s < pair.m:
+            raise ValueError(f"sensor index {s} out of range")
+    if not sensors:
+        raise ValueError("sensor set must be non-empty")
+    M = observability_stack(pair.A, pair.C[list(sensors)], steps)
+    return ObservabilityStack(matrix=M, kind="fixed-pair", sensors=sensors, horizon=steps)
+
+
+def build_v_stack(js1, js2, c1, c2, lam: complex, match_tol: float | None = None):
+    """Eigenstructure stacks of both models at a shared eigenvalue.
+
+    Both stacks use ``r_max = `` the largest chain length at ``lam`` across
+    the two models, so shorter models are zero-padded and the row meaning
+    (derivative order) lines up.
+    """
+    if match_tol is None:
+        match_tol = 1e-8 * (1.0 + abs(lam))
+    g1 = js1.group_near(lam, match_tol)
+    g2 = js2.group_near(lam, match_tol)
+    if g1 is None or g2 is None:
+        raise NotApplicableError(f"eigenvalue {lam:.6g} is not shared by both models")
+    r_max = max(max(g1.chain_lengths()), max(g2.chain_lengths()))
+    c1 = np.asarray(c1, dtype=float).reshape(-1)
+    c2 = np.asarray(c2, dtype=float).reshape(-1)
+    return _v_stack_for(g1, c1, r_max), _v_stack_for(g2, c2, r_max)
+
+
+def brute_force_unidentifiability_oracle(
+    pair1: LtiPair, pair2: LtiPair, sensor: int, t: int, rank_tol: float | None = None
+) -> bool:
+    """Direct image-intersection test over the window ``0..t``.
+
+    True iff some nonzero output sequence is produced by both models, i.e.
+    ``rank([O1 O2]) < rank(O1) + rank(O2)`` for the stacked prediction
+    matrices with rows ``k = 0..t``. An independent check of
+    ``cross_model_unidentifiability`` on small systems (use ``t >= 2n - 1``).
+    """
+    O1 = observability_stack(pair1.A, pair1.C[[sensor]], t + 1)
+    O2 = observability_stack(pair2.A, pair2.C[[sensor]], t + 1)
+    r_both = numerical_rank(np.hstack([O1, O2]), tol=rank_tol)
+    return r_both < numerical_rank(O1, tol=rank_tol) + numerical_rank(O2, tol=rank_tol)
+
+
+# ---------------------------------------------------------------------------
+# reference scenario engine
+
+
+def reference_run_scenario(cfg, plant=None) -> RunReport:
+    """``run_scenario`` as one loop over steps: every step draws its noise,
+    asks the attack policy for its values, steps the central filter, the
+    bank and fusion, and updates one ``Chi2Detector`` per active sensor, the
+    central detector and a ``RemovalTracker``."""
+    if plant is None:
+        plant = build_system(cfg)
+    ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
+    noise, decomps = plant.noise, plant.decomps
+    n, m = ts.n, ts.m
+    T = cfg.horizon
+    schedule = sample_schedule(ts, T)
+    attack, policy = _build_attack(cfg, ts, schedule)
+
+    ss_sim, _ = np.random.SeedSequence(cfg.seed).spawn(2)
+    rng_sim = np.random.default_rng(ss_sim)
+    e0 = noise.P0_factor @ rng_sim.standard_normal(n)
+    offset = -(noise.x0_mean + e0)
+    central = CentralKalmanFilter(noise, mean_offset=offset)
+    bank = LocalFilterBank(ts, noise, decomps=decomps, mean_offset=offset)
+    active = list(range(m))
+    fusion = FusionEstimator(bank.decomps, tuple(active))
+
+    det = cfg.detector
+    sensor_cfg = DetectorConfig.from_alpha(det.sensor_window, 1, det.sensor_alpha, det.removal_policy)
+    sensor_det = {s: Chi2Detector(sensor_cfg) for s in range(m)}
+    central_det = Chi2Detector(DetectorConfig.from_alpha(det.central_window, m, det.central_alpha))
+    tracker = RemovalTracker(det.removal_policy)
+    log = IdentificationLog()
+
+    err_central, err_fused, trace_P, fused_trace = (np.empty(T) for _ in range(4))
+    local_z = np.empty((T, m))
+    events = []
+    for k in range(T):
+        j = int(schedule[k])
+        pair = ts.pairs[j]
+        v = noise.R_factor @ rng_sim.standard_normal(m)
+        dd = attack.D @ policy.values(k) if policy is not None else np.zeros(m)
+        y_err = v + dd
+
+        mask = None if len(active) == m else tuple(active)
+        cres = central.step(pair, y_err if mask is None else y_err[list(mask)], active=mask)
+        bres = bank.step(j, y_err)
+        fres = fusion.fuse(bres.zeta_post, bres.P_post)
+        err_central[k] = float(np.linalg.norm(cres.x_post))
+        err_fused[k] = float(np.linalg.norm(fres.x_star))
+        trace_P[k] = float(np.trace(cres.P_prior))
+        fused_trace[k] = float(np.trace(fres.cov))
+        local_z[k] = bres.residues
+
+        w = noise.Q_factor @ rng_sim.standard_normal(n)
+        central.shift_prediction(-w)
+        bank.shift_prediction(-w)
+
+        cver = central_det.update(cres.residue)
+        if cver is not None and cver.alarm:
+            events.append((k, -1, "central_alarm"))
+            log.record_central_alarm(k)
+        candidates = []
+        for s in active:
+            r = sensor_det[s].update(local_z[k, s])
+            if r is None:
+                continue
+            if r.alarm:
+                events.append((k, s, "alarm"))
+                log.record_alarm(k, s)
+            if tracker.update(s, r.alarm) and det.removal_enabled:
+                candidates.append(s)
+        if candidates:
+            removed = identify_and_remove(
+                candidates,
+                active,
+                lambda rest: FusionEstimator.removal_keeps_observability(decomps, rest),
+                log,
+                k,
+            )
+            if removed:
+                for s in removed:
+                    active.remove(s)
+                    events.append((k, s, "removed"))
+                fusion = FusionEstimator(bank.decomps, tuple(active))
+                central_det = Chi2Detector(
+                    DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)
+                )
+
+    report = RunReport(
+        config=cfg,
+        schedule=schedule,
+        err_central=err_central,
+        err_fused=err_fused,
+        trace_P=trace_P,
+        fused_trace=fused_trace,
+        local_residues=local_z,
+        events=events,
+        log=log,
+        summary={},
+    )
+    report.summary = _summarize(report)
+    return report

@@ -7,12 +7,12 @@ import pytest
 from mpmath import mp
 from scipy.stats import chi2
 
+from helpers import chi2_test
 from mtident import (
     Chi2Detector,
     DetectorConfig,
     IdentificationLog,
     RemovalTracker,
-    chi2_test,
     identify_and_remove,
     threshold_from_alpha,
 )

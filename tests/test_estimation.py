@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from helpers import random_target_set, spd, standard_noise
+from helpers import check_common_nullspace, random_target_set, spd, standard_noise
 from mtident import (
     CentralKalmanFilter,
     DecompositionError,
@@ -21,7 +21,6 @@ from mtident import (
     TargetSet,
     bias_recursion,
     build_attack_matrix,
-    check_common_nullspace,
     generate_example_system,
     kalman_decomposition,
     noise_model,
@@ -330,6 +329,25 @@ def test_local_bank_leaves_caller_decomps_untouched():
     bank = LocalFilterBank(ts, noise, sensors=(3, 4), decomps=given_decomps)
     assert list(given_decomps) == [3]
     assert bank.decomps[3] is decomps[3] and sorted(bank.decomps) == [3, 4]
+
+
+def test_restarted_bank_equals_a_fresh_bank_whatever_the_original_did():
+    ts, noise, decomps = _bank_plant()
+    rng = np.random.default_rng(53)
+    offset = rng.standard_normal(ts.n)
+    template = LocalFilterBank(ts, noise, sensors=(4, 1, 2), decomps=decomps)
+    for k in range(3):  # the template's own steps must not leak into restarts
+        template.step(k % ts.l, rng.standard_normal(ts.m))
+        template.shift_prediction(rng.standard_normal(ts.n))
+    restarted = template.restarted(offset)
+    fresh = LocalFilterBank(ts, noise, sensors=(4, 1, 2), decomps=decomps, mean_offset=offset)
+    for k in range(4):
+        y, w = rng.standard_normal(ts.m), rng.standard_normal(ts.n)
+        got, want = restarted.step(k % ts.l, y), fresh.step(k % ts.l, y)
+        for name in ("residues", "zeta_post", "P_post"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        restarted.shift_prediction(w)
+        fresh.shift_prediction(w)
 
 
 def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):

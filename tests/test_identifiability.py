@@ -5,7 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import (
+    brute_force_unidentifiability_oracle,
+    build_v_stack,
     matrix_with_jordan_structure,
+    observability_matrix,
     random_observable_pair,
     random_target_set,
 )
@@ -17,15 +20,12 @@ from mtident import (
     STATUS_IDENTIFIED,
     TargetSet,
     analyze_target_set,
-    brute_force_unidentifiability_oracle,
     build_attack_matrix,
-    build_v_stack,
     construct_cross_model_attack,
     cross_model_unidentifiability,
     guess_attack_feasibility,
     is_sparse_observable,
     jordan_chains,
-    observability_matrix,
     sample_schedule,
     sensor_consistency_check,
     simulate_deterministic,
