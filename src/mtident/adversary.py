@@ -58,7 +58,6 @@ class AttackPolicy:
     def __init__(self, attack: AttackSet):
         self.attack = attack
         self._next_k = 0
-        self.history: list[np.ndarray] = []
 
     @property
     def sensors(self) -> tuple[int, ...]:
@@ -73,7 +72,6 @@ class AttackPolicy:
             )
         v = np.asarray(self._values(k), dtype=float).reshape(self.attack.size)
         self._next_k += 1
-        self.history.append(v)
         return v
 
     def _values(self, k: int) -> np.ndarray:  # pragma: no cover - abstract
@@ -81,7 +79,6 @@ class AttackPolicy:
 
     def reset(self) -> None:
         self._next_k = 0
-        self.history.clear()
         self._reset()
 
     def _reset(self) -> None:

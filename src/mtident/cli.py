@@ -36,6 +36,7 @@ from .identifiability import analyze_target_set
 from .matrixio import write_matrix, write_vector
 from .scenario import (
     build_target_set,
+    check_example_size,
     generate_example_system,
     load_config,
     monte_carlo,
@@ -97,6 +98,9 @@ def _load(args) -> object:
 
 
 def _cmd_gen_system(args) -> int:
+    check_example_size(args.n, args.l, "--")
+    if args.period is not None and args.period < 1:
+        raise ConfigError("'--period' must be >= 1")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plant = generate_example_system(seed=args.seed, n=args.n, l=args.l, period=args.period)

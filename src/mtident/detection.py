@@ -40,7 +40,6 @@ class DetectorConfig:
 
     window: int
     gamma: float
-    alpha: float | None = None
     removal_policy: int = 2
 
     def __post_init__(self):
@@ -58,7 +57,6 @@ class DetectorConfig:
         return cls(
             window=window,
             gamma=threshold_from_alpha(window, dof_per_step, alpha),
-            alpha=alpha,
             removal_policy=removal_policy,
         )
 

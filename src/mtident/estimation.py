@@ -149,8 +149,10 @@ def bias_recursion(
         dz_k = U_k^{-T} (C_k b_k + D d_k),   P_yy,k = U_k' U_k
         de_k = b_k - K_k (C_k b_k + D d_k)
 
-    By linearity this equals the exact difference between an attacked and a
-    clean filter run sharing every noise realization.
+    That is the central filter fed ``D d_k`` from a zero prior mean: its
+    prior estimate is ``-b_k``, its residue ``dz_k`` and its posterior
+    ``-de_k``. By linearity this equals the exact difference between an
+    attacked and a clean filter run sharing every noise realization.
     """
     schedule = np.asarray(schedule, dtype=np.int64).reshape(-1)
     T = schedule.size
@@ -159,17 +161,13 @@ def bias_recursion(
         dvals = dvals.reshape(-1, 1)
     if dvals.shape != (T, attack.size):
         raise ModelError(f"attack values have shape {dvals.shape}, expected ({T}, {attack.size})")
-    filt = CentralKalmanFilter(noise)
-    b = np.zeros(ts.n)
+    filt = CentralKalmanFilter(noise, mean_offset=-noise.x0_mean)
     de = np.empty((T, ts.n))
     dz = np.empty((T, ts.m))
     for k in range(T):
-        pair = ts.pairs[schedule[k]]
-        K, U, C, _ = filt.step_covariance(pair)
-        cb = C @ b + attack.D @ dvals[k]
-        dz[k] = dtrtrs(U, cb, trans=1)[0]
-        de[k] = b - K @ cb
-        b = pair.A @ de[k]
+        res = filt.step(ts.pairs[schedule[k]], attack.D @ dvals[k])
+        dz[k] = res.residue
+        de[k] = -res.x_post
     return BiasTrace(delta_e=de, delta_z=dz)
 
 
@@ -204,15 +202,15 @@ class SensorDecomposition:
         return self.T_uo.shape[1]
 
 
-def _common_nullspace_basis(ts: TargetSet, sensor: int, rank_tol: float | None):
+def _common_nullspace_basis(ts: TargetSet, sensor: int):
     stacks = [
         observability_stack(p.A, p.C[[sensor]], ts.n) for p in ts.pairs
     ]
-    N0 = nullspace(stacks[0], tol=rank_tol)
+    N0 = nullspace(stacks[0])
     dim = N0.shape[1]
     for j, M in enumerate(stacks):
         scale = float(np.linalg.norm(M, np.inf)) + 1.0
-        if nullspace(M, tol=rank_tol).shape[1] != dim:
+        if nullspace(M).shape[1] != dim:
             raise DecompositionError(
                 f"sensor {sensor}: unobservable dimension differs for configuration {j}"
             )
@@ -223,9 +221,7 @@ def _common_nullspace_basis(ts: TargetSet, sensor: int, rank_tol: float | None):
     return N0
 
 
-def kalman_decomposition(
-    ts: TargetSet, sensor: int, rank_tol: float | None = None
-) -> SensorDecomposition:
+def kalman_decomposition(ts: TargetSet, sensor: int) -> SensorDecomposition:
     """Build the per-sensor reduced observable pairs for every configuration.
 
     Raises :class:`DecompositionError` when the unobservable subspace is not
@@ -233,7 +229,7 @@ def kalman_decomposition(
     """
     if not 0 <= sensor < ts.m:
         raise ValueError(f"sensor index {sensor} out of range")
-    T_uo = _common_nullspace_basis(ts, sensor, rank_tol)
+    T_uo = _common_nullspace_basis(ts, sensor)
     T_o = orth_complement(T_uo, ts.n)
     if T_o.shape[1] == 0:
         raise DecompositionError(f"sensor {sensor} observes nothing")
@@ -249,7 +245,7 @@ def kalman_decomposition(
                 )
         Ar = T_o.T @ p.A @ T_o
         Cr = p.C[sensor] @ T_o
-        if numerical_rank(observability_stack(Ar, Cr.reshape(1, -1), Ar.shape[0]), tol=rank_tol) < Ar.shape[0]:
+        if numerical_rank(observability_stack(Ar, Cr.reshape(1, -1), Ar.shape[0])) < Ar.shape[0]:
             raise DecompositionError(
                 f"sensor {sensor}: reduced pair of configuration {j} is unobservable"
             )

@@ -4,19 +4,20 @@ An injected sensor attack is *unambiguously identifiable* when no initial
 state can reproduce the attacked sensor's output over the window; the
 defender can then pin the inconsistency on that sensor. This module provides
 
-* observability stacks for fixed pairs and for time-varying schedules,
+* observability stacks for time-varying schedules and sparse observability
+  margins,
 * the incremental output-consistency check that yields detection times,
 * a feasibility test for schedule-guessing attackers (can a wrongly guessed
   configuration sequence still produce consistent outputs?),
 * Jordan-chain extraction and the eigenstructure stacks that characterize
   cross-model unidentifiability for constant schedules, plus the explicit
   attack construction from a witness, and
-* a brute-force image-intersection oracle used to validate the
-  eigenstructure test on small instances.
+* a design audit of a whole configuration set.
 
-Everything is numerical: ranks and null spaces are SVD decisions, eigenvalue
-coincidence is decided up to a tolerance, and defective eigenvalues are
-clustered before chains are extracted.
+Everything is numerical: ranks and null spaces are SVD decisions at the
+default cutoff of :mod:`mtident.linalg`, eigenvalue coincidence is decided
+up to a fixed tolerance, and defective eigenvalues are clustered before
+chains are extracted.
 """
 
 from __future__ import annotations
@@ -40,25 +41,7 @@ STATUS_IDENTIFIED = "unambiguously-identified"
 # observability stacks
 
 
-@dataclass(frozen=True)
-class ObservabilityStack:
-    """An output-prediction matrix together with how it was built.
-
-    ``kind`` is one of ``"fixed-pair"`` (powers of a single A),
-    ``"schedule"`` (true time-varying products), or ``"guessed"`` (products
-    along a hypothesized configuration sequence). ``matrix`` has one block
-    row per time step, ``len(sensors)`` rows each.
-    """
-
-    matrix: np.ndarray
-    kind: str
-    sensors: tuple[int, ...]
-    horizon: int
-
-
-def time_varying_observability(
-    ts: TargetSet, sequence, sensor: int, t: int, kind: str = "schedule"
-) -> ObservabilityStack:
+def time_varying_observability(ts: TargetSet, sequence, sensor: int, t: int) -> np.ndarray:
     """Time-varying stack with rows ``C_k^s (A_{k-1} ... A_0)`` for k = 0..t.
 
     ``sequence`` holds configuration indices for steps ``0..t`` (at least
@@ -77,10 +60,10 @@ def time_varying_observability(
         pair = ts.pairs[sequence[k]]
         rows[k] = pair.C[sensor] @ phi
         phi = pair.A @ phi
-    return ObservabilityStack(matrix=rows, kind=kind, sensors=(sensor,), horizon=t + 1)
+    return rows
 
 
-def is_sparse_observable(pair: LtiPair, r: int, rank_tol: float | None = None) -> bool:
+def is_sparse_observable(pair: LtiPair, r: int) -> bool:
     """True when every removal of ``r`` sensors leaves an observable pair.
 
     ``r = 0`` reduces to plain observability. A system that stays observable
@@ -93,17 +76,17 @@ def is_sparse_observable(pair: LtiPair, r: int, rank_tol: float | None = None) -
     for removed in itertools.combinations(range(pair.m), r):
         keep = sorted(all_sensors - set(removed))
         M = observability_stack(pair.A, pair.C[keep], pair.n)
-        if numerical_rank(M, tol=rank_tol) < pair.n:
+        if numerical_rank(M) < pair.n:
             return False
     return True
 
 
-def sparse_observability_margin(pair: LtiPair, rank_tol: float | None = None) -> int:
+def sparse_observability_margin(pair: LtiPair) -> int:
     """Largest ``r`` such that the pair is sparse observable at level ``r``; -1 if
     the pair is unobservable outright."""
     margin = -1
     for r in range(pair.m):
-        if is_sparse_observable(pair, r, rank_tol=rank_tol):
+        if is_sparse_observable(pair, r):
             margin = r
         else:
             break
@@ -129,13 +112,7 @@ class IdentVerdict:
     first_detection_time: int | None
 
 
-def sensor_consistency_check(
-    y_s,
-    ts: TargetSet,
-    schedule,
-    sensor: int,
-    tol: float | None = None,
-) -> IdentVerdict:
+def sensor_consistency_check(y_s, ts: TargetSet, schedule, sensor: int) -> IdentVerdict:
     """Incrementally test whether some initial state explains sensor ``sensor``.
 
     At each horizon ``t'`` the least-squares residual of the stacked
@@ -150,8 +127,7 @@ def sensor_consistency_check(
         raise ValueError("empty output record")
     if schedule.size < y.size:
         raise ValueError("schedule shorter than the output record")
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.max(np.abs(y))))
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(y))))
 
     rows = np.empty((y.size, ts.n))
     phi = np.eye(ts.n)
@@ -176,14 +152,7 @@ def sensor_consistency_check(
     )
 
 
-def guess_attack_feasibility(
-    ts: TargetSet,
-    guessed,
-    true_schedule,
-    sensor: int,
-    t: int,
-    rank_tol: float | None = None,
-) -> bool:
+def guess_attack_feasibility(ts: TargetSet, guessed, true_schedule, sensor: int, t: int) -> bool:
     """Can an attacker who committed to ``guessed`` stay consistent through ``t``?
 
     Feasibility of an undetectable nonzero attack is equivalent to the
@@ -192,10 +161,9 @@ def guess_attack_feasibility(
 
         null([O_guess  O_true]) > null(O_guess) + null(O_true).
     """
-    Og = time_varying_observability(ts, guessed, sensor, t, kind="guessed").matrix
-    Os = time_varying_observability(ts, true_schedule, sensor, t).matrix
-    both = np.hstack([Og, Os])
-    return nullity(both, tol=rank_tol) > nullity(Og, tol=rank_tol) + nullity(Os, tol=rank_tol)
+    Og = time_varying_observability(ts, guessed, sensor, t)
+    Os = time_varying_observability(ts, true_schedule, sensor, t)
+    return nullity(np.hstack([Og, Os])) > nullity(Og) + nullity(Os)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +246,16 @@ def _cluster_complex(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return clusters
 
 
-def jordan_chains(
-    A,
-    cluster_tol: float | None = None,
-    chain_tol: float | None = None,
-    rank_rtol: float = 1e-8,
-) -> JordanStructure:
+def jordan_chains(A, cluster_tol: float | None = None) -> JordanStructure:
     """Extract eigenvalues, multiplicities, and Jordan chains of ``A``.
 
     Computed eigenvalues of a defective matrix scatter like ``eps**(1/r)``
     around the true value, so clustering uses the deliberately generous
-    default ``1e-3 * (1 + max |eigenvalue|)``; the cluster mean is then
-    accurate to roughly machine precision and null spaces of
+    default ``cluster_tol = 1e-3 * (1 + max |eigenvalue|)``; the cluster mean
+    is then accurate to roughly machine precision and null spaces of
     ``(A - mean I)^p`` are well separated at the relative SVD cutoff
-    ``rank_rtol``. Chain relations are verified against ``chain_tol``
-    (default ``1e-7 * ||A||``); residuals beyond ten times that raise a
+    ``1e-8``. Chain relations are verified against ``chain_tol = 1e-7 *
+    max(1, ||A||)``; residuals beyond ten times that raise a
     :class:`ConditioningWarning`.
     """
     A = np.asarray(A, dtype=float)
@@ -304,8 +267,7 @@ def jordan_chains(
     if cluster_tol is None:
         cluster_tol = 1e-3 * scale
     norm_A = float(np.linalg.norm(A, 2)) if n else 0.0
-    if chain_tol is None:
-        chain_tol = 1e-7 * max(1.0, norm_A)
+    chain_tol = 1e-7 * max(1.0, norm_A)
 
     groups = []
     max_resid = 0.0
@@ -326,11 +288,11 @@ def jordan_chains(
             powers.append(Bp)
             # a relative cutoff alone misreads numerically-zero powers (a
             # collapsed B^p is pure roundoff, so every singular value sits
-            # "above" rtol * smax); floor the cutoff at the roundoff scale
+            # "above" 1e-8 * smax); floor the cutoff at the roundoff scale
             # accumulated while forming the product
             floor = 32.0 * p * np.finfo(float).eps * sB**p
             smax_p = float(np.linalg.norm(Bp, 2))
-            ns = nullspace(Bp, tol=max(rank_rtol * smax_p, floor))
+            ns = nullspace(Bp, tol=max(1e-8 * smax_p, floor))
             bases.append(ns)
             nullities.append(ns.shape[1])
             if nullities[-1] > mult:
@@ -478,17 +440,14 @@ def cross_model_unidentifiability(
     pair1: LtiPair,
     pair2: LtiPair,
     sensor: int,
-    tau_eig: float | None = None,
-    rank_tol: float | None = None,
-    jordan_kwargs: dict | None = None,
     structures: tuple[JordanStructure, JordanStructure] | None = None,
 ) -> CrossModelResult:
     """Does a nonzero attack exist that is consistent with both fixed models?
 
     For each eigenvalue shared by the two state matrices (within
-    ``tau_eig``), the per-model eigenstructure stacks ``V1``/``V2`` are
-    built; unidentifiability is equivalent to their images intersecting
-    nontrivially:
+    ``1e-8 * (1 + max |eigenvalue|)``), the per-model eigenstructure stacks
+    ``V1``/``V2`` are built; unidentifiability is equivalent to their images
+    intersecting nontrivially:
 
         null([V1 V2]) > null(V1) + null(V2).
 
@@ -500,14 +459,13 @@ def cross_model_unidentifiability(
     if structures is not None:
         js1, js2 = structures
     else:
-        js1 = jordan_chains(pair1.A, **(jordan_kwargs or {}))
-        js2 = jordan_chains(pair2.A, **(jordan_kwargs or {}))
+        js1 = jordan_chains(pair1.A)
+        js2 = jordan_chains(pair2.A)
     scale = 1.0 + max(
         max((abs(v) for v in js1.eigenvalues), default=0.0),
         max((abs(v) for v in js2.eigenvalues), default=0.0),
     )
-    if tau_eig is None:
-        tau_eig = 1e-8 * scale
+    tau_eig = 1e-8 * scale
     c1 = pair1.C[sensor]
     c2 = pair2.C[sensor]
 
@@ -525,10 +483,10 @@ def cross_model_unidentifiability(
         V1 = _v_stack_for(g1, c1, r_max)
         V2 = _v_stack_for(g2, c2, r_max)
         both = np.hstack([V1, V2])
-        if nullity(both, tol=rank_tol) <= nullity(V1, tol=rank_tol) + nullity(V2, tol=rank_tol):
+        if nullity(both) <= nullity(V1) + nullity(V2):
             continue
         # witness: null vector of [V1, -V2] maximizing the shared image norm
-        Z = nullspace(np.hstack([V1, -V2]), tol=rank_tol)
+        Z = nullspace(np.hstack([V1, -V2]))
         k1 = V1.shape[1]
         M = V1 @ Z[:k1]
         U, s, Vh = np.linalg.svd(M)
@@ -558,15 +516,16 @@ def construct_cross_model_attack(
     pair2: LtiPair,
     sensor: int,
     horizon: int,
-    tol: float | None = None,
 ) -> np.ndarray:
     """Realize a witness as a real scalar attack sequence of length ``horizon``.
 
     The complex sequences ``c_j A_j^k x0a_j`` agree between the two models by
     construction; a complex witness is realified by adding the conjugate
     trajectory (the conjugate initial state is also a valid chain
-    combination). Raises :class:`DegenerateWitnessError` when realification
-    collapses to the zero sequence; callers retry with a rotated witness.
+    combination). Raises :class:`DegenerateWitnessError` when the two
+    sequences differ by more than ``1e-8 * (1 + max |d_1|)`` or
+    realification collapses to the zero sequence; callers retry with a
+    rotated witness.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -580,9 +539,7 @@ def construct_cross_model_attack(
             x = pair.A @ x
         seqs.append(d)
     d1, d2 = seqs
-    scale = 1.0 + float(np.max(np.abs(d1)))
-    if tol is None:
-        tol = 1e-8 * scale
+    tol = 1e-8 * (1.0 + float(np.max(np.abs(d1))))
     if float(np.max(np.abs(d1 - d2))) > tol:
         raise DegenerateWitnessError(
             "witness output sequences disagree between the two models"
@@ -631,7 +588,7 @@ class AnalysisReport:
         return lines
 
 
-def analyze_target_set(ts: TargetSet, jordan_kwargs: dict | None = None) -> AnalysisReport:
+def analyze_target_set(ts: TargetSet) -> AnalysisReport:
     """Audit a configuration set: design recommendations, per-configuration
     sparse observability margins, and a scan of every configuration pair and
     sensor for cross-model unidentifiability."""
@@ -645,9 +602,7 @@ def analyze_target_set(ts: TargetSet, jordan_kwargs: dict | None = None) -> Anal
             try:
                 for idx in (i, j):
                     if idx not in structures:
-                        structures[idx] = jordan_chains(
-                            ts.pairs[idx].A, **(jordan_kwargs or {})
-                        )
+                        structures[idx] = jordan_chains(ts.pairs[idx].A)
                 hit = []
                 for s in range(ts.m):
                     res = cross_model_unidentifiability(

@@ -1,7 +1,8 @@
 """Shared numerical linear-algebra helpers.
 
 Rank and null-space decisions are all SVD-based with the conventional
-tolerance ``max(rows, cols) * eps * sigma_max`` unless a caller overrides it.
+tolerance ``max(rows, cols) * eps * sigma_max``; only :func:`nullspace`
+accepts an absolute cutoff instead.
 """
 
 from __future__ import annotations
@@ -18,49 +19,45 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _svd_tol(M: np.ndarray, s: np.ndarray, tol, rtol) -> float:
-    if tol is not None:
-        return float(tol)
-    smax = s[0] if s.size else 0.0
-    if rtol is not None:
-        return float(rtol) * smax
-    return max(M.shape) * EPS * smax
+def _svd_tol(M: np.ndarray, s: np.ndarray) -> float:
+    return max(M.shape) * EPS * (s[0] if s.size else 0.0)
 
 
-def numerical_rank(M: np.ndarray, tol: float | None = None, rtol: float | None = None) -> int:
-    """Numerical rank via singular values above ``tol`` (or the default)."""
+def numerical_rank(M: np.ndarray) -> int:
+    """Numerical rank: the number of singular values above the default cutoff."""
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > _svd_tol(M, s, tol, rtol)))
+    return int(np.sum(s > _svd_tol(M, s)))
 
 
-def nullity(M: np.ndarray, tol: float | None = None, rtol: float | None = None) -> int:
+def nullity(M: np.ndarray) -> int:
     """Dimension of the (right) null space; always ``cols - rank``."""
     M = np.atleast_2d(np.asarray(M))
-    return M.shape[1] - numerical_rank(M, tol=tol, rtol=rtol)
+    return M.shape[1] - numerical_rank(M)
 
 
-def nullspace(M: np.ndarray, tol: float | None = None, rtol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the right null space, one column per dimension."""
+def nullspace(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Orthonormal basis of the right null space, one column per dimension;
+    singular values at or below ``tol`` (default cutoff when None) count as
+    zero."""
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return np.eye(M.shape[1], dtype=M.dtype)
     _, s, Vh = np.linalg.svd(M)
-    cutoff = _svd_tol(M, s, tol, rtol)
+    cutoff = _svd_tol(M, s) if tol is None else float(tol)
     rank = int(np.sum(s > cutoff))
     return Vh[rank:].conj().T
 
 
-def orth(M: np.ndarray, rtol: float | None = None) -> np.ndarray:
+def orth(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span."""
     M = np.atleast_2d(np.asarray(M))
     if M.shape[1] == 0:
         return M.copy()
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    cutoff = _svd_tol(M, s, None, rtol)
-    return U[:, : int(np.sum(s > cutoff))]
+    return U[:, : int(np.sum(s > _svd_tol(M, s)))]
 
 
 def orth_complement(B: np.ndarray, n: int) -> np.ndarray:
@@ -74,17 +71,15 @@ def orth_complement(B: np.ndarray, n: int) -> np.ndarray:
     return nullspace(B.conj().T)
 
 
-def psd_factor(M: np.ndarray, tol: float | None = None, name: str = "matrix") -> np.ndarray:
+def psd_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Factor ``L`` with ``L @ L.T`` equal to the PSD part of symmetric ``M``.
 
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero (``tol`` defaults to
-    ``1e-10 * ||M||``); anything below ``-tol`` raises :class:`ModelError`.
+    Eigenvalues in ``[-tol, 0)`` with ``tol = 1e-10 * ||M||`` are clamped to
+    zero; anything below ``-tol`` raises :class:`ModelError`.
     """
     M = np.asarray(M, dtype=float)
     w, V = np.linalg.eigh(sym(M))
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if tol is None:
-        tol = 1e-10 * scale
+    tol = 1e-10 * (float(np.max(np.abs(w))) if w.size else 0.0)
     if w.size and w.min() < -tol:
         raise ModelError(f"{name} is not positive semidefinite (min eigenvalue {w.min():.3e})")
     w = np.clip(w, 0.0, None)

@@ -88,6 +88,7 @@ ATTACK_KINDS = ("none", "omniscient", "guessing", "persistent_bias", "cross_mode
 
 METRICS_SCHEMA = "mtident-metrics-v1"
 EVENTS_SCHEMA = "mtident-events-v1"
+TRIALS_SCHEMA = "mtident-trials-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,8 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
     _reject_unknown(sys_d, "system")
     if system.kind == "explicit" and (not system.pair_files or not system.Q_file or not system.R_file):
         raise ConfigError("explicit systems need system.pairs, system.Q, and system.R")
+    if system.kind == "generated":
+        check_example_size(system.n, system.l, "system.")
 
     sch_d = _section(d, "schedule")
     d.pop("schedule", None)
@@ -267,6 +270,12 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
         removal_enabled=bool(_pop(det_d, "removal_enabled", True, bool, "detector")),
     )
     _reject_unknown(det_d, "detector")
+    for key in ("sensor_window", "central_window", "removal_policy"):
+        if getattr(detector, key) < 1:
+            raise ConfigError(f"'detector.{key}' must be >= 1")
+    for key in ("sensor_alpha", "central_alpha"):
+        if not 0.0 < getattr(detector, key) < 1.0:
+            raise ConfigError(f"'detector.{key}' must lie in (0, 1)")
 
     horizon = _pop(d, "horizon", None, int)
     seed = _pop(d, "seed", None, int)
@@ -329,6 +338,15 @@ class Plant:
 _BLOCK_PATTERN = ((0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4))
 
 
+def check_example_size(n: int, l: int, prefix: str) -> None:
+    """Raise :class:`ConfigError`, naming ``prefix + "n"`` or ``prefix + "l"``,
+    for sizes :func:`generate_example_system` cannot build."""
+    if n < 5 or n % 5:
+        raise ConfigError(f"'{prefix}n' must be a positive multiple of 5, got {n}")
+    if l < 1:
+        raise ConfigError(f"'{prefix}l' must be >= 1, got {l}")
+
+
 def generate_example_system(
     seed: int,
     n: int = 15,
@@ -338,7 +356,6 @@ def generate_example_system(
     noise_scale: float = 1.0,
     period: int | None = None,
     key=None,
-    max_attempts: int = 40,
 ) -> Plant:
     """Random instance of the worked example: five coupled 3-dim blocks,
     two five-sensor banks, unstable block dynamics.
@@ -349,8 +366,8 @@ def generate_example_system(
     the per-sensor filter bank requires. Diagonal blocks are rescaled to a
     spectral radius drawn from ``radius`` (unstable by default). Draws are
     retried until every pair is observable and every sensor decomposes
-    cleanly; the returned plant keeps those decompositions. No retry depends
-    on ``key``.
+    cleanly, at most 40 draws; the returned plant keeps those
+    decompositions. No retry depends on ``key``.
     """
     if n % 5 != 0:
         raise ValueError("n must be divisible by 5 (five equal blocks)")
@@ -359,7 +376,7 @@ def generate_example_system(
     b = n // 5
     m = 10
     last_err = None
-    for attempt in range(max_attempts):
+    for attempt in range(40):
         rng = np.random.default_rng([seed, attempt])
         pairs = []
         degenerate = False
@@ -395,7 +412,7 @@ def generate_example_system(
             period=period if period is not None else 2 * n,
             key=key if key is not None else schedule_key(f"mtident-example-{seed}"),
         )
-        noise = NoiseModel(Q=Q, R=R, x0_mean=np.zeros(n), P0=np.eye(n))
+        noise = NoiseModel(Q=Q, R=R)
         try:
             for p in pairs:
                 if numerical_rank(observability_stack(p.A, p.C, n)) < n:
@@ -406,7 +423,7 @@ def generate_example_system(
             continue
         return Plant(ts, noise, decomps)
     raise ConditioningError(
-        f"could not generate a well-posed example system after {max_attempts} attempts "
+        f"could not generate a well-posed example system after {attempt + 1} attempts "
         f"(last failure: {last_err})"
     )
 
@@ -431,8 +448,8 @@ def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     pairs = tuple(LtiPair(read_matrix(a), read_matrix(c)) for a, c in sysd.pair_files)
     Q = read_matrix(sysd.Q_file)
     R = read_matrix(sysd.R_file)
-    x0 = read_vector(sysd.x0_mean_file) if sysd.x0_mean_file else np.zeros(Q.shape[0])
-    P0 = read_matrix(sysd.P0_file) if sysd.P0_file else np.eye(Q.shape[0])
+    x0 = read_vector(sysd.x0_mean_file) if sysd.x0_mean_file else None
+    P0 = read_matrix(sysd.P0_file) if sysd.P0_file else None
     n = pairs[0].n
     period = cfg.schedule.period if cfg.schedule.period is not None else 2 * n
     ts = TargetSet(pairs=pairs, period=period, key=config_schedule_key(cfg))
@@ -853,43 +870,39 @@ def events_rows(r: RunReport):
         yield [str(step), "" if sensor < 0 else str(sensor), kind]
 
 
+def _write_table(out: Path, name: str, schema: str, rows, fmt: str) -> Path:
+    """Write ``rows``, header first, to ``<name>.csv`` below a ``# <schema>``
+    line, or to ``<name>.jsonl`` as one object per row keyed by the header."""
+    if fmt not in ("csv", "jsonl"):
+        raise ConfigError(f"unknown output format '{fmt}'")
+    p = out / f"{name}.{fmt}"
+    rows = iter(rows)
+    if fmt == "csv":
+        with open(p, "w", newline="", encoding="ascii") as fh:
+            fh.write(f"# {schema}\n")
+            csv.writer(fh).writerows(rows)
+    else:
+        header = next(rows)
+        with open(p, "w", encoding="ascii") as fh:
+            for row in rows:
+                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+    return p
+
+
+def _write_json(p: Path, obj: dict) -> Path:
+    p.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    return p
+
+
 def write_run_outputs(r: RunReport, out_dir: str | os.PathLike, fmt: str = "csv") -> list[Path]:
     """Write metrics, events, and the summary for one run; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if fmt == "csv":
-        p = out / "metrics.csv"
-        with open(p, "w", newline="", encoding="ascii") as fh:
-            fh.write(f"# {METRICS_SCHEMA}\n")
-            csv.writer(fh).writerows(metrics_rows(r))
-        written.append(p)
-        p = out / "events.csv"
-        with open(p, "w", newline="", encoding="ascii") as fh:
-            fh.write(f"# {EVENTS_SCHEMA}\n")
-            csv.writer(fh).writerows(events_rows(r))
-        written.append(p)
-    elif fmt == "jsonl":
-        p = out / "metrics.jsonl"
-        rows = metrics_rows(r)
-        header = next(rows)
-        with open(p, "w", encoding="ascii") as fh:
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
-        written.append(p)
-        p = out / "events.jsonl"
-        rows = events_rows(r)
-        header = next(rows)
-        with open(p, "w", encoding="ascii") as fh:
-            for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
-        written.append(p)
-    else:
-        raise ConfigError(f"unknown output format '{fmt}'")
-    p = out / "summary.json"
-    p.write_text(json.dumps(r.summary, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    written.append(p)
-    return written
+    return [
+        _write_table(out, "metrics", METRICS_SCHEMA, metrics_rows(r), fmt),
+        _write_table(out, "events", EVENTS_SCHEMA, events_rows(r), fmt),
+        _write_json(out / "summary.json", r.summary),
+    ]
 
 
 def write_monte_carlo_outputs(
@@ -897,28 +910,13 @@ def write_monte_carlo_outputs(
 ) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     rows = [["trial", "mse_central", "mse_fused", "n_removed", "first_detection"]]
     for i, s in enumerate(mc.summaries):
         first = min((v for v in s["first_alarm"].values()), default="")
         rows.append(
             [str(i), _fmt(s["mse_central"]), _fmt(s["mse_fused"]), str(len(s["removed"])), str(first)]
         )
-    if fmt == "csv":
-        p = out / "trials.csv"
-        with open(p, "w", newline="", encoding="ascii") as fh:
-            fh.write("# mtident-trials-v1\n")
-            csv.writer(fh).writerows(rows)
-        written.append(p)
-    elif fmt == "jsonl":
-        p = out / "trials.jsonl"
-        with open(p, "w", encoding="ascii") as fh:
-            for row in rows[1:]:
-                fh.write(json.dumps(dict(zip(rows[0], row)), sort_keys=True) + "\n")
-        written.append(p)
-    else:
-        raise ConfigError(f"unknown output format '{fmt}'")
-    p = out / "aggregate.json"
-    p.write_text(json.dumps(mc.aggregate, indent=2, sort_keys=True) + "\n", encoding="ascii")
-    written.append(p)
-    return written
+    return [
+        _write_table(out, "trials", TRIALS_SCHEMA, rows, fmt),
+        _write_json(out / "aggregate.json", mc.aggregate),
+    ]

@@ -206,13 +206,14 @@ class NoiseModel:
 
     ``R`` must be symmetric positive definite; ``Q`` and ``P0`` positive
     semidefinite (eigenvalues within ``-1e-10 * ||.||`` are clamped to zero).
-    ``x0_mean``/``P0`` describe the estimator's prior on the initial state.
+    ``x0_mean``/``P0`` describe the estimator's prior on the initial state;
+    they default to zero and the identity.
     """
 
     Q: np.ndarray
     R: np.ndarray
-    x0_mean: np.ndarray
-    P0: np.ndarray
+    x0_mean: np.ndarray | None = None
+    P0: np.ndarray | None = None
 
     def __post_init__(self):
         Q = _as_matrix(self.Q, "Q")
@@ -266,12 +267,6 @@ class NoiseModel:
         return self._LP0
 
 
-def noise_model(Q, R, x0_mean=None, P0=None) -> NoiseModel:
-    """Convenience constructor accepting None for the priors."""
-    Q = np.asarray(Q, dtype=float)
-    return NoiseModel(Q=Q, R=np.asarray(R, dtype=float), x0_mean=x0_mean, P0=P0)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """One simulated run: states, outputs, schedule, and injected attacks.
@@ -289,14 +284,12 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _attack_values(attack: AttackSet | None, d, horizon: int):
-    """Normalize the attack-value argument into a per-step callable."""
+def _attack_values(attack: AttackSet | None, d, horizon: int) -> np.ndarray | None:
+    """Attack values as a ``(horizon, k)`` array; None without an attack."""
     if attack is None or attack.size == 0:
         return None
     if d is None:
         raise AttackSetError("attack set given but no attack values")
-    if callable(d):
-        return d
     arr = np.asarray(d, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
@@ -304,7 +297,7 @@ def _attack_values(attack: AttackSet | None, d, horizon: int):
         raise AttackSetError(
             f"attack values have shape {arr.shape}, expected ({horizon}, {attack.size})"
         )
-    return lambda k: arr[k]
+    return arr
 
 
 def _check_schedule(ts: TargetSet, schedule) -> np.ndarray:
@@ -325,23 +318,23 @@ def simulate_deterministic(
 ) -> Trajectory:
     """Noise-free run of the switched plant.
 
-    ``d`` supplies per-step attack values (array of shape ``(T, k)`` or a
-    callable ``k -> values``); outputs are ``y_k = C_k x_k + D d_k`` and the
-    state evolves as ``x_{k+1} = A_k x_k``.
+    ``d`` supplies per-step attack values, an array of shape ``(T, k)``;
+    outputs are ``y_k = C_k x_k + D d_k`` and the state evolves as
+    ``x_{k+1} = A_k x_k``.
     """
     schedule = _check_schedule(ts, schedule)
     T = schedule.size
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (ts.n,):
         raise ModelError(f"x0 has shape {x.shape}, expected ({ts.n},)")
-    dfun = _attack_values(attack, d, T)
+    dvals = _attack_values(attack, d, T)
     states = np.empty((T, ts.n))
     outputs = np.empty((T, ts.m))
     attacks = np.zeros((T, ts.m))
     for k in range(T):
         pair = ts.pairs[schedule[k]]
-        if dfun is not None:
-            attacks[k] = attack.D @ np.asarray(dfun(k), dtype=float).reshape(attack.size)
+        if dvals is not None:
+            attacks[k] = attack.D @ dvals[k]
         states[k] = x
         outputs[k] = pair.C @ x + attacks[k]
         x = pair.A @ x
@@ -366,15 +359,15 @@ def simulate_stochastic(
     if (noise.n, noise.m) != (ts.n, ts.m):
         raise ModelError("noise model dimensions do not match the target set")
     T = schedule.size
-    dfun = _attack_values(attack, d, T)
+    dvals = _attack_values(attack, d, T)
     x = noise.x0_mean + noise.P0_factor @ rng.standard_normal(ts.n)
     states = np.empty((T, ts.n))
     outputs = np.empty((T, ts.m))
     attacks = np.zeros((T, ts.m))
     for k in range(T):
         pair = ts.pairs[schedule[k]]
-        if dfun is not None:
-            attacks[k] = attack.D @ np.asarray(dfun(k), dtype=float).reshape(attack.size)
+        if dvals is not None:
+            attacks[k] = attack.D @ dvals[k]
         v = noise.R_factor @ rng.standard_normal(ts.m)
         states[k] = x
         outputs[k] = pair.C @ x + attacks[k] + v
@@ -450,18 +443,16 @@ class RecommendationReport:
         return out
 
 
-def validate_design_recommendations(ts: TargetSet, tau_eig: float | None = None) -> RecommendationReport:
+def validate_design_recommendations(ts: TargetSet) -> RecommendationReport:
     """Check the five design recommendations for a moving target.
 
-    Eigenvalue comparisons use the tolerance ``tau_eig``, which defaults to
-    ``1e-8 * (1 + max |eigenvalue|)``. With a single configuration the
-    disjoint-spectra check is vacuously true while the schedule is flagged
-    as degenerate.
+    Eigenvalue comparisons use the tolerance ``tau_eig = 1e-8 * (1 + max
+    |eigenvalue|)``. With a single configuration the disjoint-spectra check
+    is vacuously true while the schedule is flagged as degenerate.
     """
     spectra = [np.linalg.eigvals(p.A) for p in ts.pairs]
     max_abs = max(float(np.max(np.abs(s))) for s in spectra)
-    if tau_eig is None:
-        tau_eig = 1e-8 * (1.0 + max_abs)
+    tau_eig = 1e-8 * (1.0 + max_abs)
 
     min_gap = math.inf
     for i in range(ts.l):

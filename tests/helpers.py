@@ -22,19 +22,19 @@ from mtident import (
     IdentificationLog,
     LocalFilterBank,
     LtiPair,
+    NoiseModel,
     NotApplicableError,
     RemovalTracker,
     RunReport,
     TargetSet,
     build_system,
     identify_and_remove,
-    noise_model,
     sample_schedule,
     schedule_key,
 )
 from mtident.errors import DecompositionError
 from mtident.estimation import _common_nullspace_basis
-from mtident.identifiability import ObservabilityStack, _v_stack_for
+from mtident.identifiability import _v_stack_for
 from mtident.linalg import numerical_rank, observability_stack, spectral_radius
 from mtident.scenario import _build_attack, _summarize, config_schedule_key
 
@@ -118,7 +118,7 @@ def spd(rng, n, scale=1.0):
 
 
 def standard_noise(rng, n, m, scale=1.0):
-    return noise_model(Q=spd(rng, n, scale), R=spd(rng, m, scale))
+    return NoiseModel(Q=spd(rng, n, scale), R=spd(rng, m, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +136,17 @@ def chi2_test(residues, cfg: DetectorConfig) -> Chi2Result:
     return Chi2Result(statistic=stat, alarm=stat > cfg.gamma)
 
 
-def check_common_nullspace(ts: TargetSet, sensor: int, rank_tol: float | None = None) -> bool:
+def check_common_nullspace(ts: TargetSet, sensor: int) -> bool:
     """True when every configuration gives the sensor the same unobservable
     subspace."""
     try:
-        _common_nullspace_basis(ts, sensor, rank_tol)
+        _common_nullspace_basis(ts, sensor)
     except DecompositionError:
         return False
     return True
 
 
-def observability_matrix(pair: LtiPair, sensors, steps: int) -> ObservabilityStack:
+def observability_matrix(pair: LtiPair, sensors, steps: int) -> np.ndarray:
     """Fixed-pair stack ``[C_S; C_S A; ...; C_S A^(steps-1)]`` for sensor rows S."""
     sensors = tuple(int(s) for s in sensors)
     for s in sensors:
@@ -154,8 +154,7 @@ def observability_matrix(pair: LtiPair, sensors, steps: int) -> ObservabilitySta
             raise ValueError(f"sensor index {s} out of range")
     if not sensors:
         raise ValueError("sensor set must be non-empty")
-    M = observability_stack(pair.A, pair.C[list(sensors)], steps)
-    return ObservabilityStack(matrix=M, kind="fixed-pair", sensors=sensors, horizon=steps)
+    return observability_stack(pair.A, pair.C[list(sensors)], steps)
 
 
 def build_v_stack(js1, js2, c1, c2, lam: complex, match_tol: float | None = None):
@@ -177,9 +176,7 @@ def build_v_stack(js1, js2, c1, c2, lam: complex, match_tol: float | None = None
     return _v_stack_for(g1, c1, r_max), _v_stack_for(g2, c2, r_max)
 
 
-def brute_force_unidentifiability_oracle(
-    pair1: LtiPair, pair2: LtiPair, sensor: int, t: int, rank_tol: float | None = None
-) -> bool:
+def brute_force_unidentifiability_oracle(pair1: LtiPair, pair2: LtiPair, sensor: int, t: int) -> bool:
     """Direct image-intersection test over the window ``0..t``.
 
     True iff some nonzero output sequence is produced by both models, i.e.
@@ -189,8 +186,7 @@ def brute_force_unidentifiability_oracle(
     """
     O1 = observability_stack(pair1.A, pair1.C[[sensor]], t + 1)
     O2 = observability_stack(pair2.A, pair2.C[[sensor]], t + 1)
-    r_both = numerical_rank(np.hstack([O1, O2]), tol=rank_tol)
-    return r_both < numerical_rank(O1, tol=rank_tol) + numerical_rank(O2, tol=rank_tol)
+    return numerical_rank(np.hstack([O1, O2])) < numerical_rank(O1) + numerical_rank(O2)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ def test_policy_enforces_step_order_and_reset(ts):
         pol.values(1)  # replay
     pol.reset()
     assert pol.values(0) == pytest.approx([2.0])
-    assert len(pol.history) == 1
-    assert pol.history[0] == pytest.approx([2.0])
 
 
 def test_persistent_bias_profile():

@@ -93,6 +93,14 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
     assert main(
         ["simulate", "--config", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path / "o")]
     ) == 2
+    bad.write_text(json.dumps({"horizon": 10, "seed": 1, "detector": {"sensor_window": 0}}))
+    assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "detector.sensor_window" in capsys.readouterr().err
+    assert main(["gen-system", "--seed", "1", "--n", "12", "--out-dir", str(tmp_path / "g")]) == 2
+    assert "'--n'" in capsys.readouterr().err
+    assert main(["gen-system", "--seed", "1", "--period", "0", "--out-dir", str(tmp_path / "g")]) == 2
+    assert "'--period'" in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
 
 
 def test_numerical_failures_exit_with_3(tmp_path, capsys):
@@ -171,3 +179,11 @@ def test_schedule_key_reaches_no_output(tmp_path, capsys):
     for blob in [p.read_bytes() for p in written] + [captured.out.encode(), captured.err.encode()]:
         for secret in secrets:
             assert secret not in blob
+
+
+def test_package_exports_resolve_without_duplicates():
+    import mtident
+
+    assert len(set(mtident.__all__)) == len(mtident.__all__)
+    for name in mtident.__all__:
+        assert hasattr(mtident, name), name

@@ -143,7 +143,7 @@ def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(window=3, gamma=1.0, removal_policy=0)
     cfg = DetectorConfig.from_alpha(5, 2, 1e-3, removal_policy=3)
-    assert cfg.alpha == 1e-3 and cfg.removal_policy == 3
+    assert cfg.removal_policy == 3
 
 
 def test_removal_tracker_requires_consecutive_alarms():

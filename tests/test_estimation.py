@@ -23,7 +23,6 @@ from mtident import (
     build_attack_matrix,
     generate_example_system,
     kalman_decomposition,
-    noise_model,
     sample_schedule,
     simulate_stochastic,
 )
@@ -112,7 +111,7 @@ def test_central_filter_active_subset_matches_reduced_model():
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(3))
     keep = (0, 2)
     f_sub = CentralKalmanFilter(nm)
-    nm_red = noise_model(Q=nm.Q, R=nm.R[np.ix_(keep, keep)], x0_mean=nm.x0_mean, P0=nm.P0)
+    nm_red = NoiseModel(Q=nm.Q, R=nm.R[np.ix_(keep, keep)], x0_mean=nm.x0_mean, P0=nm.P0)
     pairs_red = tuple(LtiPair(p.A, p.C[list(keep)]) for p in ts.pairs)
     f_red = CentralKalmanFilter(nm_red)
     for k in range(15):

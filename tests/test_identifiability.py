@@ -43,9 +43,8 @@ def test_observability_matrix_rows():
     A = np.array([[1.0, 1.0], [0.0, 2.0]])
     C = np.array([[1.0, 0.0], [0.0, 1.0]])
     stack = observability_matrix(LtiPair(A, C), sensors=(0,), steps=3)
-    assert stack.kind == "fixed-pair"
     expected = np.vstack([C[0], C[0] @ A, C[0] @ A @ A])
-    assert_allclose(stack.matrix, expected)
+    assert_allclose(stack, expected)
 
 
 def test_time_varying_observability_rows():
@@ -55,7 +54,7 @@ def test_time_varying_observability_rows():
     ts = TargetSet(pairs=(LtiPair(A0, C), LtiPair(A1, C)), period=1, key=0)
     stack = time_varying_observability(ts, [0, 1, 0], sensor=0, t=2)
     expected = np.vstack([C[0], C[0] @ A0, C[0] @ A1 @ A0])
-    assert_allclose(stack.matrix, expected)
+    assert_allclose(stack, expected)
     with pytest.raises(ValueError):
         time_varying_observability(ts, [0, 1], sensor=0, t=2)
 

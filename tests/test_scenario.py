@@ -120,6 +120,14 @@ def test_config_rejects_unknown_keys(raw):
             {"horizon": 10, "seed": 1, "system": {"spectral_radius": [1.0]}},
             "spectral_radius",
         ),
+        ({"horizon": 10, "seed": 1, "system": {"n": 12}}, "system.n"),
+        ({"horizon": 10, "seed": 1, "system": {"n": 0}}, "system.n"),
+        ({"horizon": 10, "seed": 1, "system": {"l": 0}}, "system.l"),
+        ({"horizon": 10, "seed": 1, "detector": {"sensor_window": 0}}, "detector.sensor_window"),
+        ({"horizon": 10, "seed": 1, "detector": {"central_window": 0}}, "detector.central_window"),
+        ({"horizon": 10, "seed": 1, "detector": {"sensor_alpha": 1.5}}, "detector.sensor_alpha"),
+        ({"horizon": 10, "seed": 1, "detector": {"central_alpha": 0}}, "detector.central_alpha"),
+        ({"horizon": 10, "seed": 1, "detector": {"removal_policy": 0}}, "detector.removal_policy"),
         ("not a dict", "mapping"),
     ],
 )

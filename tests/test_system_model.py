@@ -13,7 +13,6 @@ from mtident import (
     NoiseModel,
     TargetSet,
     build_attack_matrix,
-    noise_model,
     sample_schedule,
     schedule_key,
     simulate_deterministic,
@@ -165,17 +164,17 @@ def test_build_attack_matrix_rejects_bad_sensors():
 def test_noise_model_validates_covariances():
     rng = np.random.default_rng(3)
     with pytest.raises(ModelError):
-        noise_model(Q=np.eye(2), R=np.diag([1.0, -0.5]))
+        NoiseModel(Q=np.eye(2), R=np.diag([1.0, -0.5]))
     with pytest.raises(ModelError):
-        noise_model(Q=-np.eye(2), R=np.eye(3))
-    nm = noise_model(Q=spd(rng, 3), R=spd(rng, 2))
+        NoiseModel(Q=-np.eye(2), R=np.eye(3))
+    nm = NoiseModel(Q=spd(rng, 3), R=spd(rng, 2))
     assert_allclose(nm.Q_factor @ nm.Q_factor.T, nm.Q, atol=1e-10)
     assert_allclose(nm.R_factor @ nm.R_factor.T, nm.R, atol=1e-10)
     assert_allclose(nm.P0_factor @ nm.P0_factor.T, nm.P0, atol=1e-10)
 
 
 def test_noise_model_accepts_singular_q():
-    nm = noise_model(Q=np.zeros((2, 2)), R=np.eye(2))
+    nm = NoiseModel(Q=np.zeros((2, 2)), R=np.eye(2))
     assert_allclose(nm.Q_factor, np.zeros((2, 2)))
 
 
@@ -210,21 +209,10 @@ def test_deterministic_attack_enters_selected_rows_only():
     assert_allclose(hit.attacks[:, 1], d[:, 0])
 
 
-def test_deterministic_attack_callable_matches_array():
-    rng = np.random.default_rng(5)
-    ts = random_target_set(rng, n=2, m=2, l=2)
-    atk = build_attack_matrix([0], m=2)
-    d = rng.standard_normal((4, 1))
-    sched = sample_schedule(ts, 4)
-    a = simulate_deterministic(ts, sched, np.ones(2), attack=atk, d=d)
-    b = simulate_deterministic(ts, sched, np.ones(2), attack=atk, d=lambda k: d[k])
-    assert_allclose(a.outputs, b.outputs)
-
-
 def test_stochastic_simulation_reproducible():
     rng = np.random.default_rng(6)
     ts = random_target_set(rng, n=3, m=2, l=2)
-    nm = noise_model(Q=spd(rng, 3), R=spd(rng, 2))
+    nm = NoiseModel(Q=spd(rng, 3), R=spd(rng, 2))
     sched = sample_schedule(ts, 20)
     t1 = simulate_stochastic(ts, sched, nm, np.random.default_rng(42))
     t2 = simulate_stochastic(ts, sched, nm, np.random.default_rng(42))
@@ -251,7 +239,7 @@ def test_stochastic_scalar_stationary_variance():
 def test_stochastic_rejects_mismatched_noise():
     rng = np.random.default_rng(8)
     ts = random_target_set(rng, n=3, m=2, l=2)
-    nm = noise_model(Q=spd(rng, 2), R=spd(rng, 2))
+    nm = NoiseModel(Q=spd(rng, 2), R=spd(rng, 2))
     with pytest.raises(ModelError):
         simulate_stochastic(ts, [0], nm, rng)
 
