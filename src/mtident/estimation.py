@@ -25,6 +25,7 @@ Three layers:
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +106,17 @@ class CentralKalmanFilter:
         return K, U, C, P
 
     def step(self, pair: LtiPair, y, active=None) -> CentralStep:
-        """Full measurement update + prediction with the step-k configuration."""
+        """Full measurement update + prediction with the step-k configuration.
+
+        ``y`` is the full m-vector; only the ``active`` sensors' rows are used.
+        """
         y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != self.m:
+            raise ModelError(f"measurement has {y.shape[0]} rows, expected {self.m}")
+        if active is not None:
+            y = y[list(active)]
         x = self.x_prior
         K, U, C, P_used = self.step_covariance(pair, active)
-        if y.shape[0] != C.shape[0]:
-            raise ModelError(f"measurement has {y.shape[0]} rows, expected {C.shape[0]}")
         innov = y - C @ x
         x_post = x + K @ innov
         self.x_prior = pair.A @ x_post
@@ -268,21 +274,15 @@ def kalman_decomposition(ts: TargetSet, sensor: int) -> SensorDecomposition:
 class BankStep:
     """Residues and joint posterior of the bank at one step.
 
-    ``residues[i]`` is the whitened residue of the bank's ``i``-th sensor;
-    ``zeta_post`` stacks the sensors' posterior reduced estimates in bank
-    order (rows ``offsets[i]:offsets[i+1]`` of :class:`LocalFilterBank`) and
+    ``residues[s]`` is the whitened residue of sensor ``s``; ``zeta_post``
+    stacks the sensors' posterior reduced estimates in sensor order (rows
+    ``rows((s,))`` of :class:`LocalFilterBank` for sensor ``s``) and
     ``P_post`` is their exact joint error covariance.
     """
 
-    residues: np.ndarray  # (m_bank,)
+    residues: np.ndarray  # (m,)
     zeta_post: np.ndarray  # (N,)
     P_post: np.ndarray  # (N, N)
-
-
-def _stack_T_o(decomps, sensors) -> np.ndarray:
-    """``H``: the sensors' ``T_o'`` stacked, mapping the state to the joint
-    reduced coordinates."""
-    return np.vstack([decomps[s].T_o.T for s in sensors])
 
 
 class LocalFilterBank:
@@ -297,67 +297,60 @@ class LocalFilterBank:
     diag(C_red,s[j])``, and each sensor's gain stays inside its own block:
 
         den_s = C_s P_ss C_s' + R_ss,   K = (P C' o mask) / den
-        P^+   = (I - K C) P (I - K C)' + K R_sub K'
+        P^+   = (I - K C) P (I - K C)' + K R K'
         P^-  <- A P^+ A' + H Q H'
 
-    with ``H`` stacking the ``T_o,s'`` and ``R_sub`` the bank's rows and
-    columns of ``R``. Because ``K`` is not the joint optimal gain, the
-    covariance update keeps the Joseph form.
+    with ``H`` stacking the ``T_o,s'``. Because ``K`` is not the joint
+    optimal gain, the covariance update keeps the Joseph form.
 
-    ``decomps`` holds the bank's sensors in bank order; sensor ``i`` of the
-    bank owns rows ``offsets[i]:offsets[i+1]`` of the joint state.
+    The bank runs all ``m`` sensors of the plant in sensor order, so
+    ``decomps[s]`` is sensor ``s``'s decomposition. It owns the layout of
+    the joint state: :meth:`rows` gives the rows of any sensors, and fusion
+    and the removal test read theirs from it.
     """
 
-    def __init__(
-        self,
-        ts: TargetSet,
-        noise: NoiseModel,
-        sensors=None,
-        decomps: dict[int, SensorDecomposition] | None = None,
-        mean_offset: np.ndarray | None = None,
-    ):
+    def __init__(self, ts: TargetSet, noise: NoiseModel, decomps: Sequence[SensorDecomposition]):
         if (noise.n, noise.m) != (ts.n, ts.m):
             raise ModelError("noise model dimensions do not match the target set")
+        if [d.sensor for d in decomps] != list(range(ts.m)):
+            raise ModelError("the bank needs every sensor's decomposition, in sensor order")
         self.ts = ts
-        self.sensors = tuple(sensors) if sensors is not None else tuple(range(ts.m))
-        given = decomps or {}
-        self.decomps = {
-            s: given[s] if s in given else kalman_decomposition(ts, s) for s in self.sensors
-        }
-        decs = [self.decomps[s] for s in self.sensors]
+        decs = self.decomps = tuple(decomps)
         dims = [d.n_obs for d in decs]
         self.offsets = np.concatenate([[0], np.cumsum(dims)])
-        self.H = _stack_T_o(self.decomps, self.sensors)
+        self.H = np.vstack([d.T_o.T for d in decs])
         self.A_blk = [block_diag(*(d.A_red[j] for d in decs)) for j in range(ts.l)]
         self.C_blk = [block_diag(*(d.C_red[j].reshape(1, -1) for d in decs)) for j in range(ts.l)]
         self.Q_red = self.H @ noise.Q @ self.H.T
-        self._idx = np.array(self.sensors, dtype=np.intp)
-        self.R_sub = noise.R[np.ix_(self._idx, self._idx)]
+        self._R = noise.R
         self._mask = block_diag(*(np.ones((d, 1)) for d in dims))
         self._x0_mean = noise.x0_mean
         self._P0 = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
-        self._reset(mean_offset)
+        self.zeta_prior = self.H @ noise.x0_mean
+        self.P_prior = self._P0
 
-    def restarted(self, mean_offset: np.ndarray | None = None) -> "LocalFilterBank":
-        """A new bank at its prior, shifted by ``mean_offset``, that shares
-        this bank's arrays.
+    def rows(self, sensors) -> np.ndarray:
+        """The joint-state rows of ``sensors``, in the order given."""
+        return np.array(
+            [r for s in sensors for r in range(self.offsets[s], self.offsets[s + 1])],
+            dtype=np.intp,
+        )
+
+    def restarted(self, mean_offset: np.ndarray) -> "LocalFilterBank":
+        """A new bank at its prior shifted by ``mean_offset``, sharing this
+        bank's arrays.
 
         Only the prior mean depends on the run: the block-diagonal pairs,
-        ``H``, ``Q_red``, ``R_sub``, the gain mask and the prior covariance
-        depend only on the plant and the sensors. A study therefore builds
-        one bank per plant and restarts it for every trial. Stepping either
-        bank rebinds its own state and writes to no shared array.
+        ``H``, ``Q_red``, the gain mask and the prior covariance depend only
+        on the plant. A study therefore builds one bank per plant and
+        restarts it for every run. Stepping either bank rebinds its own
+        state and writes to no shared array.
         """
         bank = copy.copy(self)
-        bank._reset(mean_offset)
+        x0 = self._x0_mean + np.asarray(mean_offset, dtype=float).reshape(self.ts.n)
+        bank.zeta_prior = self.H @ x0
+        bank.P_prior = self._P0
         return bank
-
-    def _reset(self, mean_offset) -> None:
-        x0 = self._x0_mean
-        if mean_offset is not None:
-            x0 = x0 + np.asarray(mean_offset, dtype=float).reshape(self.ts.n)
-        self.zeta_prior = self.H @ x0
-        self.P_prior = self._P0
 
     def step(self, model_index: int, y) -> BankStep:
         """Update every sensor filter with its own row of ``y``, then predict.
@@ -371,14 +364,14 @@ class LocalFilterBank:
         A, C = self.A_blk[j], self.C_blk[j]
         P = self.P_prior
         PC = P @ C.T
-        den = np.einsum("ij,ji->i", C, PC) + self.R_sub.diagonal()
+        den = np.einsum("ij,ji->i", C, PC) + self._R.diagonal()
         K = (PC * self._mask) / den
-        nu = y[self._idx] - C @ self.zeta_prior
+        nu = y - C @ self.zeta_prior
         zeta_post = self.zeta_prior + K @ nu
         # Joseph form with each factor (I - K C) applied as a low-rank
         # update; C P = (P C')' because P is symmetric
         IKC_P = P - K @ PC.T
-        P_post = sym(IKC_P + (K @ self.R_sub - IKC_P @ C.T) @ K.T)
+        P_post = sym(IKC_P + (K @ self._R - IKC_P @ C.T) @ K.T)
         self.zeta_prior = A @ zeta_post
         self.P_prior = sym(A @ P_post @ A.T + self.Q_red)
         return BankStep(residues=nu / np.sqrt(den), zeta_post=zeta_post, P_post=P_post)
@@ -426,40 +419,33 @@ class FusionEstimator:
     eps -> 0 of the GLS fit with ``cov(e) = P + eps I``. The active sensors
     must jointly observe the state, i.e. ``H`` must have rank ``n``.
 
-    ``decomps`` lists the bank's sensors in the bank's order, as
-    :attr:`LocalFilterBank.decomps` does, so its ``n_obs`` give the bank's
-    block offsets; the row index of the active sensors in the joint state
-    is computed from them once, here.
+    The bank owns the layout of its joint state; ``active`` lists the fused
+    sensors in any order, and their rows are looked up in the bank once,
+    here.
     """
 
-    def __init__(self, decomps: dict[int, SensorDecomposition], sensors=None):
-        order = tuple(decomps)
-        self.sensors = tuple(sensors) if sensors is not None else order
-        if not self.sensors:
+    def __init__(self, bank: LocalFilterBank, active):
+        active = tuple(active)
+        if not active:
             raise DecompositionError("fusion needs at least one sensor")
-        self.n = decomps[self.sensors[0]].T_o.shape[0]
-        self.H = _stack_T_o(decomps, self.sensors)
+        self.n = bank.ts.n
+        rows = bank.rows(active)
+        self.H = bank.H[rows]
         if numerical_rank(self.H) < self.n:
             raise DecompositionError(
                 "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
             )
         self._HHt = self.H @ self.H.T
-        if self.sensors == order:
+        if active == tuple(range(bank.ts.m)):
             self._rows = None
         else:
-            ends = np.cumsum([d.n_obs for d in decomps.values()])
-            rows = {s: np.arange(e - decomps[s].n_obs, e) for s, e in zip(order, ends)}
-            self._rows = np.concatenate([rows[s] for s in self.sensors])
-            self._block = np.ix_(self._rows, self._rows)
+            self._rows = rows
+            self._block = np.ix_(rows, rows)
 
     @classmethod
-    def removal_keeps_observability(cls, decomps, remaining) -> bool:
+    def removal_keeps_observability(cls, bank: LocalFilterBank, remaining) -> bool:
         """Would fusion over ``remaining`` sensors still pin down the state?"""
-        remaining = tuple(remaining)
-        if not remaining:
-            return False
-        H = _stack_T_o(decomps, remaining)
-        return numerical_rank(H) == H.shape[1]
+        return numerical_rank(bank.H[bank.rows(remaining)]) == bank.ts.n
 
     def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray) -> FusionResult:
         """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.

@@ -26,15 +26,15 @@ then its detector as windowed sums, restarted at every removal. The result
 is bit for bit that of one loop over steps with a detector object per
 sensor.
 
-A run happens on a :class:`Plant`: the target set, the noise model and every
-sensor's Kalman decomposition. Generating the example plant already
-decomposes each sensor to validate the draw, and the plant keeps those
-decompositions; an explicit plant is decomposed once when it is built.
-Monte Carlo trials differ from their study only in seeds and schedule key,
-and no plant matrix depends on the key, so :func:`monte_carlo` builds the
-plant, with its filter bank's arrays, once and runs every trial on it under
-the trial's own key. A single run builds its own plant and then takes the
-same path.
+A run happens on a :class:`Plant`: the target set, the noise model and a
+filter bank over every sensor's Kalman decomposition. Generating the example
+plant already decomposes each sensor to validate the draw, and its bank
+keeps those decompositions; an explicit plant is decomposed once when it is
+built. Monte Carlo trials differ from their study only in seeds and schedule
+key, and no plant matrix depends on the key, so :func:`monte_carlo` builds
+the plant, with its filter bank's arrays, once and runs every trial on it
+under the trial's own key. A single run builds its own plant and then takes
+the same path.
 
 Reproducibility: every random quantity derives from config seeds (simulation
 noise from ``seed``, the schedule from the schedule key, attacker guesses
@@ -64,12 +64,11 @@ from .adversary import (
     dominant_unstable_direction,
 )
 from .detection import DetectorConfig, IdentificationLog, identify_and_remove
-from .errors import ConditioningError, ConfigError, MtidentError
+from .errors import AttackSetError, ConditioningError, ConfigError, MtidentError
 from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
     LocalFilterBank,
-    SensorDecomposition,
     kalman_decomposition,
 )
 from .linalg import numerical_rank, observability_stack, spectral_radius
@@ -219,6 +218,8 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
         raise ConfigError("explicit systems need system.pairs, system.Q, and system.R")
     if system.kind == "generated":
         check_example_size(system.n, system.l, "system.")
+    if not 0.0 <= system.noise_scale < np.inf:
+        raise ConfigError(f"'system.noise_scale' must be finite and >= 0, got {system.noise_scale}")
 
     sch_d = _section(d, "schedule")
     d.pop("schedule", None)
@@ -316,9 +317,8 @@ def load_config(path: str | os.PathLike) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class Plant:
-    """What every run of a study shares: the target set, the noise model, the
-    decomposition of each sensor (keyed by sensor, in sensor order), and a
-    filter bank built on them (``bank``, derived on construction), which
+    """What every run of a study shares: the target set, the noise model, and
+    a filter bank over every sensor's decomposition (``bank.decomps``), which
     each run restarts at its own prior (:meth:`LocalFilterBank.restarted`).
 
     Nothing here depends on ``ts.key``, so trials run on one plant under
@@ -327,12 +327,7 @@ class Plant:
 
     ts: TargetSet
     noise: NoiseModel
-    decomps: dict[int, SensorDecomposition]
-    bank: LocalFilterBank = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bank = LocalFilterBank(self.ts, self.noise, decomps=self.decomps)
-        object.__setattr__(self, "bank", bank)  # the dataclass is frozen
+    bank: LocalFilterBank
 
 
 _BLOCK_PATTERN = ((0, 0), (0, 1), (1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4), (4, 4))
@@ -366,7 +361,7 @@ def generate_example_system(
     the per-sensor filter bank requires. Diagonal blocks are rescaled to a
     spectral radius drawn from ``radius`` (unstable by default). Draws are
     retried until every pair is observable and every sensor decomposes
-    cleanly, at most 40 draws; the returned plant keeps those
+    cleanly, at most 40 draws; the returned plant's bank keeps those
     decompositions. No retry depends on ``key``.
     """
     if n % 5 != 0:
@@ -417,11 +412,11 @@ def generate_example_system(
             for p in pairs:
                 if numerical_rank(observability_stack(p.A, p.C, n)) < n:
                     raise ConditioningError("pair unobservable")
-            decomps = {s: kalman_decomposition(ts, s) for s in range(m)}
+            decomps = [kalman_decomposition(ts, s) for s in range(m)]
         except (MtidentError, np.linalg.LinAlgError) as exc:  # retry with a new draw
             last_err = exc
             continue
-        return Plant(ts, noise, decomps)
+        return Plant(ts, noise, LocalFilterBank(ts, noise, decomps))
     raise ConditioningError(
         f"could not generate a well-posed example system after {attempt + 1} attempts "
         f"(last failure: {last_err})"
@@ -459,8 +454,8 @@ def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
 def build_system(cfg: ScenarioConfig) -> Plant:
     """The configured plant, generated or read from files.
 
-    A generated plant keeps the decompositions that validated its draw; an
-    explicit one is decomposed here.
+    A generated plant's bank keeps the decompositions that validated its
+    draw; an explicit one is decomposed here.
     """
     sysd = cfg.system
     if sysd.kind == "generated":
@@ -475,7 +470,8 @@ def build_system(cfg: ScenarioConfig) -> Plant:
             key=config_schedule_key(cfg),
         )
     ts, noise = _read_system(cfg)
-    return Plant(ts, noise, {s: kalman_decomposition(ts, s) for s in range(ts.m)})
+    decomps = [kalman_decomposition(ts, s) for s in range(ts.m)]
+    return Plant(ts, noise, LocalFilterBank(ts, noise, decomps))
 
 
 def build_target_set(cfg: ScenarioConfig) -> TargetSet:
@@ -503,7 +499,10 @@ def _build_attack(
     spec = cfg.attack
     if spec.kind == "none":
         return None, None
-    attack = build_attack_matrix(spec.sensors, ts.m)
+    try:
+        attack = build_attack_matrix(spec.sensors, ts.m)
+    except AttackSetError as exc:
+        raise ConfigError(f"attack.sensors: {exc}") from exc
     if spec.kind == "omniscient":
         return attack, OmniscientSchedulePolicy(ts, schedule, attack, _resolve_x0_star(spec, ts))
     if spec.kind == "guessing":
@@ -648,10 +647,9 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_ena
     step, active sensors)`` segments.
     """
     T, m = y_err.shape
-    decomps = plant.decomps
     bank = plant.bank.restarted(offset)
     active = list(range(m))
-    fusion = FusionEstimator(decomps, tuple(active))
+    fusion = FusionEstimator(bank, active)
     window, gamma, policy = sensor_cfg.window, sensor_cfg.gamma, sensor_cfg.removal_policy
     err_fused = np.empty(T)
     fused_trace = np.empty(T)
@@ -685,7 +683,7 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_ena
         removed = identify_and_remove(
             candidates,
             active,
-            lambda rest: FusionEstimator.removal_keeps_observability(decomps, rest),
+            lambda rest: FusionEstimator.removal_keeps_observability(bank, rest),
             log,
             k,
         )
@@ -693,7 +691,7 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_ena
             for s in removed:
                 active.remove(s)
                 events.append((k, s, "removed"))
-            fusion = FusionEstimator(decomps, tuple(active))
+            fusion = FusionEstimator(bank, active)
             segments.append((k + 1, tuple(active)))
     return err_fused, fused_trace, local_z, events, segments
 
@@ -717,10 +715,8 @@ def _central_pass(noise: NoiseModel, ts: TargetSet, schedule, y_err, w, offset, 
     bounds = [start for start, _ in segments[1:]] + [T]
     for (start, active), stop in zip(segments, bounds):
         mask = None if len(active) == m else active
-        rows = list(active)
         for k in range(start, stop):
-            y = y_err[k] if mask is None else y_err[k][rows]
-            cres = central.step(ts.pairs[schedule[k]], y, active=mask)
+            cres = central.step(ts.pairs[schedule[k]], y_err[k], active=mask)
             err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
             trace_P[k] = float(np.trace(cres.P_prior))
             zsq[k] = np.sum(cres.residue * cres.residue)

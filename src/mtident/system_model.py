@@ -233,10 +233,9 @@ class NoiseModel:
         LQ = psd_factor(Q, name="Q")
         LP0 = psd_factor(P0, name="P0")
         try:
-            np.linalg.cholesky(0.5 * (R + R.T))
+            LR = np.linalg.cholesky(0.5 * (R + R.T))
         except np.linalg.LinAlgError as exc:
             raise ModelError("R must be symmetric positive definite") from exc
-        LR = np.linalg.cholesky(0.5 * (R + R.T))
         object.__setattr__(self, "Q", _frozen(Q))
         object.__setattr__(self, "R", _frozen(R))
         object.__setattr__(self, "x0_mean", _frozen(x0))

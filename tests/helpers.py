@@ -20,7 +20,6 @@ from mtident import (
     DetectorConfig,
     FusionEstimator,
     IdentificationLog,
-    LocalFilterBank,
     LtiPair,
     NoiseModel,
     NotApplicableError,
@@ -201,7 +200,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     if plant is None:
         plant = build_system(cfg)
     ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
-    noise, decomps = plant.noise, plant.decomps
+    noise = plant.noise
     n, m = ts.n, ts.m
     T = cfg.horizon
     schedule = sample_schedule(ts, T)
@@ -212,9 +211,9 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     e0 = noise.P0_factor @ rng_sim.standard_normal(n)
     offset = -(noise.x0_mean + e0)
     central = CentralKalmanFilter(noise, mean_offset=offset)
-    bank = LocalFilterBank(ts, noise, decomps=decomps, mean_offset=offset)
+    bank = plant.bank.restarted(offset)
     active = list(range(m))
-    fusion = FusionEstimator(bank.decomps, tuple(active))
+    fusion = FusionEstimator(bank, active)
 
     det = cfg.detector
     sensor_cfg = DetectorConfig.from_alpha(det.sensor_window, 1, det.sensor_alpha, det.removal_policy)
@@ -233,8 +232,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         dd = attack.D @ policy.values(k) if policy is not None else np.zeros(m)
         y_err = v + dd
 
-        mask = None if len(active) == m else tuple(active)
-        cres = central.step(pair, y_err if mask is None else y_err[list(mask)], active=mask)
+        cres = central.step(pair, y_err, active=None if len(active) == m else active)
         bres = bank.step(j, y_err)
         fres = fusion.fuse(bres.zeta_post, bres.P_post)
         err_central[k] = float(np.linalg.norm(cres.x_post))
@@ -265,7 +263,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
             removed = identify_and_remove(
                 candidates,
                 active,
-                lambda rest: FusionEstimator.removal_keeps_observability(decomps, rest),
+                lambda rest: FusionEstimator.removal_keeps_observability(bank, rest),
                 log,
                 k,
             )
@@ -273,7 +271,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
                 for s in removed:
                     active.remove(s)
                     events.append((k, s, "removed"))
-                fusion = FusionEstimator(bank.decomps, tuple(active))
+                fusion = FusionEstimator(bank, active)
                 central_det = Chi2Detector(
                     DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)
                 )

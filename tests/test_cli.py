@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +98,9 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
     bad.write_text(json.dumps({"horizon": 10, "seed": 1, "detector": {"sensor_window": 0}}))
     assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "detector.sensor_window" in capsys.readouterr().err
+    _write_cfg(bad, attack={"kind": "persistent_bias", "sensors": [12], "constant": 1.0})
+    assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "attack.sensors" in capsys.readouterr().err
     assert main(["gen-system", "--seed", "1", "--n", "12", "--out-dir", str(tmp_path / "g")]) == 2
     assert "'--n'" in capsys.readouterr().err
     assert main(["gen-system", "--seed", "1", "--period", "0", "--out-dir", str(tmp_path / "g")]) == 2
@@ -187,3 +192,17 @@ def test_package_exports_resolve_without_duplicates():
     assert len(set(mtident.__all__)) == len(mtident.__all__)
     for name in mtident.__all__:
         assert hasattr(mtident, name), name
+
+
+def test_benchmark_trace_layers_resolve():
+    # the traced benchmark wraps these names; a rename would break only its
+    # traced runs, so check them here the way Tracer.install looks them up
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, module, cls_name, attr in tracer.LAYERS:
+        if cls_name is None:
+            assert callable(getattr(module, attr, None)), layer
+        else:
+            assert attr in vars(getattr(module, cls_name)), (layer, cls_name, attr)

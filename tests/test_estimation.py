@@ -17,6 +17,7 @@ from mtident import (
     FusionEstimator,
     LocalFilterBank,
     LtiPair,
+    ModelError,
     NoiseModel,
     TargetSet,
     bias_recursion,
@@ -115,7 +116,7 @@ def test_central_filter_active_subset_matches_reduced_model():
     pairs_red = tuple(LtiPair(p.A, p.C[list(keep)]) for p in ts.pairs)
     f_red = CentralKalmanFilter(nm_red)
     for k in range(15):
-        a = f_sub.step(ts.pairs[sched[k]], traj.outputs[k][list(keep)], active=keep)
+        a = f_sub.step(ts.pairs[sched[k]], traj.outputs[k], active=keep)
         b = f_red.step(pairs_red[sched[k]], traj.outputs[k][list(keep)])
         assert_allclose(a.x_post, b.x_post, atol=1e-10)
         assert_allclose(a.residue, b.residue, atol=1e-10)
@@ -292,23 +293,22 @@ class _BlockBank:
 def _bank_plant():
     plant = generate_example_system(seed=11, n=10, l=2)
     ts, noise = plant.ts, plant.noise
-    return ts, noise, {s: kalman_decomposition(ts, s) for s in range(ts.m)}
+    return ts, noise, [kalman_decomposition(ts, s) for s in range(ts.m)]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_local_bank_matches_per_block_reference(data):
     ts, noise, decomps = _bank_plant()
-    order = data.draw(st.permutations(range(ts.m)))
-    sensors = tuple(order[: data.draw(st.integers(1, ts.m))])
+    sensors = tuple(range(ts.m))
     T = data.draw(st.integers(1, 8))
     sched = data.draw(st.lists(st.integers(0, ts.l - 1), min_size=T, max_size=T))
     values = st.floats(-5.0, 5.0)
     ys = data.draw(arrays(float, (T, ts.m), elements=values))
     shifts = data.draw(arrays(float, (T, ts.n), elements=values))
-    bank = LocalFilterBank(ts, noise, sensors=sensors, decomps=decomps)
+    bank = LocalFilterBank(ts, noise, decomps)
     ref = _BlockBank(ts, noise, sensors, decomps)
-    blocks = [slice(a, b) for a, b in zip(bank.offsets[:-1], bank.offsets[1:])]
+    blocks = [bank.rows((s,)) for s in sensors]
     for k in range(T):
         got = bank.step(sched[k], ys[k])
         z, zeta_post, P_post = ref.step(sched[k], ys[k])
@@ -317,29 +317,28 @@ def test_local_bank_matches_per_block_reference(data):
             assert_allclose(got.zeta_post[blocks[i]], zeta_post[s1], atol=1e-9)
             for j in range(i, len(sensors)):
                 blk = P_post[(s1, sensors[j])]
-                assert_allclose(got.P_post[blocks[i], blocks[j]], blk, atol=1e-9)
+                assert_allclose(got.P_post[np.ix_(blocks[i], blocks[j])], blk, atol=1e-9)
         bank.shift_prediction(shifts[k])
         ref.shift_prediction(shifts[k])
 
 
-def test_local_bank_leaves_caller_decomps_untouched():
+def test_local_bank_needs_every_sensor_in_sensor_order():
     ts, noise, decomps = _bank_plant()
-    given_decomps = {3: decomps[3]}
-    bank = LocalFilterBank(ts, noise, sensors=(3, 4), decomps=given_decomps)
-    assert list(given_decomps) == [3]
-    assert bank.decomps[3] is decomps[3] and sorted(bank.decomps) == [3, 4]
+    for partial in (decomps[:-1], decomps[::-1]):
+        with pytest.raises(ModelError, match="sensor order"):
+            LocalFilterBank(ts, noise, partial)
 
 
 def test_restarted_bank_equals_a_fresh_bank_whatever_the_original_did():
     ts, noise, decomps = _bank_plant()
     rng = np.random.default_rng(53)
     offset = rng.standard_normal(ts.n)
-    template = LocalFilterBank(ts, noise, sensors=(4, 1, 2), decomps=decomps)
+    template = LocalFilterBank(ts, noise, decomps)
     for k in range(3):  # the template's own steps must not leak into restarts
         template.step(k % ts.l, rng.standard_normal(ts.m))
         template.shift_prediction(rng.standard_normal(ts.n))
     restarted = template.restarted(offset)
-    fresh = LocalFilterBank(ts, noise, sensors=(4, 1, 2), decomps=decomps, mean_offset=offset)
+    fresh = LocalFilterBank(ts, noise, decomps).restarted(offset)
     for k in range(4):
         y, w = rng.standard_normal(ts.m), rng.standard_normal(ts.n)
         got, want = restarted.step(k % ts.l, y), fresh.step(k % ts.l, y)
@@ -389,11 +388,9 @@ def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):
 
 
 def test_local_bank_matches_dense_joint_implementation():
-    plant = generate_example_system(seed=11, n=10, l=2)
-    ts, noise = plant.ts, plant.noise
-    sensors = (0, 3, 4)
-    decomps = {s: kalman_decomposition(ts, s) for s in sensors}
-    bank = LocalFilterBank(ts, noise, sensors=sensors, decomps=decomps)
+    ts, noise, decomps = _bank_plant()
+    sensors = tuple(range(ts.m))
+    bank = LocalFilterBank(ts, noise, decomps)
     sched = sample_schedule(ts, 8)
     rng = np.random.default_rng(48)
     ys = rng.standard_normal((8, 10))
@@ -409,10 +406,9 @@ def test_local_bank_matches_dense_joint_implementation():
 def test_local_bank_covariance_is_calibrated_empirically():
     # the reported joint covariance matches the sample covariance of the
     # actual reduced estimation errors T_o' x - zeta
-    plant = generate_example_system(seed=11, n=10, l=2)
-    ts, noise = plant.ts, plant.noise
-    sensors = (3, 4)
-    decomps = {s: kalman_decomposition(ts, s) for s in sensors}
+    ts, noise, decomps = _bank_plant()
+    template = LocalFilterBank(ts, noise, decomps)
+    rows = template.rows((3, 4))
     sched = sample_schedule(ts, 4)
     trials = 1200
     errs = []
@@ -420,11 +416,11 @@ def test_local_bank_covariance_is_calibrated_empirically():
     for t in range(trials):
         rng = np.random.default_rng(1000 + t)
         traj = simulate_stochastic(ts, sched, noise, rng)
-        bank = LocalFilterBank(ts, noise, sensors=sensors, decomps=decomps)
+        bank = template.restarted(np.zeros(ts.n))  # at the prior
         for k in range(4):
             step = bank.step(int(sched[k]), traj.outputs[k])
-        P_last = step.P_post
-        errs.append(bank.H @ traj.states[3] - step.zeta_post)
+        P_last = step.P_post[np.ix_(rows, rows)]
+        errs.append(bank.H[rows] @ traj.states[3] - step.zeta_post[rows])
     errs = np.array(errs)
     emp = errs.T @ errs / trials
     ref = P_last
@@ -437,8 +433,7 @@ def test_local_bank_residues_are_standardized():
     # stable variant: direct long simulation would overflow with the
     # default unstable block dynamics
     plant = generate_example_system(seed=11, n=10, l=2, radius=(0.55, 0.9))
-    ts, noise = plant.ts, plant.noise
-    bank = LocalFilterBank(ts, noise)
+    ts, noise, bank = plant.ts, plant.noise, plant.bank
     sched = sample_schedule(ts, 600)
     traj = simulate_stochastic(ts, sched, noise, np.random.default_rng(49))
     zs = np.array([bank.step(int(sched[k]), traj.outputs[k]).residues for k in range(600)])
@@ -479,8 +474,10 @@ def test_fusion_averages_independent_full_estimates():
     # two fully observing sensors with identity covariances and no cross
     # correlation: the fused estimate is the plain average
     n = 3
-    decomps = {0: _trivial_decomp(0, n), 1: _trivial_decomp(1, n)}
-    fus = FusionEstimator(decomps)
+    ts = TargetSet(pairs=(LtiPair(np.eye(n), np.ones((2, n))),), period=1, key="k")
+    noise = standard_noise(np.random.default_rng(0), n, 2)
+    bank = LocalFilterBank(ts, noise, [_trivial_decomp(0, n), _trivial_decomp(1, n)])
+    fus = FusionEstimator(bank, (0, 1))
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([5.0, 4.0, 3.0])
     res = fus.fuse(np.concatenate([a, b]), np.eye(2 * n))
@@ -490,25 +487,21 @@ def test_fusion_averages_independent_full_estimates():
 
 
 def test_fusion_matches_explicit_gls_oracle():
-    plant = generate_example_system(seed=11, n=10, l=2)
-    ts, noise = plant.ts, plant.noise
-    # the bank holds a sensor fusion leaves out, in another order, so fuse
-    # must pick and reorder the active rows
-    bank = LocalFilterBank(ts, noise, sensors=(4, 1, 2, 0))
-    sensors = (0, 2, 4)
-    decomps = bank.decomps
+    bank = generate_example_system(seed=11, n=10, l=2).bank
+    # the bank holds sensors fusion leaves out, and the active set lists the
+    # rest out of order, so fuse must pick and reorder the active rows
+    sensors = (4, 0, 2)
     rng = np.random.default_rng(51)
     # any symmetric positive definite joint covariance will do for the algebra
     big = spd(rng, bank.H.shape[0])
     zeta = rng.standard_normal(bank.H.shape[0])
-    fus = FusionEstimator(decomps, sensors=sensors)
+    fus = FusionEstimator(bank, sensors)
     res = fus.fuse(zeta, big)
 
     # oracle: plain GLS (H' P^-1 H)^-1 H' P^-1 zeta on the active rows
     offs = bank.offsets
-    blocks = {s: np.arange(offs[i], offs[i + 1]) for i, s in enumerate(bank.sensors)}
-    rows = np.concatenate([blocks[s] for s in sensors])
-    H = np.vstack([decomps[s].T_o.T for s in sensors])
+    rows = np.concatenate([np.arange(offs[s], offs[s + 1]) for s in sensors])
+    H = np.vstack([bank.decomps[s].T_o.T for s in sensors])
     Pi = np.linalg.inv(big[np.ix_(rows, rows)])
     cov = np.linalg.inv(H.T @ Pi @ H)
     assert res.rank == rows.size
@@ -522,11 +515,10 @@ def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
     # GLS does not exist. Fusion must be the limit eps -> 0 of the GLS fit
     # with covariance P + eps I, which it approaches linearly in eps.
     plant = generate_example_system(seed=7, n=15, l=7, period=30)
-    ts, noise = plant.ts, plant.noise
-    bank = LocalFilterBank(ts, noise)
+    ts, noise, bank = plant.ts, plant.noise, plant.bank
     y = noise.R_factor @ np.random.default_rng(53).standard_normal(ts.m)
     st = bank.step(0, y)
-    res = FusionEstimator(bank.decomps).fuse(st.zeta_post, st.P_post)
+    res = FusionEstimator(bank, range(ts.m)).fuse(st.zeta_post, st.P_post)
     assert np.linalg.matrix_rank(st.P_post) == res.rank == ts.n + ts.m
 
     H, N = bank.H, bank.H.shape[0]
@@ -550,18 +542,18 @@ def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
 
 def test_fusion_rejects_a_non_finite_covariance():
     ts, noise, decomps = _bank_plant()
-    bank = LocalFilterBank(ts, noise, decomps=decomps)
+    bank = LocalFilterBank(ts, noise, decomps)
     st = bank.step(0, np.zeros(ts.m))
     P = st.P_post.copy()
     P[3, 5] = P[5, 3] = np.nan
     with pytest.raises(FilterError, match="not finite"):
-        FusionEstimator(bank.decomps).fuse(st.zeta_post, P)
+        FusionEstimator(bank, range(ts.m)).fuse(st.zeta_post, P)
 
 
 @functools.lru_cache(maxsize=None)
-def _example_plant():
-    plant = generate_example_system(seed=7, n=15, l=7, period=30)
-    return plant.ts, plant.decomps
+def _example_bank():
+    # fusion and the removal test only read the bank's layout, never step it
+    return generate_example_system(seed=7, n=15, l=7, period=30).bank
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -569,23 +561,22 @@ def _example_plant():
 def test_fusion_of_exact_local_estimates_is_unbiased(data):
     # zeta = H x with no error is consistent with every PSD covariance, so
     # the unbiased fusion must return x itself, however singular P is
-    ts, all_decomps = _example_plant()
-    order = data.draw(st.permutations(range(ts.m)))
-    decomps = {s: all_decomps[s] for s in order}  # the bank's layout
+    bank = _example_bank()
+    ts = bank.ts
     active = data.draw(st.permutations(range(ts.m)))
     observes = FusionEstimator.removal_keeps_observability
-    size = next(i for i in range(1, ts.m + 1) if observes(decomps, active[:i]))
+    size = next(i for i in range(1, ts.m + 1) if observes(bank, active[:i]))
     sensors = tuple(active[: data.draw(st.integers(size, ts.m))])
-    N = sum(d.n_obs for d in decomps.values())
+    N = bank.H.shape[0]
     rank = data.draw(st.integers(0, N))
     scale = 10.0 ** data.draw(st.integers(-3, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     M = rng.standard_normal((N, rank))
     P = scale * (M @ M.T)
     x = rng.standard_normal(ts.n)
-    zeta = np.concatenate([d.T_o.T @ x for d in decomps.values()])
+    zeta = np.concatenate([d.T_o.T @ x for d in bank.decomps])
 
-    res = FusionEstimator(decomps, sensors=sensors).fuse(zeta, P)
+    res = FusionEstimator(bank, sensors).fuse(zeta, P)
     assert_allclose(res.x_star, x, rtol=0, atol=1e-8 * np.linalg.norm(x))
     assert np.array_equal(res.cov, res.cov.T)
     # cov = G^-1 - I loses ~1e-10 * |P| to cancellation where it is 0
@@ -593,28 +584,27 @@ def test_fusion_of_exact_local_estimates_is_unbiased(data):
 
 
 def test_fusion_requires_joint_observability():
-    ts = generate_example_system(seed=7, n=10, l=2).ts
-    decomps = {s: kalman_decomposition(ts, s) for s in range(10)}
-    assert FusionEstimator.removal_keeps_observability(decomps, tuple(range(10)))
-    assert FusionEstimator.removal_keeps_observability(decomps, (0, 1, 2, 3, 4))
+    bank = generate_example_system(seed=7, n=10, l=2).bank
+    assert FusionEstimator.removal_keeps_observability(bank, tuple(range(10)))
+    assert FusionEstimator.removal_keeps_observability(bank, (0, 1, 2, 3, 4))
     # dropping sensor 0 from the first bank loses its exclusive block
-    assert not FusionEstimator.removal_keeps_observability(decomps, (1, 2, 3, 4))
-    assert not FusionEstimator.removal_keeps_observability(decomps, (4,))
-    assert not FusionEstimator.removal_keeps_observability(decomps, ())
+    assert not FusionEstimator.removal_keeps_observability(bank, (1, 2, 3, 4))
+    assert not FusionEstimator.removal_keeps_observability(bank, (4,))
+    assert not FusionEstimator.removal_keeps_observability(bank, ())
     with pytest.raises(DecompositionError):
-        FusionEstimator({s: decomps[s] for s in (1, 2, 3, 4)}, sensors=(1, 2, 3, 4))
+        FusionEstimator(bank, (1, 2, 3, 4))
 
 
 def test_observability_rule_matches_design_matrix_rank_on_every_subset():
     # rank(H) = n and full column rank of W both say that the sensors'
     # unobservable subspaces meet only in {0}
-    ts = generate_example_system(seed=7, n=15, l=7, period=30).ts
-    decomps = {s: kalman_decomposition(ts, s) for s in range(ts.m)}
+    bank = _example_bank()
+    ts = bank.ts
     verdicts = []
     for size in range(1, ts.m + 1):
         for subset in itertools.combinations(range(ts.m), size):
-            W = _design_matrix(decomps, subset, ts.n)
+            W = _design_matrix(bank.decomps, subset, ts.n)
             by_W = numerical_rank(W) == W.shape[1]
-            assert FusionEstimator.removal_keeps_observability(decomps, subset) == by_W, subset
+            assert FusionEstimator.removal_keeps_observability(bank, subset) == by_W, subset
             verdicts.append(by_W)
     assert len(verdicts) == 2**ts.m - 1 and any(verdicts) and not all(verdicts)

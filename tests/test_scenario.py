@@ -128,6 +128,7 @@ def test_config_rejects_unknown_keys(raw):
         ({"horizon": 10, "seed": 1, "detector": {"sensor_alpha": 1.5}}, "detector.sensor_alpha"),
         ({"horizon": 10, "seed": 1, "detector": {"central_alpha": 0}}, "detector.central_alpha"),
         ({"horizon": 10, "seed": 1, "detector": {"removal_policy": 0}}, "detector.removal_policy"),
+        ({"horizon": 10, "seed": 1, "system": {"noise_scale": -1.0}}, "system.noise_scale"),
         ("not a dict", "mapping"),
     ],
 )
@@ -211,9 +212,8 @@ def test_run_scenario_matches_direct_coordinate_filtering():
     x = noise.x0_mean + noise.P0_factor @ rng.standard_normal(n)
 
     f = CentralKalmanFilter(noise)
-    decomps = {s: kalman_decomposition(ts, s) for s in range(m)}
-    bank = LocalFilterBank(ts, noise, decomps=decomps)
-    fusion = FusionEstimator(bank.decomps)
+    bank = LocalFilterBank(ts, noise, [kalman_decomposition(ts, s) for s in range(m)])
+    fusion = FusionEstimator(bank, range(m))
     assert not any(kind == "removed" for _, _, kind in r.events)
     for k in range(cfg.horizon):
         j = int(schedule[k])
@@ -371,6 +371,10 @@ def test_run_scenario_validates_attack_against_system():
     raw = _raw(attack={"kind": "persistent_bias", "sensors": [0]})
     with pytest.raises(ConfigError, match="nonzero"):
         run_scenario(config_from_dict(raw))
+    for sensors, msg in (([12], "out of range"), ([5, 5], "distinct")):
+        raw = _raw(attack={"kind": "persistent_bias", "sensors": sensors, "constant": 1.0})
+        with pytest.raises(ConfigError, match=f"attack.sensors: .*{msg}"):
+            run_scenario(config_from_dict(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +450,9 @@ def _explicit_raw(tmp_path, key="explicit-mc-key"):
 def _plant_snapshot(plant):
     arrays = [plant.noise.Q, plant.noise.R, plant.noise.x0_mean, plant.noise.P0]
     arrays += [M for p in plant.ts.pairs for M in (p.A, p.C)]
-    for d in plant.decomps.values():
+    for d in plant.bank.decomps:
         arrays += [d.T_uo, d.T_o, *d.A_red, *d.C_red]
-    return list(plant.decomps), plant.ts.key, copy.deepcopy(arrays)
+    return [d.sensor for d in plant.bank.decomps], plant.ts.key, copy.deepcopy(arrays)
 
 
 def _assert_same_trial(got, want):
