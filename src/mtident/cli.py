@@ -35,6 +35,7 @@ from .errors import (
 from .identifiability import analyze_target_set
 from .matrixio import write_matrix, write_vector
 from .scenario import (
+    SystemSpec,
     build_target_set,
     check_example_size,
     generate_example_system,
@@ -70,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-system", help="generate a worked-example system")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out-dir", required=True)
-    g.add_argument("--n", type=int, default=15, help="state dimension (multiple of 5)")
-    g.add_argument("--l", type=int, default=7, help="number of configurations")
+    g.add_argument("--n", type=int, default=SystemSpec.n, help="state dimension (multiple of 5)")
+    g.add_argument("--l", type=int, default=SystemSpec.l, help="number of configurations")
     g.add_argument("--period", type=int, default=None, help="schedule dwell time (default 2n)")
     g.set_defaults(func=_cmd_gen_system)
 

@@ -83,18 +83,25 @@ class CentralKalmanFilter:
         if mean_offset is not None:
             self.x_prior = self.x_prior + np.asarray(mean_offset, dtype=float).reshape(self.n)
         self.P_prior = noise.P0.copy()
-        self.k = 0
+        self._restriction = None  # (active sensors, their rows, their R block)
 
-    def _active(self, pair: LtiPair, active):
-        if active is None:
-            return pair.C, self.noise.R
-        idx = list(active)
-        return pair.C[idx], self.noise.R[np.ix_(idx, idx)]
+    def _rows(self, active) -> tuple[np.ndarray, np.ndarray]:
+        """The ``active`` sensors' row index and ``R`` block, formed once for
+        each new active set; a run keeps one active set for many steps."""
+        key = tuple(active)
+        if self._restriction is None or self._restriction[0] != key:
+            idx = np.array(key, dtype=np.intp)
+            self._restriction = (key, idx, self.noise.R[np.ix_(idx, idx)])
+        return self._restriction[1:]
 
     def step_covariance(self, pair: LtiPair, active=None):
         """Advance the attack-free Riccati recursion only; returns
         ``(gain, U, C_active, P_prior_used)`` with ``P_yy = U' U``."""
-        C, R = self._active(pair, active)
+        if active is None:
+            C, R = pair.C, self.noise.R
+        else:
+            idx, R = self._rows(active)
+            C = pair.C.take(idx, axis=0)
         P = self.P_prior
         U, info = dpotrf(sym(C @ P @ C.T + R))
         if info or not np.isfinite(U).all():  # impossible with finite R > 0
@@ -102,7 +109,6 @@ class CentralKalmanFilter:
         K = dpotrs(U, C @ P)[0].T
         P_post = sym(P - K @ C @ P)
         self.P_prior = sym(pair.A @ P_post @ pair.A.T + self.noise.Q)
-        self.k += 1
         return K, U, C, P
 
     def step(self, pair: LtiPair, y, active=None) -> CentralStep:
@@ -114,7 +120,7 @@ class CentralKalmanFilter:
         if y.shape[0] != self.m:
             raise ModelError(f"measurement has {y.shape[0]} rows, expected {self.m}")
         if active is not None:
-            y = y[list(active)]
+            y = y.take(self._rows(active)[0])
         x = self.x_prior
         K, U, C, P_used = self.step_covariance(pair, active)
         innov = y - C @ x

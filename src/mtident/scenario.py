@@ -51,6 +51,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import UnionType
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -83,8 +85,6 @@ from .system_model import (
     schedule_key,
 )
 
-ATTACK_KINDS = ("none", "omniscient", "guessing", "persistent_bias", "cross_model")
-
 METRICS_SCHEMA = "mtident-metrics-v1"
 EVENTS_SCHEMA = "mtident-events-v1"
 TRIALS_SCHEMA = "mtident-trials-v1"
@@ -94,33 +94,50 @@ TRIALS_SCHEMA = "mtident-trials-v1"
 # configuration
 
 
+def _generated(default):
+    """A ``system`` field that only a generated system reads."""
+    return field(default=default, metadata={"kind": "generated"})
+
+
+def _explicit_files(key: str, default=None, entries=None):
+    """A ``system`` field that only an explicit system reads, from config key
+    ``key``: matrix-file paths, resolved against the config file's directory.
+    With ``entries``, the key holds a list of mappings with exactly those
+    keys, each read as a tuple of its paths in that order."""
+    meta = {"kind": "explicit", "key": key, "paths": True, "entries": entries}
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class SystemSpec:
-    kind: str = "generated"
-    seed: int = 0
-    n: int = 15
-    l: int = 7
-    spectral_radius: tuple[float, float] = (1.05, 1.3)
-    coupling: float = 0.2
-    noise_scale: float = 1.0
-    pair_files: tuple[tuple[str, str], ...] = ()
-    Q_file: str | None = None
-    R_file: str | None = None
-    x0_mean_file: str | None = None
-    P0_file: str | None = None
+    kind: Literal["generated", "explicit"] = "generated"
+    seed: int = _generated(0)
+    n: int = _generated(15)
+    l: int = _generated(7)
+    spectral_radius: tuple[float, float] = _generated((1.05, 1.3))
+    coupling: float = _generated(0.2)
+    noise_scale: float = _generated(1.0)
+    pair_files: tuple[tuple[str, str], ...] = _explicit_files("pairs", (), entries=("A", "C"))
+    Q_file: str | None = _explicit_files("Q")
+    R_file: str | None = _explicit_files("R")
+    x0_mean_file: str | None = _explicit_files("x0_mean")
+    P0_file: str | None = _explicit_files("P0")
 
 
 @dataclass(frozen=True)
 class ScheduleSpec:
     period: int | None = None  # None: 2n
-    key: object = None  # None: derived from the system seed
+    key: int | str | bytes | None = None  # None: derived from the system seed
+
+
+AttackKind = Literal["none", "omniscient", "guessing", "persistent_bias", "cross_model"]
 
 
 @dataclass(frozen=True)
 class AttackSpec:
-    kind: str = "none"
+    kind: AttackKind = "none"
     sensors: tuple[int, ...] = ()
-    x0_star: object = "auto"  # "auto" or an explicit vector
+    x0_star: Literal["auto"] | tuple[float, ...] = "auto"
     x0_star_scale: float = 1.0
     seed: int = 1
     restart_each_period: bool = False
@@ -141,6 +158,13 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario configuration. This class and the spec classes of its
+    sections are the configuration schema: each field is one config key (its
+    name, or ``metadata["key"]``), its annotation the type the key's value
+    must have, and its default the value an omitted key takes. A ``system``
+    field with a ``metadata["kind"]`` is read only by systems of that kind;
+    the other kind rejects its key."""
+
     horizon: int
     seed: int
     system: SystemSpec = field(default_factory=SystemSpec)
@@ -150,153 +174,108 @@ class ScenarioConfig:
     trials: int = 1
 
 
-def _section(d: dict, name: str) -> dict:
-    sub = d.get(name, {})
-    if not isinstance(sub, dict):
-        raise ConfigError(f"'{name}' must be a mapping")
-    return dict(sub)
+def _coerce(value, hint, where: str):
+    """``value`` as the annotation ``hint`` describes it: JSON lists become
+    tuples and integers become floats where ``hint`` asks for those."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        if value in args:
+            return value
+        raise ConfigError(f"'{where}' must be one of {list(args)}, got {value!r}")
+    if origin in (Union, UnionType):
+        first_error = None
+        for alternative in args:
+            try:
+                return _coerce(value, alternative, where)
+            except ConfigError as exc:
+                first_error = first_error or exc
+        raise first_error
+    if origin is tuple and isinstance(value, (list, tuple)):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) != len(value):
+            raise ConfigError(f"'{where}' must hold {len(args)} values, got {len(value)}")
+        return tuple(_coerce(v, t, where) for v, t in zip(value, items))
+    if hint is float and isinstance(value, int):
+        return float(value)
+    if origin is None and isinstance(value, hint):
+        return value
+    raise ConfigError(f"'{where}' has wrong type {type(value).__name__}")
 
 
-def _pop(d: dict, key, default, kind=None, section=""):
-    v = d.pop(key, default)
-    if v is not None and kind is not None and not isinstance(v, kind):
+def _resolve(paths, base: Path | None):
+    """``paths`` (a path, ``None`` or nested tuples of paths) with each
+    relative path taken against ``base``."""
+    if isinstance(paths, tuple):
+        return tuple(_resolve(p, base) for p in paths)
+    if paths is None:
+        return None
+    return str(base / paths if base is not None and not os.path.isabs(paths) else Path(paths))
+
+
+def _read_section(cls, raw, section: str, base: Path | None):
+    """The spec dataclass ``cls`` read from the config mapping ``raw`` of
+    ``section`` ("" for the top level); unknown keys are rejected."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{section}' must be a mapping" if section else "configuration must be a mapping")
+    d = dict(raw)
+    hints = get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
         where = f"{section}.{key}" if section else key
-        raise ConfigError(f"'{where}' has wrong type {type(v).__name__}")
-    return v
-
-
-def _reject_unknown(d: dict, section: str):
+        if key not in d:
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(f"'{where}' is required")
+            continue
+        value = d.pop(key)
+        only = f.metadata.get("kind")
+        if only is not None and only != values.get("kind", cls.kind):
+            raise ConfigError(f"'{where}' applies only to {only} systems")
+        if dataclasses.is_dataclass(hints[f.name]):
+            values[f.name] = _read_section(hints[f.name], value, where, base)
+            continue
+        entries = f.metadata.get("entries")
+        if entries and isinstance(value, list):
+            if not all(isinstance(e, dict) and set(e) == set(entries) for e in value):
+                raise ConfigError(f"'{where}' entries must be mappings with keys {list(entries)}")
+            value = [[e[k] for k in entries] for e in value]
+        value = _coerce(value, hints[f.name], where)
+        values[f.name] = _resolve(value, base) if f.metadata.get("paths") else value
     if d:
         raise ConfigError(f"unknown key(s) in '{section or 'config'}': {sorted(d)}")
+    return cls(**values)
 
 
 def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> ScenarioConfig:
-    """Validate a configuration mapping; unknown keys are rejected.
+    """Read a configuration mapping against the schema of
+    :class:`ScenarioConfig` and check its values.
 
-    Relative matrix-file paths are resolved against ``base_dir``.
+    Unknown keys, and ``system`` keys of the other system kind, are
+    rejected. Relative matrix-file paths are resolved against ``base_dir``.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a mapping")
-    d = dict(raw)
-    base = Path(base_dir) if base_dir is not None else None
-
-    def resolve(p):
-        if p is None:
-            return None
-        p = str(p)
-        return str((base / p) if base is not None and not os.path.isabs(p) else Path(p))
-
-    sys_d = _section(d, "system")
-    d.pop("system", None)
-    kind = _pop(sys_d, "kind", "generated", str, "system")
-    if kind not in ("generated", "explicit"):
-        raise ConfigError(f"system.kind must be 'generated' or 'explicit', got '{kind}'")
-    radius = _pop(sys_d, "spectral_radius", (1.05, 1.3), (list, tuple), "system")
-    if len(radius) != 2 or not all(isinstance(v, (int, float)) for v in radius):
-        raise ConfigError("system.spectral_radius must be [low, high]")
-    pair_files = []
-    for entry in _pop(sys_d, "pairs", [], list, "system"):
-        if not isinstance(entry, dict) or set(entry) != {"A", "C"}:
-            raise ConfigError("system.pairs entries must be {'A': path, 'C': path}")
-        pair_files.append((resolve(entry["A"]), resolve(entry["C"])))
-    system = SystemSpec(
-        kind=kind,
-        seed=_pop(sys_d, "seed", 0, int, "system"),
-        n=_pop(sys_d, "n", 15, int, "system"),
-        l=_pop(sys_d, "l", 7, int, "system"),
-        spectral_radius=(float(radius[0]), float(radius[1])),
-        coupling=float(_pop(sys_d, "coupling", 0.2, (int, float), "system")),
-        noise_scale=float(_pop(sys_d, "noise_scale", 1.0, (int, float), "system")),
-        pair_files=tuple(pair_files),
-        Q_file=resolve(_pop(sys_d, "Q", None, str, "system")),
-        R_file=resolve(_pop(sys_d, "R", None, str, "system")),
-        x0_mean_file=resolve(_pop(sys_d, "x0_mean", None, str, "system")),
-        P0_file=resolve(_pop(sys_d, "P0", None, str, "system")),
-    )
-    _reject_unknown(sys_d, "system")
+    cfg = _read_section(ScenarioConfig, raw, "", Path(base_dir) if base_dir is not None else None)
+    system, detector = cfg.system, cfg.detector
     if system.kind == "explicit" and (not system.pair_files or not system.Q_file or not system.R_file):
         raise ConfigError("explicit systems need system.pairs, system.Q, and system.R")
     if system.kind == "generated":
         check_example_size(system.n, system.l, "system.")
     if not 0.0 <= system.noise_scale < np.inf:
         raise ConfigError(f"'system.noise_scale' must be finite and >= 0, got {system.noise_scale}")
-
-    sch_d = _section(d, "schedule")
-    d.pop("schedule", None)
-    schedule = ScheduleSpec(
-        period=_pop(sch_d, "period", None, int, "schedule"),
-        key=_pop(sch_d, "key", None, (int, str), "schedule"),
-    )
-    _reject_unknown(sch_d, "schedule")
-    if schedule.period is not None and schedule.period < 1:
+    if cfg.schedule.period is not None and cfg.schedule.period < 1:
         raise ConfigError("schedule.period must be >= 1")
-
-    atk_d = _section(d, "attack")
-    d.pop("attack", None)
-    akind = _pop(atk_d, "kind", "none", str, "attack")
-    if akind not in ATTACK_KINDS:
-        raise ConfigError(f"attack.kind must be one of {ATTACK_KINDS}, got '{akind}'")
-    sensors = _pop(atk_d, "sensors", [], list, "attack")
-    x0_star = atk_d.pop("x0_star", "auto")
-    if isinstance(x0_star, list):
-        x0_star = tuple(float(v) for v in x0_star)
-    elif x0_star != "auto":
-        raise ConfigError("attack.x0_star must be 'auto' or a list of numbers")
-    models = _pop(atk_d, "models", (0, 1), (list, tuple), "attack")
-    if len(models) != 2:
-        raise ConfigError("attack.models must name exactly two configurations")
-    attack = AttackSpec(
-        kind=akind,
-        sensors=tuple(int(s) for s in sensors),
-        x0_star=x0_star,
-        x0_star_scale=float(_pop(atk_d, "x0_star_scale", 1.0, (int, float), "attack")),
-        seed=_pop(atk_d, "seed", 1, int, "attack"),
-        restart_each_period=bool(_pop(atk_d, "restart_each_period", False, bool, "attack")),
-        constant=float(_pop(atk_d, "constant", 0.0, (int, float), "attack")),
-        ramp=float(_pop(atk_d, "ramp", 0.0, (int, float), "attack")),
-        models=(int(models[0]), int(models[1])),
-    )
-    _reject_unknown(atk_d, "attack")
-    if attack.kind != "none" and not attack.sensors:
-        raise ConfigError(f"attack.kind '{attack.kind}' needs attack.sensors")
-
-    det_d = _section(d, "detector")
-    d.pop("detector", None)
-    detector = DetectorSpec(
-        sensor_window=_pop(det_d, "sensor_window", 5, int, "detector"),
-        sensor_alpha=float(_pop(det_d, "sensor_alpha", 6.9e-8, (int, float), "detector")),
-        central_window=_pop(det_d, "central_window", 3, int, "detector"),
-        central_alpha=float(_pop(det_d, "central_alpha", 4.2e-4, (int, float), "detector")),
-        removal_policy=_pop(det_d, "removal_policy", 2, int, "detector"),
-        removal_enabled=bool(_pop(det_d, "removal_enabled", True, bool, "detector")),
-    )
-    _reject_unknown(det_d, "detector")
+    if cfg.attack.kind != "none" and not cfg.attack.sensors:
+        raise ConfigError(f"attack.kind '{cfg.attack.kind}' needs attack.sensors")
     for key in ("sensor_window", "central_window", "removal_policy"):
         if getattr(detector, key) < 1:
             raise ConfigError(f"'detector.{key}' must be >= 1")
     for key in ("sensor_alpha", "central_alpha"):
         if not 0.0 < getattr(detector, key) < 1.0:
             raise ConfigError(f"'detector.{key}' must lie in (0, 1)")
-
-    horizon = _pop(d, "horizon", None, int)
-    seed = _pop(d, "seed", None, int)
-    trials = _pop(d, "trials", 1, int)
-    _reject_unknown(d, "")
-    if horizon is None or horizon < 1:
-        raise ConfigError("'horizon' is required and must be >= 1")
-    if seed is None:
-        raise ConfigError("'seed' is required")
-    if trials < 1:
+    if cfg.horizon < 1:
+        raise ConfigError("'horizon' must be >= 1")
+    if cfg.trials < 1:
         raise ConfigError("'trials' must be >= 1")
-    return ScenarioConfig(
-        horizon=horizon,
-        seed=seed,
-        system=system,
-        schedule=schedule,
-        attack=attack,
-        detector=detector,
-        trials=trials,
-    )
+    return cfg
 
 
 def load_config(path: str | os.PathLike) -> ScenarioConfig:
@@ -344,11 +323,11 @@ def check_example_size(n: int, l: int, prefix: str) -> None:
 
 def generate_example_system(
     seed: int,
-    n: int = 15,
-    l: int = 7,
-    radius: tuple[float, float] = (1.05, 1.3),
-    coupling: float = 0.2,
-    noise_scale: float = 1.0,
+    n: int = SystemSpec.n,
+    l: int = SystemSpec.l,
+    radius: tuple[float, float] = SystemSpec.spectral_radius,
+    coupling: float = SystemSpec.coupling,
+    noise_scale: float = SystemSpec.noise_scale,
     period: int | None = None,
     key=None,
 ) -> Plant:
@@ -404,7 +383,7 @@ def generate_example_system(
         R = noise_scale * (MR @ MR.T) + 1e-3 * np.eye(m)
         ts = TargetSet(
             pairs=tuple(pairs),
-            period=period if period is not None else 2 * n,
+            period=_schedule_period(period, n),
             key=key if key is not None else schedule_key(f"mtident-example-{seed}"),
         )
         noise = NoiseModel(Q=Q, R=R)
@@ -427,6 +406,11 @@ def generate_example_system(
 # building blocks
 
 
+def _schedule_period(period: int | None, n: int) -> int:
+    """The schedule's dwell time: ``period`` when set, else ``2n`` steps."""
+    return 2 * n if period is None else period
+
+
 def config_schedule_key(cfg: ScenarioConfig) -> bytes:
     """The schedule key ``cfg`` runs under: ``schedule.key`` when given,
     else one derived from the system seed (generated systems) or from the
@@ -445,8 +429,7 @@ def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     R = read_matrix(sysd.R_file)
     x0 = read_vector(sysd.x0_mean_file) if sysd.x0_mean_file else None
     P0 = read_matrix(sysd.P0_file) if sysd.P0_file else None
-    n = pairs[0].n
-    period = cfg.schedule.period if cfg.schedule.period is not None else 2 * n
+    period = _schedule_period(cfg.schedule.period, pairs[0].n)
     ts = TargetSet(pairs=pairs, period=period, key=config_schedule_key(cfg))
     return ts, NoiseModel(Q=Q, R=R, x0_mean=x0, P0=P0)
 

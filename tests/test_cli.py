@@ -106,6 +106,15 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
     assert main(["gen-system", "--seed", "1", "--period", "0", "--out-dir", str(tmp_path / "g")]) == 2
     assert "'--period'" in capsys.readouterr().err
     assert not (tmp_path / "g").exists()
+    # a generated-system key on the explicit system that gen-system writes
+    assert main(["gen-system", "--seed", "1", "--n", "10", "--l", "2", "--out-dir", str(tmp_path / "sys")]) == 0
+    design = tmp_path / "sys" / "config.json"
+    cfg = json.loads(design.read_text())
+    cfg["system"]["noise_scale"] = 1000.0
+    design.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(design), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "system.noise_scale" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_with_3(tmp_path, capsys):

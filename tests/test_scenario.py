@@ -1,7 +1,11 @@
 import copy
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from mtident import (
     ConfigError,
     FusionEstimator,
     LocalFilterBank,
+    SystemSpec,
     build_system,
     config_from_dict,
     generate_example_system,
@@ -30,6 +35,8 @@ from mtident import (
     write_vector,
 )
 
+from mtident.cli import build_parser
+
 from helpers import random_target_set, reference_run_scenario, spd
 
 # a stable instance: direct (non-error-coordinate) simulation stays bounded,
@@ -40,6 +47,14 @@ _STABLE = {
     "n": 10,
     "l": 2,
     "spectral_radius": [0.55, 0.9],
+}
+
+
+_EXPLICIT = {
+    "kind": "explicit",
+    "pairs": [{"A": "A.txt", "C": "C.txt"}],
+    "Q": "Q.txt",
+    "R": "R.txt",
 }
 
 
@@ -130,11 +145,102 @@ def test_config_rejects_unknown_keys(raw):
         ({"horizon": 10, "seed": 1, "detector": {"removal_policy": 0}}, "detector.removal_policy"),
         ({"horizon": 10, "seed": 1, "system": {"noise_scale": -1.0}}, "system.noise_scale"),
         ("not a dict", "mapping"),
+    ]
+    # each system kind rejects the other kind's keys, whatever their values
+    + [
+        ({"horizon": 10, "seed": 1, "system": dict(_EXPLICIT, **{key: value})}, f"system.{key}")
+        for key, value in [
+            ("seed", 0),
+            ("n", 25),
+            ("l", 7),
+            ("spectral_radius", [1.05, 1.3]),
+            ("coupling", 9.0),
+            ("noise_scale", 1000.0),
+        ]
+    ]
+    + [
+        ({"horizon": 10, "seed": 1, "system": {key: value}}, f"system.{key}")
+        for key, value in [
+            ("pairs", _EXPLICIT["pairs"]),
+            ("Q", "Q.txt"),
+            ("R", "R.txt"),
+            ("x0_mean", "x0.txt"),
+            ("P0", "P0.txt"),
+        ]
     ],
 )
 def test_config_rejects_invalid_values(raw, msg):
     with pytest.raises(ConfigError, match=msg):
         config_from_dict(raw)
+
+
+def test_config_defaults_are_the_schema_defaults():
+    spelled_out = {
+        "horizon": 10,
+        "seed": 1,
+        "trials": 1,
+        "system": {
+            "kind": "generated",
+            "seed": 0,
+            "n": 15,
+            "l": 7,
+            "spectral_radius": [1.05, 1.3],
+            "coupling": 0.2,
+            "noise_scale": 1.0,
+        },
+        "schedule": {"period": None, "key": None},
+        "attack": {
+            "kind": "none",
+            "sensors": [],
+            "x0_star": "auto",
+            "x0_star_scale": 1.0,
+            "seed": 1,
+            "restart_each_period": False,
+            "constant": 0.0,
+            "ramp": 0.0,
+            "models": [0, 1],
+        },
+        "detector": {
+            "sensor_window": 5,
+            "sensor_alpha": 6.9e-8,
+            "central_window": 3,
+            "central_alpha": 4.2e-4,
+            "removal_policy": 2,
+            "removal_enabled": True,
+        },
+    }
+    assert config_from_dict(spelled_out) == config_from_dict({"horizon": 10, "seed": 1})
+    explicit = dict(_EXPLICIT, x0_mean=None, P0=None)
+    assert config_from_dict({"horizon": 10, "seed": 1, "system": explicit}) == config_from_dict(
+        {"horizon": 10, "seed": 1, "system": _EXPLICIT}
+    )
+    # the generator and `gen-system` take their defaults from the schema
+    spec = SystemSpec()
+    params = inspect.signature(generate_example_system).parameters
+    assert [params[p].default for p in ("n", "l", "radius", "coupling", "noise_scale")] == [
+        spec.n,
+        spec.l,
+        spec.spectral_radius,
+        spec.coupling,
+        spec.noise_scale,
+    ]
+    args = build_parser().parse_args(["gen-system", "--seed", "1", "--out-dir", "unused"])
+    assert (args.n, args.l) == (spec.n, spec.l)
+
+
+def test_readme_system_table_matches_the_schema():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text[text.index("| key | kind | default | meaning |") :].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        keys, kind, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        for key in re.findall(r"`(\w+)`", keys):
+            documented[key] = (kind, None if default == "—" else json.loads(default.strip("`")))
+    schema = {}
+    for f in dataclasses.fields(SystemSpec):
+        default = None if f.default in (None, ()) else json.loads(json.dumps(f.default))
+        schema[f.metadata.get("key", f.name)] = (f.metadata.get("kind", "both"), default)
+    assert documented == schema
 
 
 def test_load_config_round_trip(tmp_path):
