@@ -38,6 +38,7 @@ from .scenario import (
     SystemSpec,
     build_target_set,
     check_example_size,
+    example_key,
     generate_example_system,
     load_config,
     monte_carlo,
@@ -126,7 +127,7 @@ def _cmd_gen_system(args) -> int:
             "x0_mean": "x0_mean.txt",
             "P0": "P0.txt",
         },
-        "schedule": {"period": ts.period, "key": f"mtident-example-{args.seed}"},
+        "schedule": {"period": ts.period, "key": example_key(args.seed)},
     }
     (out / "config.json").write_text(json.dumps(config, indent=2) + "\n", encoding="ascii")
     print(

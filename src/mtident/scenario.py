@@ -81,6 +81,7 @@ from .system_model import (
     NoiseModel,
     TargetSet,
     build_attack_matrix,
+    draw_noise,
     sample_schedule,
     schedule_key,
 )
@@ -94,9 +95,10 @@ TRIALS_SCHEMA = "mtident-trials-v1"
 # configuration
 
 
-def _generated(default):
-    """A ``system`` field that only a generated system reads."""
-    return field(default=default, metadata={"kind": "generated"})
+def _read_by(*kinds: str, default=None, **meta):
+    """A field that only sections of one of ``kinds`` read; a section of
+    another kind rejects its key."""
+    return field(default=default, metadata={"kinds": kinds, **meta})
 
 
 def _explicit_files(key: str, default=None, entries=None):
@@ -104,19 +106,18 @@ def _explicit_files(key: str, default=None, entries=None):
     ``key``: matrix-file paths, resolved against the config file's directory.
     With ``entries``, the key holds a list of mappings with exactly those
     keys, each read as a tuple of its paths in that order."""
-    meta = {"kind": "explicit", "key": key, "paths": True, "entries": entries}
-    return field(default=default, metadata=meta)
+    return _read_by("explicit", default=default, key=key, paths=True, entries=entries)
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     kind: Literal["generated", "explicit"] = "generated"
-    seed: int = _generated(0)
-    n: int = _generated(15)
-    l: int = _generated(7)
-    spectral_radius: tuple[float, float] = _generated((1.05, 1.3))
-    coupling: float = _generated(0.2)
-    noise_scale: float = _generated(1.0)
+    seed: int = _read_by("generated", default=0)
+    n: int = _read_by("generated", default=15)
+    l: int = _read_by("generated", default=7)
+    spectral_radius: tuple[float, float] = _read_by("generated", default=(1.05, 1.3))
+    coupling: float = _read_by("generated", default=0.2)
+    noise_scale: float = _read_by("generated", default=1.0)
     pair_files: tuple[tuple[str, str], ...] = _explicit_files("pairs", (), entries=("A", "C"))
     Q_file: str | None = _explicit_files("Q")
     R_file: str | None = _explicit_files("R")
@@ -136,14 +137,14 @@ AttackKind = Literal["none", "omniscient", "guessing", "persistent_bias", "cross
 @dataclass(frozen=True)
 class AttackSpec:
     kind: AttackKind = "none"
-    sensors: tuple[int, ...] = ()
-    x0_star: Literal["auto"] | tuple[float, ...] = "auto"
-    x0_star_scale: float = 1.0
-    seed: int = 1
-    restart_each_period: bool = False
-    constant: float = 0.0
-    ramp: float = 0.0
-    models: tuple[int, int] = (0, 1)
+    sensors: tuple[int, ...] = _read_by(*get_args(AttackKind)[1:], default=())  # all but "none"
+    x0_star: Literal["auto"] | tuple[float, ...] = _read_by("omniscient", "guessing", default="auto")
+    x0_star_scale: float = _read_by("omniscient", "guessing", default=1.0)
+    seed: int = _read_by("guessing", default=1)
+    restart_each_period: bool = _read_by("guessing", default=False)
+    constant: float = _read_by("persistent_bias", default=0.0)
+    ramp: float = _read_by("persistent_bias", default=0.0)
+    models: tuple[int, int] = _read_by("cross_model", default=(0, 1))
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,9 @@ class ScenarioConfig:
     sections are the configuration schema: each field is one config key (its
     name, or ``metadata["key"]``), its annotation the type the key's value
     must have, and its default the value an omitted key takes. A ``system``
-    field with a ``metadata["kind"]`` is read only by systems of that kind;
-    the other kind rejects its key."""
+    or ``attack`` field with ``metadata["kinds"]`` is read only by sections
+    whose ``kind`` is one of those; a section of any other kind rejects its
+    key, whatever its value."""
 
     horizon: int
     seed: int
@@ -228,9 +230,10 @@ def _read_section(cls, raw, section: str, base: Path | None):
                 raise ConfigError(f"'{where}' is required")
             continue
         value = d.pop(key)
-        only = f.metadata.get("kind")
-        if only is not None and only != values.get("kind", cls.kind):
-            raise ConfigError(f"'{where}' applies only to {only} systems")
+        kinds = f.metadata.get("kinds")
+        if kinds is not None and (kind := values.get("kind", cls.kind)) not in kinds:
+            only = " or ".join(kinds)
+            raise ConfigError(f"'{where}' is read only by {section}.kind {only}, not {kind!r}")
         if dataclasses.is_dataclass(hints[f.name]):
             values[f.name] = _read_section(hints[f.name], value, where, base)
             continue
@@ -250,8 +253,9 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
     """Read a configuration mapping against the schema of
     :class:`ScenarioConfig` and check its values.
 
-    Unknown keys, and ``system`` keys of the other system kind, are
-    rejected. Relative matrix-file paths are resolved against ``base_dir``.
+    Unknown keys, and ``system`` and ``attack`` keys that the section's
+    ``kind`` does not read, are rejected. Relative matrix-file paths are
+    resolved against ``base_dir``.
     """
     cfg = _read_section(ScenarioConfig, raw, "", Path(base_dir) if base_dir is not None else None)
     system, detector = cfg.system, cfg.detector
@@ -321,6 +325,11 @@ def check_example_size(n: int, l: int, prefix: str) -> None:
         raise ConfigError(f"'{prefix}l' must be >= 1, got {l}")
 
 
+def example_key(seed: int) -> str:
+    """The default schedule key material of the example plant generated from ``seed``."""
+    return f"mtident-example-{seed}"
+
+
 def generate_example_system(
     seed: int,
     n: int = SystemSpec.n,
@@ -343,10 +352,7 @@ def generate_example_system(
     cleanly, at most 40 draws; the returned plant's bank keeps those
     decompositions. No retry depends on ``key``.
     """
-    if n % 5 != 0:
-        raise ValueError("n must be divisible by 5 (five equal blocks)")
-    if l < 1:
-        raise ValueError("need at least one configuration")
+    check_example_size(n, l, "")
     b = n // 5
     m = 10
     last_err = None
@@ -384,7 +390,7 @@ def generate_example_system(
         ts = TargetSet(
             pairs=tuple(pairs),
             period=_schedule_period(period, n),
-            key=key if key is not None else schedule_key(f"mtident-example-{seed}"),
+            key=key if key is not None else schedule_key(example_key(seed)),
         )
         noise = NoiseModel(Q=Q, R=R)
         try:
@@ -418,7 +424,7 @@ def config_schedule_key(cfg: ScenarioConfig) -> bytes:
     if cfg.schedule.key is not None:
         return schedule_key(cfg.schedule.key)
     if cfg.system.kind == "generated":
-        return schedule_key(f"mtident-example-{cfg.system.seed}")
+        return schedule_key(example_key(cfg.system.seed))
     return schedule_key(f"mtident-explicit-{cfg.seed}")
 
 
@@ -501,12 +507,10 @@ def _build_attack(
         if spec.constant == 0.0 and spec.ramp == 0.0:
             raise ConfigError("persistent_bias attack needs a nonzero constant or ramp")
         return attack, PersistentBiasPolicy(attack, constant=spec.constant, ramp=spec.ramp)
-    if spec.kind == "cross_model":
-        i, j = spec.models
-        if not (0 <= i < ts.l and 0 <= j < ts.l and i != j):
-            raise ConfigError(f"attack.models {spec.models} invalid for l={ts.l}")
-        return attack, CrossModelPolicy(ts.pairs[i], ts.pairs[j], attack, cfg.horizon)
-    raise ConfigError(f"unsupported attack kind '{spec.kind}'")
+    i, j = spec.models  # cross_model
+    if not (0 <= i < ts.l and 0 <= j < ts.l and i != j):
+        raise ConfigError(f"attack.models {spec.models} invalid for l={ts.l}")
+    return attack, CrossModelPolicy(ts.pairs[i], ts.pairs[j], attack, cfg.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +563,6 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     sensor_cfg = DetectorConfig.from_alpha(
         det.sensor_window, 1, det.sensor_alpha, det.removal_policy
     )
-    DetectorConfig.from_alpha(det.central_window, ts.m, det.central_alpha)  # validate now
 
     e0, y_err, w = _draw_inputs(cfg.seed, plant.noise, T, attack, policy)
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
@@ -595,20 +598,13 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
 
 def _draw_inputs(seed, noise: NoiseModel, T: int, attack, policy):
     """Pass 1: the initial error ``e0``, the error-coordinate outputs
-    ``y_k - C_k x_k = v_k + D d_k`` and the process noise ``w_k``.
-
-    ``rng_sim`` yields ``e0`` and then ``(v_k, w_k)`` draws step by step;
-    one ``(T, m + n)`` block gives the same numbers. The batched mat-vecs
-    ``matmul(F, z[:, :, None])`` are bitwise the per-step ``F @ z_k``.
+    ``y_k - C_k x_k = v_k + D d_k`` and the process noise ``w_k``, with the
+    noise from :func:`draw_noise`. The batched mat-vecs
+    ``matmul(D, d[:, :, None])`` are bitwise the per-step ``D @ d_k``.
     """
-    n, m = noise.n, noise.m
-    # spawning two keeps rng_sim's stream unchanged
+    # spawning two keeps the simulation stream unchanged
     ss_sim, _ = np.random.SeedSequence(seed).spawn(2)
-    rng_sim = np.random.default_rng(ss_sim)
-    e0 = noise.P0_factor @ rng_sim.standard_normal(n)
-    Z = rng_sim.standard_normal((T, m + n, 1))
-    v = np.matmul(noise.R_factor, Z[:, :m])[..., 0]
-    w = np.matmul(noise.Q_factor, Z[:, m:])[..., 0]
+    e0, v, w = draw_noise(noise, np.random.default_rng(ss_sim), T)
     if policy is None:
         return e0, v, w
     return e0, v + np.matmul(attack.D, policy.sequence(T)[:, :, None])[..., 0], w
@@ -715,7 +711,6 @@ def _central_pass(noise: NoiseModel, ts: TargetSet, schedule, y_err, w, offset, 
 def _summarize(r: RunReport) -> dict:
     T = r.err_central.size
     tail = slice(T // 2, None)
-    attacked = sorted(r.config.attack.sensors) if r.config.attack.kind != "none" else []
     removed = {int(s): int(k) for s, k in r.log.removed.items()}
     return {
         "horizon": int(T),
@@ -726,7 +721,7 @@ def _summarize(r: RunReport) -> dict:
         "fused_trace_tail": float(np.mean(r.fused_trace[tail])),
         "trace_P_max": float(np.max(r.trace_P)),
         "attack_kind": r.config.attack.kind,
-        "attacked_sensors": [int(s) for s in attacked],
+        "attacked_sensors": sorted(int(s) for s in r.config.attack.sensors),
         "first_alarm": {str(int(s)): int(k) for s, k in sorted(r.log.first_alarm.items())},
         "removed": {str(s): k for s, k in sorted(removed.items())},
         "central_first_alarm": (
@@ -788,7 +783,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     mean_c = np.mean(np.stack([r.err_central for r in reports]), axis=0)
     mean_f = np.mean(np.stack([r.err_fused for r in reports]), axis=0)
 
-    attacked = set(cfg.attack.sensors) if cfg.attack.kind != "none" else set()
+    attacked = set(cfg.attack.sensors)
     removed_all, removed_clean = 0, 0
     detect_steps = []
     for s in summaries:

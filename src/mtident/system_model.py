@@ -308,6 +308,34 @@ def _check_schedule(ts: TargetSet, schedule) -> np.ndarray:
     return schedule
 
 
+def draw_noise(noise: NoiseModel, rng: np.random.Generator, T: int):
+    """``(e0, v, w)`` for a ``T``-step run: the prior's draw ``e0 = x0 -
+    x0_mean`` first, then one ``(T, m + n)`` block whose row ``k`` is ``v_k``
+    then ``w_k``, the same numbers as drawing them step by step. The batched
+    mat-vecs ``matmul(F, z[:, :, None])`` are bitwise the per-step ``F @ z_k``."""
+    n, m = noise.n, noise.m
+    e0 = noise.P0_factor @ rng.standard_normal(n)
+    Z = rng.standard_normal((T, m + n, 1))
+    v = np.matmul(noise.R_factor, Z[:, :m])[..., 0]
+    return e0, v, np.matmul(noise.Q_factor, Z[:, m:])[..., 0]
+
+
+def _simulate(ts: TargetSet, schedule, x, v, w, attack, d) -> Trajectory:
+    """``y_k = C_k x_k + D d_k + v_k`` and ``x_{k+1} = A_k x_k + w_k`` from ``x``."""
+    T = schedule.size
+    dvals = _attack_values(attack, d, T)
+    # D selects rows, so each entry is one attack value plus zeros: exact
+    attacks = np.zeros((T, ts.m)) if dvals is None else dvals @ attack.D.T
+    states = np.empty((T, ts.n))
+    outputs = np.empty((T, ts.m))
+    for k in range(T):
+        pair = ts.pairs[schedule[k]]
+        states[k] = x
+        outputs[k] = pair.C @ x + attacks[k] + v[k]
+        x = pair.A @ x + w[k]
+    return Trajectory(states=states, outputs=outputs, schedule=schedule, attacks=attacks)
+
+
 def simulate_deterministic(
     ts: TargetSet,
     schedule,
@@ -322,22 +350,11 @@ def simulate_deterministic(
     ``x_{k+1} = A_k x_k``.
     """
     schedule = _check_schedule(ts, schedule)
-    T = schedule.size
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape != (ts.n,):
         raise ModelError(f"x0 has shape {x.shape}, expected ({ts.n},)")
-    dvals = _attack_values(attack, d, T)
-    states = np.empty((T, ts.n))
-    outputs = np.empty((T, ts.m))
-    attacks = np.zeros((T, ts.m))
-    for k in range(T):
-        pair = ts.pairs[schedule[k]]
-        if dvals is not None:
-            attacks[k] = attack.D @ dvals[k]
-        states[k] = x
-        outputs[k] = pair.C @ x + attacks[k]
-        x = pair.A @ x
-    return Trajectory(states=states, outputs=outputs, schedule=schedule, attacks=attacks)
+    T = schedule.size
+    return _simulate(ts, schedule, x, np.zeros((T, ts.m)), np.zeros((T, ts.n)), attack, d)
 
 
 def simulate_stochastic(
@@ -350,29 +367,15 @@ def simulate_stochastic(
 ) -> Trajectory:
     """Stochastic run with process noise Q, measurement noise R, and prior x0.
 
-    Draw order is fixed for reproducibility: the initial state first, then
-    per step the measurement noise ``v_k`` followed by the process noise
-    ``w_k``. All randomness comes from ``rng``.
+    All randomness comes from ``rng``, in :func:`draw_noise`'s order: the
+    initial state first, then per step the measurement noise ``v_k``
+    followed by the process noise ``w_k``.
     """
     schedule = _check_schedule(ts, schedule)
     if (noise.n, noise.m) != (ts.n, ts.m):
         raise ModelError("noise model dimensions do not match the target set")
-    T = schedule.size
-    dvals = _attack_values(attack, d, T)
-    x = noise.x0_mean + noise.P0_factor @ rng.standard_normal(ts.n)
-    states = np.empty((T, ts.n))
-    outputs = np.empty((T, ts.m))
-    attacks = np.zeros((T, ts.m))
-    for k in range(T):
-        pair = ts.pairs[schedule[k]]
-        if dvals is not None:
-            attacks[k] = attack.D @ dvals[k]
-        v = noise.R_factor @ rng.standard_normal(ts.m)
-        states[k] = x
-        outputs[k] = pair.C @ x + attacks[k] + v
-        w = noise.Q_factor @ rng.standard_normal(ts.n)
-        x = pair.A @ x + w
-    return Trajectory(states=states, outputs=outputs, schedule=schedule, attacks=attacks)
+    e0, v, w = draw_noise(noise, rng, schedule.size)
+    return _simulate(ts, schedule, noise.x0_mean + e0, v, w, attack, d)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,27 @@ def test_gen_system_analyze_simulate_round_trip(tmp_path, capsys):
     assert (simdir / "events.csv").exists() and (simdir / "summary.json").exists()
 
 
+def test_gen_system_config_runs_under_the_generated_plants_default_key(tmp_path):
+    """A `gen-system` design runs exactly as the generated config it came from."""
+    assert main(
+        ["gen-system", "--seed", "5", "--n", "10", "--l", "2", "--period", "6", "--out-dir", str(tmp_path / "sys")]
+    ) == 0
+    generated = tmp_path / "generated.json"
+    generated.write_text(json.dumps({
+        "horizon": 60,
+        "seed": 5,
+        "system": {"kind": "generated", "seed": 5, "n": 10, "l": 2},
+        "schedule": {"period": 6},
+    }))
+    runs = {"design": tmp_path / "sys" / "config.json", "generated": generated}
+    for name, cfg in runs.items():
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+    names = ("metrics.csv", "events.csv", "summary.json")
+    for name in names:
+        assert (tmp_path / "design" / name).read_bytes() == (tmp_path / "generated" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "design").iterdir()) == sorted(names)
+
+
 def test_simulate_is_reproducible_and_seed_override_changes_output(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json")
     for d in ("a", "b"):
@@ -115,6 +136,13 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", "--config", str(design), "--out-dir", str(tmp_path / "o")]) == 2
     assert "system.noise_scale" in capsys.readouterr().err
+    # persistent-bias and cross-model keys on the guessing attack of the example
+    example = json.loads((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text())
+    example["horizon"] = 60
+    example["attack"].update(constant=5.0, models=[2, 3])
+    bad.write_text(json.dumps(example))
+    assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "'attack.constant'" in capsys.readouterr().err
 
 
 def test_numerical_failures_exit_with_3(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from mtident import estimation, scenario
 from mtident import (
+    AttackSpec,
     CentralKalmanFilter,
     ConfigError,
     FusionEstimator,
@@ -167,6 +168,37 @@ def test_config_rejects_unknown_keys(raw):
             ("x0_mean", "x0.txt"),
             ("P0", "P0.txt"),
         ]
+    ]
+    # each attack kind rejects the keys it does not read, whatever their values
+    + [
+        (
+            {"horizon": 10, "seed": 1, "attack": {"kind": kind, "sensors": [0], key: value}},
+            f"'attack.{key}' is read only by attack.kind",
+        )
+        for kind, key, value in [
+            ("persistent_bias", "x0_star", "auto"),
+            ("cross_model", "x0_star_scale", 10.0),
+            ("omniscient", "seed", 99),
+            ("persistent_bias", "restart_each_period", True),
+            ("guessing", "constant", 5.0),
+            ("omniscient", "ramp", 0.0),
+            ("guessing", "models", [2, 3]),
+        ]
+    ]
+    + [
+        (
+            {"horizon": 10, "seed": 1, "attack": {"kind": "none", "sensors": []}},
+            "'attack.sensors' is read only by attack.kind",
+        ),
+        # the type and length checks, on kinds that read the key
+        (
+            {"horizon": 10, "seed": 1, "attack": {"kind": "guessing", "sensors": [0], "x0_star": "big"}},
+            "x0_star",
+        ),
+        (
+            {"horizon": 10, "seed": 1, "attack": {"kind": "cross_model", "sensors": [0], "models": [0]}},
+            "models",
+        ),
     ],
 )
 def test_config_rejects_invalid_values(raw, msg):
@@ -189,17 +221,7 @@ def test_config_defaults_are_the_schema_defaults():
             "noise_scale": 1.0,
         },
         "schedule": {"period": None, "key": None},
-        "attack": {
-            "kind": "none",
-            "sensors": [],
-            "x0_star": "auto",
-            "x0_star_scale": 1.0,
-            "seed": 1,
-            "restart_each_period": False,
-            "constant": 0.0,
-            "ramp": 0.0,
-            "models": [0, 1],
-        },
+        "attack": {"kind": "none"},
         "detector": {
             "sensor_window": 5,
             "sensor_alpha": 6.9e-8,
@@ -210,6 +232,18 @@ def test_config_defaults_are_the_schema_defaults():
         },
     }
     assert config_from_dict(spelled_out) == config_from_dict({"horizon": 10, "seed": 1})
+    # each attack kind with the keys it reads spelled out at their defaults
+    attack_keys = {
+        "omniscient": {"x0_star": "auto", "x0_star_scale": 1.0},
+        "guessing": {"x0_star": "auto", "x0_star_scale": 1.0, "seed": 1, "restart_each_period": False},
+        "persistent_bias": {"constant": 0.0, "ramp": 0.0},
+        "cross_model": {"models": [0, 1]},
+    }
+    for kind, keys in attack_keys.items():
+        attack = {"kind": kind, "sensors": [0]}
+        assert config_from_dict(
+            {"horizon": 10, "seed": 1, "attack": dict(attack, **keys)}
+        ) == config_from_dict({"horizon": 10, "seed": 1, "attack": attack})
     explicit = dict(_EXPLICIT, x0_mean=None, P0=None)
     assert config_from_dict({"horizon": 10, "seed": 1, "system": explicit}) == config_from_dict(
         {"horizon": 10, "seed": 1, "system": _EXPLICIT}
@@ -229,18 +263,22 @@ def test_config_defaults_are_the_schema_defaults():
 
 
 def test_readme_system_table_matches_the_schema():
+    """README's `system` and `attack` tables give each key, the kinds that
+    read it and its default, as the spec classes do."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = text[text.index("| key | kind | default | meaning |") :].split("\n\n")[0]
-    documented = {}
-    for line in table.splitlines()[2:]:
-        keys, kind, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
-        for key in re.findall(r"`(\w+)`", keys):
-            documented[key] = (kind, None if default == "—" else json.loads(default.strip("`")))
-    schema = {}
-    for f in dataclasses.fields(SystemSpec):
-        default = None if f.default in (None, ()) else json.loads(json.dumps(f.default))
-        schema[f.metadata.get("key", f.name)] = (f.metadata.get("kind", "both"), default)
-    assert documented == schema
+    tables = text.split("| key | kinds | default | meaning |")[1:]
+    assert len(tables) == 2
+    for table, spec in zip(tables, (SystemSpec, AttackSpec)):
+        documented = {}
+        for line in table.split("\n\n")[0].splitlines()[2:]:
+            keys, kinds, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+            for key in re.findall(r"`(\w+)`", keys):
+                documented[key] = (kinds, None if default == "—" else json.loads(default.strip("`")))
+        schema = {}
+        for f in dataclasses.fields(spec):
+            default = None if f.default in (None, ()) else json.loads(json.dumps(f.default))
+            schema[f.metadata.get("key", f.name)] = (", ".join(f.metadata.get("kinds", ["all"])), default)
+        assert documented == schema
 
 
 def test_load_config_round_trip(tmp_path):
@@ -283,9 +321,9 @@ def test_generated_system_has_the_documented_block_structure():
 
 
 def test_generated_system_argument_validation():
-    with pytest.raises(ValueError, match="divisible by 5"):
+    with pytest.raises(ConfigError, match="'n' must be a positive multiple of 5, got 7"):
         generate_example_system(seed=1, n=7)
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ConfigError, match="'l' must be >= 1, got 0"):
         generate_example_system(seed=1, n=10, l=0)
 
 

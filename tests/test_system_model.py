@@ -220,6 +220,27 @@ def test_stochastic_simulation_reproducible():
     assert np.array_equal(t1.outputs, t2.outputs)
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (8, 5), (15, 10)])
+def test_stochastic_simulation_draw_order(n, m):
+    """Bit for bit a per-step loop drawing the prior, then ``v_k``, then ``w_k``."""
+    rng = np.random.default_rng(100 + n)
+    ts = random_target_set(rng, n=n, m=m, l=2)
+    nm = NoiseModel(Q=spd(rng, n), R=spd(rng, m), x0_mean=rng.standard_normal(n), P0=spd(rng, n))
+    sched = sample_schedule(ts, 50)
+    atk = build_attack_matrix([0], m=m)
+    d = rng.standard_normal((50, 1))
+    traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(9), attack=atk, d=d)
+
+    draw = np.random.default_rng(9)
+    x = nm.x0_mean + nm.P0_factor @ draw.standard_normal(n)
+    for k, j in enumerate(sched):
+        pair = ts.pairs[j]
+        v = nm.R_factor @ draw.standard_normal(m)
+        assert np.array_equal(traj.states[k], x)
+        assert np.array_equal(traj.outputs[k], pair.C @ x + atk.D @ d[k] + v)
+        x = pair.A @ x + nm.Q_factor @ draw.standard_normal(n)
+
+
 def test_stochastic_scalar_stationary_variance():
     # x_{k+1} = a x_k + w: stationary variance q / (1 - a^2)
     a, q = 0.8, 1.0
