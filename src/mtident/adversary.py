@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWitnessError
-from .identifiability import (
-    CrossModelWitness,
-    construct_cross_model_attack,
-    cross_model_unidentifiability,
-)
+from .identifiability import construct_cross_model_attack, cross_model_unidentifiability
 from .system_model import AttackSet, LtiPair, TargetSet
 
 
@@ -190,46 +186,21 @@ class CrossModelPolicy(AttackPolicy):
     """Replays witness-based attacks consistent with two fixed configurations.
 
     Only meaningful against constant schedules; a moving target exposes it.
-    Witnesses are found (or supplied) per attacked sensor; a witness whose
-    realification degenerates is retried under phase rotations before giving
-    up.
+    A witness is found per attacked sensor.
     """
 
-    _ROTATIONS = (0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4, 1.2345)
-
-    def __init__(
-        self,
-        pair1: LtiPair,
-        pair2: LtiPair,
-        attack: AttackSet,
-        horizon: int,
-        witnesses: dict[int, CrossModelWitness] | None = None,
-    ):
+    def __init__(self, pair1: LtiPair, pair2: LtiPair, attack: AttackSet, horizon: int):
         super().__init__(attack)
         self.horizon = int(horizon)
         table = np.empty((self.horizon, attack.size))
         for i, s in enumerate(attack.sensors):
-            w = (witnesses or {}).get(s)
-            if w is None:
-                res = cross_model_unidentifiability(pair1, pair2, s)
-                if not res.exists:
-                    raise DegenerateWitnessError(
-                        f"no cross-model unidentifiability witness exists for sensor {s}"
-                    )
-                w = res.witness
-            table[:, i] = self._realize(w, pair1, pair2, s)
-        self._table = table
-
-    def _realize(self, w, pair1, pair2, s) -> np.ndarray:
-        last = None
-        for theta in self._ROTATIONS:
-            try:
-                return construct_cross_model_attack(
-                    w.rotated(theta), pair1, pair2, s, self.horizon
+            res = cross_model_unidentifiability(pair1, pair2, s)
+            if not res.exists:
+                raise DegenerateWitnessError(
+                    f"no cross-model unidentifiability witness exists for sensor {s}"
                 )
-            except DegenerateWitnessError as exc:
-                last = exc
-        raise last
+            table[:, i] = construct_cross_model_attack(res.witness, pair1, pair2, s, self.horizon)
+        self._table = table
 
     def _values(self, k: int) -> np.ndarray:
         if k >= self.horizon:

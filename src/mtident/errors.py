@@ -22,18 +22,14 @@ class ConfigError(MtidentError):
 
 
 class ConditioningError(MtidentError):
-    """A numerical decision (rank, eigenvalue clustering, chain extraction)
-    could not be made reliably at the current tolerances."""
-
-
-class NotApplicableError(MtidentError):
-    """The requested analysis does not apply to the given inputs
-    (for example, an eigenvalue is not present in a model)."""
+    """A numerical decision (rank, eigenvalue clustering, the size of a
+    generalized eigenspace) could not be made reliably at the current
+    tolerances."""
 
 
 class DegenerateWitnessError(MtidentError):
-    """An unidentifiability witness produced an identically zero or
-    inconsistent attack sequence after realification."""
+    """A cross-model attack was requested where no witness exists, or a
+    witness's output sequences disagree between the two models."""
 
 
 class DecompositionError(MtidentError):
@@ -44,7 +40,3 @@ class DecompositionError(MtidentError):
 
 class FilterError(MtidentError):
     """A filtering or fusion step lost positive definiteness."""
-
-
-class ConditioningWarning(UserWarning):
-    """Numerical result is usable but close to a tolerance boundary."""

@@ -9,28 +9,25 @@ defender can then pin the inconsistency on that sensor. This module provides
 * the incremental output-consistency check that yields detection times,
 * a feasibility test for schedule-guessing attackers (can a wrongly guessed
   configuration sequence still produce consistent outputs?),
-* Jordan-chain extraction and the eigenstructure stacks that characterize
-  cross-model unidentifiability for constant schedules, plus the explicit
-  attack construction from a witness, and
+* generalized eigenspaces and the output stacks built on them that
+  characterize cross-model unidentifiability for constant schedules, plus
+  the explicit attack construction from a witness, and
 * a design audit of a whole configuration set.
 
-Everything is numerical: ranks and null spaces are SVD decisions at the
-default cutoff of :mod:`mtident.linalg`, eigenvalue coincidence is decided
-up to a fixed tolerance, and defective eigenvalues are clustered before
-chains are extracted.
+Everything is numerical: ranks and null spaces are SVD decisions, eigenvalue
+coincidence is decided up to a fixed tolerance, and defective eigenvalues
+are clustered before their generalized eigenspaces are taken.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ConditioningWarning, DegenerateWitnessError
-from .linalg import numerical_rank, nullity, nullspace, observability_stack, orth
+from .errors import ConditioningError, DegenerateWitnessError
+from .linalg import EPS, numerical_rank, nullity, nullspace, observability_stack
 from .system_model import LtiPair, TargetSet, validate_design_recommendations
 
 STATUS_CONSISTENT = "consistent"
@@ -167,53 +164,23 @@ def guess_attack_feasibility(ts: TargetSet, guessed, true_schedule, sensor: int,
 
 
 # ---------------------------------------------------------------------------
-# Jordan structure
+# generalized eigenspaces
 
 
 @dataclass(frozen=True)
-class JordanChain:
-    """One Jordan chain: columns ``v_1 .. v_r`` with ``A v_1 = lam v_1`` and
-    ``A v_{k+1} = lam v_{k+1} + v_k``."""
+class GeneralizedEigenspace:
+    """One clustered eigenvalue of a matrix and its generalized eigenspace.
+
+    ``basis`` is an orthonormal basis of ``null((A - eigenvalue I)^p)`` with
+    ``p = chain_lengths[0]``, the longest Jordan chain; its column count is
+    the algebraic multiplicity. ``chain_lengths`` lists the Jordan chain
+    lengths, longest first. A conjugate-symmetric cluster has a float
+    eigenvalue and a real basis.
+    """
 
     eigenvalue: complex
-    vectors: np.ndarray  # n x r, complex
-
-    @property
-    def length(self) -> int:
-        return self.vectors.shape[1]
-
-
-@dataclass(frozen=True)
-class JordanEigenvalue:
-    """All chains attached to one clustered eigenvalue."""
-
-    eigenvalue: complex
-    multiplicity: int
-    chains: tuple[JordanChain, ...]
-
-    def chain_lengths(self) -> tuple[int, ...]:
-        return tuple(c.length for c in self.chains)
-
-
-@dataclass(frozen=True)
-class JordanStructure:
-    """Numerically extracted Jordan data of a single matrix."""
-
-    n: int
-    groups: tuple[JordanEigenvalue, ...]
-    max_chain_residual: float
-
-    @property
-    def eigenvalues(self) -> tuple[complex, ...]:
-        return tuple(g.eigenvalue for g in self.groups)
-
-    def group_near(self, lam: complex, tol: float) -> JordanEigenvalue | None:
-        best, dist = None, math.inf
-        for g in self.groups:
-            d = abs(g.eigenvalue - lam)
-            if d < dist:
-                best, dist = g, d
-        return best if dist <= tol else None
+    basis: np.ndarray
+    chain_lengths: tuple[int, ...]
 
 
 def _cluster_complex(values: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -246,187 +213,105 @@ def _cluster_complex(values: np.ndarray, tol: float) -> list[np.ndarray]:
     return clusters
 
 
-def jordan_chains(A, cluster_tol: float | None = None) -> JordanStructure:
-    """Extract eigenvalues, multiplicities, and Jordan chains of ``A``.
+def jordan_chains(A) -> tuple[GeneralizedEigenspace, ...]:
+    """Generalized eigenspaces of ``A``, one per clustered eigenvalue.
+
+    Each result gives an eigenvalue's Jordan chain lengths and the span of
+    its chains, not the chains themselves; the function keeps its name
+    because the benchmark tracer times it as ``identifiability.jordan_chains``.
 
     Computed eigenvalues of a defective matrix scatter like ``eps**(1/r)``
     around the true value, so clustering uses the deliberately generous
-    default ``cluster_tol = 1e-3 * (1 + max |eigenvalue|)``; the cluster mean
-    is then accurate to roughly machine precision and null spaces of
+    tolerance ``tol = 1e-3 * (1 + max |eigenvalue|)``; the cluster mean is
+    then accurate to roughly machine precision and null spaces of
     ``(A - mean I)^p`` are well separated at the relative SVD cutoff
-    ``1e-8``. Chain relations are verified against ``chain_tol = 1e-7 *
-    max(1, ||A||)``; residuals beyond ten times that raise a
-    :class:`ConditioningWarning`.
+    ``1e-8``. The power ``p`` grows until the null space reaches the cluster
+    size; a null space that outgrows the cluster or stops growing first
+    raises :class:`ConditioningError`.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("A must be square")
     n = A.shape[0]
     eigs = np.linalg.eigvals(A)
-    scale = 1.0 + float(np.max(np.abs(eigs))) if n else 1.0
-    if cluster_tol is None:
-        cluster_tol = 1e-3 * scale
-    norm_A = float(np.linalg.norm(A, 2)) if n else 0.0
-    chain_tol = 1e-7 * max(1.0, norm_A)
+    tol = 1e-3 * (1.0 + float(np.max(np.abs(eigs), initial=0.0)))
 
-    groups = []
-    max_resid = 0.0
-    for idx in _cluster_complex(eigs, cluster_tol):
+    spaces = []
+    for idx in _cluster_complex(eigs, tol):
         lam = complex(np.mean(eigs[idx]))
+        # A is real: a cluster with a member within tol/2 of the real axis
+        # holds that member's conjugate, hence all its conjugates, and its
+        # mean is real up to roundoff; any other cluster lies beyond tol/2
+        if abs(lam.imag) <= 0.5 * tol:
+            lam = lam.real
         mult = int(idx.size)
-        B = A.astype(complex) - lam * np.eye(n)
+        B = A - lam * np.eye(n)
         sB = float(np.linalg.norm(B, 2))
-
-        # nested null spaces of B^p until the algebraic multiplicity is reached
-        bases: list[np.ndarray] = []
-        powers: list[np.ndarray] = []
         nullities = [0]
-        Bp = np.eye(n, dtype=complex)
-        pmax = None
-        for p in range(1, n + 1):
+        Bp = np.eye(n)
+        while nullities[-1] < mult:
+            p = len(nullities)
             Bp = Bp @ B
-            powers.append(Bp)
             # a relative cutoff alone misreads numerically-zero powers (a
             # collapsed B^p is pure roundoff, so every singular value sits
             # "above" 1e-8 * smax); floor the cutoff at the roundoff scale
             # accumulated while forming the product
-            floor = 32.0 * p * np.finfo(float).eps * sB**p
-            smax_p = float(np.linalg.norm(Bp, 2))
-            ns = nullspace(Bp, tol=max(1e-8 * smax_p, floor))
-            bases.append(ns)
-            nullities.append(ns.shape[1])
+            floor = 32.0 * p * EPS * sB**p
+            basis = nullspace(Bp, tol=max(1e-8 * float(np.linalg.norm(Bp, 2)), floor))
+            nullities.append(basis.shape[1])
             if nullities[-1] > mult:
                 raise ConditioningError(
-                    f"null space of (A - {lam:.6g} I)^{p} has dimension "
+                    f"null space of (A - {complex(lam):.6g} I)^{p} has dimension "
                     f"{nullities[-1]} > algebraic multiplicity {mult}; the rank "
                     "tolerance or eigenvalue clustering is too loose"
                 )
-            if nullities[-1] == mult:
-                pmax = p
-                break
             if nullities[-1] <= nullities[-2]:
                 raise ConditioningError(
                     f"null-space growth stalled at dimension {nullities[-1]} below "
-                    f"multiplicity {mult} for eigenvalue {lam:.6g}"
+                    f"multiplicity {mult} for eigenvalue {complex(lam):.6g}"
                 )
-        if pmax is None:
-            raise ConditioningError(f"could not reach multiplicity {mult} for {lam:.6g}")
+        # growth[p - 1] counts the chains of length >= p
+        growth = np.diff(nullities)
+        lengths = tuple(int(np.sum(growth >= j)) for j in range(1, growth[0] + 1))
+        spaces.append(GeneralizedEigenspace(eigenvalue=lam, basis=basis, chain_lengths=lengths))
 
-        # chains with length >= p number d[p]; pick chain tops from the top level down
-        d = {p: nullities[p] - nullities[p - 1] for p in range(1, pmax + 1)}
-        d[pmax + 1] = 0
-        tops: list[tuple[int, np.ndarray]] = []
-        for p in range(pmax, 0, -1):
-            want = d[p] - d[p + 1]
-            if want == 0:
-                continue
-            blockers = []
-            if p >= 2:
-                blockers.append(bases[p - 2])
-            for q, u in tops:
-                if q > p:
-                    blockers.append((powers[q - p - 1] @ u).reshape(-1, 1))
-            V = bases[p - 1]
-            if blockers:
-                Z = orth(np.hstack(blockers))
-                W = V - Z @ (Z.conj().T @ V)
-            else:
-                W = V
-            U, s, _ = np.linalg.svd(W, full_matrices=False)
-            if s.size < want or s[want - 1] <= 1e-8:
-                raise ConditioningError(
-                    f"could not separate {want} chain top(s) at level {p} for "
-                    f"eigenvalue {lam:.6g} (smallest retained singular value "
-                    f"{s[want - 1] if s.size >= want else 0.0:.3e})"
-                )
-            for i in range(want):
-                tops.append((p, U[:, i]))
-
-        chains = []
-        for p, u in tops:
-            vecs = [u]
-            for _ in range(p - 1):
-                vecs.append(B @ vecs[-1])
-            vecs.reverse()  # v_1 (eigenvector) first
-            V = np.column_stack(vecs)
-            V = V / np.max(np.abs(V))
-            chains.append(JordanChain(eigenvalue=lam, vectors=V))
-            # verify the chain relations
-            resid = float(np.linalg.norm(A @ V[:, 0] - lam * V[:, 0]))
-            for c in range(1, p):
-                resid = max(
-                    resid,
-                    float(np.linalg.norm(A @ V[:, c] - lam * V[:, c] - V[:, c - 1])),
-                )
-            max_resid = max(max_resid, resid)
-
-        allv = np.hstack([c.vectors for c in chains])
-        if numerical_rank(allv) != mult:
-            raise ConditioningError(
-                f"chain vectors for eigenvalue {lam:.6g} are numerically dependent"
-            )
-        chains.sort(key=lambda c: -c.length)
-        groups.append(JordanEigenvalue(eigenvalue=lam, multiplicity=mult, chains=tuple(chains)))
-
-    if max_resid > 10.0 * chain_tol:
-        warnings.warn(
-            f"Jordan chain residual {max_resid:.3e} exceeds 10x the chain tolerance "
-            f"{chain_tol:.3e}; results may be inaccurate",
-            ConditioningWarning,
-        )
-    groups.sort(key=lambda g: (round(g.eigenvalue.real, 9), round(g.eigenvalue.imag, 9)))
-    return JordanStructure(n=n, groups=tuple(groups), max_chain_residual=max_resid)
+    spaces.sort(key=lambda e: (round(e.eigenvalue.real, 9), round(e.eigenvalue.imag, 9)))
+    return tuple(spaces)
 
 
 # ---------------------------------------------------------------------------
 # cross-model unidentifiability (constant schedules)
 
 
-def _v_stack_for(group: JordanEigenvalue, c_row: np.ndarray, r_max: int) -> np.ndarray:
-    """Horizontal concatenation of the per-chain upper-shift blocks.
+def _eigenspace_stack(
+    A: np.ndarray, c_row: np.ndarray, space: GeneralizedEigenspace, rows: int
+) -> np.ndarray:
+    """Rows ``c (A - lam I)^q G`` for ``q < rows``, with ``G`` the eigenspace basis.
 
-    For a chain ``v_1..v_r`` the block is ``r_max x r`` with entry
-    ``(p, q) = c_row . v_{q-p+1}`` for ``q >= p`` (1-based), zero elsewhere;
-    rows beyond the chain length are zero padding. Row ``p`` collects the
-    coefficient of the (p-1)-th derivative of ``lam^k`` in the output
-    expansion, which is why equal stacks across two models yield identical
-    output sequences.
+    For ``x = G z`` the output expands as
+    ``c A^k x = sum_q C(k, q) lam^(k-q) (V z)_q``; the terms with ``q`` at
+    or beyond the chain length vanish. Two models sharing ``lam`` thus give
+    the same output for all ``k`` exactly when their stacks, taken to the
+    longer chain length of the two, map to the same vector.
     """
-    blocks = []
-    for chain in group.chains:
-        r = chain.length
-        cv = c_row.astype(complex) @ chain.vectors  # (r,) values c.v_1 .. c.v_r
-        blk = np.zeros((r_max, r), dtype=complex)
-        for p in range(r_max):
-            for q in range(p, r):
-                blk[p, q] = cv[q - p]
-        blocks.append(blk)
-    return np.hstack(blocks)
+    B = A - space.eigenvalue * np.eye(A.shape[0])
+    W = space.basis
+    V = np.empty((rows, W.shape[1]), dtype=W.dtype)
+    for q in range(rows):
+        V[q] = c_row @ W
+        W = B @ W
+    return V
 
 
 @dataclass(frozen=True)
 class CrossModelWitness:
-    """Shared-image witness: coefficients and initial states for each model.
-
-    ``x0a_1``/``x0a_2`` are complex initial states (chain-vector combinations)
-    whose sensor outputs agree between the two models for all time.
-    """
+    """Initial states ``x0a_1``/``x0a_2``, in the shared eigenvalue's
+    generalized eigenspace of each model, whose sensor outputs agree between
+    the two models for all time. They are real when the eigenvalue is."""
 
     eigenvalue: complex
-    alpha1: np.ndarray
-    alpha2: np.ndarray
     x0a_1: np.ndarray
     x0a_2: np.ndarray
-
-    def rotated(self, theta: float) -> "CrossModelWitness":
-        ph = complex(math.cos(theta), math.sin(theta))
-        return CrossModelWitness(
-            eigenvalue=self.eigenvalue,
-            alpha1=self.alpha1 * ph,
-            alpha2=self.alpha2 * ph,
-            x0a_1=self.x0a_1 * ph,
-            x0a_2=self.x0a_2 * ph,
-        )
 
 
 @dataclass(frozen=True)
@@ -440,71 +325,58 @@ def cross_model_unidentifiability(
     pair1: LtiPair,
     pair2: LtiPair,
     sensor: int,
-    structures: tuple[JordanStructure, JordanStructure] | None = None,
+    structures: tuple[tuple[GeneralizedEigenspace, ...], ...] | None = None,
 ) -> CrossModelResult:
     """Does a nonzero attack exist that is consistent with both fixed models?
 
     For each eigenvalue shared by the two state matrices (within
-    ``1e-8 * (1 + max |eigenvalue|)``), the per-model eigenstructure stacks
-    ``V1``/``V2`` are built; unidentifiability is equivalent to their images
-    intersecting nontrivially:
+    ``1e-8 * (1 + max |eigenvalue|)``), the per-model stacks ``V1``/``V2`` of
+    :func:`_eigenspace_stack` are built; unidentifiability is equivalent to
+    their images intersecting nontrivially:
 
-        null([V1 V2]) > null(V1) + null(V2).
+        rank([V1 -V2]) < rank(V1) + rank(V2),
 
-    If no eigenvalue is shared, or no shared eigenvalue passes the test, a
-    wrong constant guess is always exposed within ``2n - 1`` steps.
-    ``structures`` shortcuts the Jordan extraction when the caller already
-    has it (e.g. when scanning all configuration pairs).
+    all three ranks counting singular values above ``1e-8 * ||[V1 -V2]||``.
+    The witness is the null vector of ``[V1 -V2]`` with the largest shared
+    image. If no eigenvalue is shared, or no shared eigenvalue passes the
+    test, a wrong constant guess is always exposed within ``2n - 1`` steps.
+    ``structures`` shortcuts the eigenspace extraction when the caller
+    already has it (e.g. when scanning all configuration pairs).
     """
     if structures is not None:
-        js1, js2 = structures
+        spaces1, spaces2 = structures
     else:
-        js1 = jordan_chains(pair1.A)
-        js2 = jordan_chains(pair2.A)
-    scale = 1.0 + max(
-        max((abs(v) for v in js1.eigenvalues), default=0.0),
-        max((abs(v) for v in js2.eigenvalues), default=0.0),
-    )
+        spaces1, spaces2 = jordan_chains(pair1.A), jordan_chains(pair2.A)
+    scale = 1.0 + max((abs(e.eigenvalue) for e in spaces1 + spaces2), default=0.0)
     tau_eig = 1e-8 * scale
-    c1 = pair1.C[sensor]
-    c2 = pair2.C[sensor]
 
-    shared = []
-    for g1 in js1.groups:
-        for g2 in js2.groups:
-            if abs(g1.eigenvalue - g2.eigenvalue) <= tau_eig:
-                shared.append((g1, g2))
+    shared = [
+        (e1, e2)
+        for e1 in spaces1
+        for e2 in spaces2
+        if abs(e1.eigenvalue - e2.eigenvalue) <= tau_eig
+    ]
     shared.sort(key=lambda pair_: -abs(pair_[0].eigenvalue))
-    shared_vals = tuple(0.5 * (g1.eigenvalue + g2.eigenvalue) for g1, g2 in shared)
+    shared_vals = tuple(0.5 * (e1.eigenvalue + e2.eigenvalue) for e1, e2 in shared)
 
-    for g1, g2 in shared:
-        lam = 0.5 * (g1.eigenvalue + g2.eigenvalue)
-        r_max = max(max(g1.chain_lengths()), max(g2.chain_lengths()))
-        V1 = _v_stack_for(g1, c1, r_max)
-        V2 = _v_stack_for(g2, c2, r_max)
-        both = np.hstack([V1, V2])
-        if nullity(both) <= nullity(V1) + nullity(V2):
+    for (e1, e2), lam in zip(shared, shared_vals):
+        rows = max(e1.chain_lengths[0], e2.chain_lengths[0])
+        V1 = _eigenspace_stack(pair1.A, pair1.C[sensor], e1, rows)
+        V2 = _eigenspace_stack(pair2.A, pair2.C[sensor], e2, rows)
+        _, s, Vh = np.linalg.svd(np.hstack([V1, -V2]))
+        cutoff = 1e-8 * s[0]
+        rank_both = int(np.sum(s > cutoff))
+        ranks = (int(np.sum(np.linalg.svd(V, compute_uv=False) > cutoff)) for V in (V1, V2))
+        if rank_both >= sum(ranks):
             continue
-        # witness: null vector of [V1, -V2] maximizing the shared image norm
-        Z = nullspace(np.hstack([V1, -V2]))
-        k1 = V1.shape[1]
-        M = V1 @ Z[:k1]
-        U, s, Vh = np.linalg.svd(M)
-        if s.size == 0 or s[0] <= 1e-12 * (1.0 + float(np.linalg.norm(V1))):
-            continue
-        z = Z @ Vh[0].conj()
-        alpha1, alpha2 = z[:k1], z[k1:]
+        Z = Vh[rank_both:].conj().T
+        m1 = V1.shape[1]
+        _, _, Wh = np.linalg.svd(V1 @ Z[:m1])
+        z = Z @ Wh[0].conj()
         # normalize so the shared image has unit peak magnitude
-        peak = float(np.max(np.abs(V1 @ alpha1)))
-        alpha1, alpha2 = alpha1 / peak, alpha2 / peak
-        vbar1 = np.hstack([c.vectors for c in g1.chains])
-        vbar2 = np.hstack([c.vectors for c in g2.chains])
+        z = z / float(np.max(np.abs(V1 @ z[:m1])))
         witness = CrossModelWitness(
-            eigenvalue=lam,
-            alpha1=alpha1,
-            alpha2=alpha2,
-            x0a_1=vbar1 @ alpha1,
-            x0a_2=vbar2 @ alpha2,
+            eigenvalue=lam, x0a_1=e1.basis @ z[:m1], x0a_2=e2.basis @ z[m1:]
         )
         return CrossModelResult(exists=True, witness=witness, shared_eigenvalues=shared_vals)
     return CrossModelResult(exists=False, witness=None, shared_eigenvalues=shared_vals)
@@ -519,40 +391,31 @@ def construct_cross_model_attack(
 ) -> np.ndarray:
     """Realize a witness as a real scalar attack sequence of length ``horizon``.
 
-    The complex sequences ``c_j A_j^k x0a_j`` agree between the two models by
-    construction; a complex witness is realified by adding the conjugate
-    trajectory (the conjugate initial state is also a valid chain
-    combination). Raises :class:`DegenerateWitnessError` when the two
-    sequences differ by more than ``1e-8 * (1 + max |d_1|)`` or
-    realification collapses to the zero sequence; callers retry with a
-    rotated witness.
+    The sequences ``c_j A_j^k x0a_j`` agree between the two models by
+    construction. A real witness gives the attack directly; a complex one is
+    realified by adding the conjugate trajectory (the conjugate initial
+    states are also a witness), and ``2 Re(d)`` is zero at every step only
+    when ``d`` is, since ``d`` and its conjugate live on the distinct
+    eigenvalues ``lam`` and ``conj(lam)``. Raises
+    :class:`DegenerateWitnessError` when the two sequences differ by more
+    than ``1e-8 * (1 + max |d_1|)``.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     seqs = []
-    for pair, x0a in ((pair1, witness.x0a_1), (pair2, witness.x0a_2)):
-        c = pair.C[sensor].astype(complex)
-        x = x0a.astype(complex)
-        d = np.empty(horizon, dtype=complex)
+    for pair, x in ((pair1, witness.x0a_1), (pair2, witness.x0a_2)):
+        c = pair.C[sensor]
+        d = np.empty(horizon, dtype=x.dtype)
         for k in range(horizon):
             d[k] = c @ x
             x = pair.A @ x
         seqs.append(d)
     d1, d2 = seqs
-    tol = 1e-8 * (1.0 + float(np.max(np.abs(d1))))
-    if float(np.max(np.abs(d1 - d2))) > tol:
+    if float(np.max(np.abs(d1 - d2))) > 1e-8 * (1.0 + float(np.max(np.abs(d1)))):
         raise DegenerateWitnessError(
             "witness output sequences disagree between the two models"
         )
-    if float(np.max(np.abs(d1.imag))) <= tol:
-        d = d1.real.copy()
-    else:
-        d = 2.0 * d1.real  # add the conjugate trajectory
-    if float(np.max(np.abs(d))) <= tol:
-        raise DegenerateWitnessError(
-            "realified attack sequence is identically zero; rotate the witness"
-        )
-    return d
+    return d1 if np.isrealobj(d1) else 2.0 * d1.real
 
 
 @dataclass(frozen=True)
@@ -564,8 +427,8 @@ class AnalysisReport:
     ``vulnerable_pairs`` maps a configuration pair ``(i, j)`` to the sensors
     on which an attacker committed to either constant configuration could
     stay consistent with the other; a sound deployment wants this empty.
-    ``failures`` records configuration pairs whose eigenstructure could not
-    be extracted reliably.
+    ``failures`` records configuration pairs whose generalized eigenspaces
+    could not be extracted reliably.
     """
 
     recommendations: object  # RecommendationReport
@@ -594,7 +457,7 @@ def analyze_target_set(ts: TargetSet) -> AnalysisReport:
     sensor for cross-model unidentifiability."""
     recs = validate_design_recommendations(ts)
     margins = tuple(sparse_observability_margin(p) for p in ts.pairs)
-    structures: dict[int, JordanStructure] = {}
+    structures: dict[int, tuple[GeneralizedEigenspace, ...]] = {}
     vulnerable: dict[tuple[int, int], tuple[int, ...]] = {}
     failures: dict[tuple[int, int], str] = {}
     for i in range(ts.l):

@@ -51,15 +51,6 @@ def nullspace(M: np.ndarray, tol: float | None = None) -> np.ndarray:
     return Vh[rank:].conj().T
 
 
-def orth(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column span."""
-    M = np.atleast_2d(np.asarray(M))
-    if M.shape[1] == 0:
-        return M.copy()
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    return U[:, : int(np.sum(s > _svd_tol(M, s)))]
-
-
 def orth_complement(B: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(B) in R^n (or C^n)."""
     B = np.atleast_2d(np.asarray(B))

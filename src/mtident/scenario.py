@@ -428,13 +428,28 @@ def config_schedule_key(cfg: ScenarioConfig) -> bytes:
     return schedule_key(f"mtident-explicit-{cfg.seed}")
 
 
+def _read_file(read, path: str, key: str) -> np.ndarray:
+    """``read(path)``, with a missing or malformed file reported as a
+    :class:`ConfigError` naming the ``system`` key that points at it."""
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"'system.{key}': cannot read {path} ({exc})") from exc
+
+
 def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     sysd = cfg.system
-    pairs = tuple(LtiPair(read_matrix(a), read_matrix(c)) for a, c in sysd.pair_files)
-    Q = read_matrix(sysd.Q_file)
-    R = read_matrix(sysd.R_file)
-    x0 = read_vector(sysd.x0_mean_file) if sysd.x0_mean_file else None
-    P0 = read_matrix(sysd.P0_file) if sysd.P0_file else None
+    pairs = tuple(
+        LtiPair(
+            _read_file(read_matrix, a, f"pairs[{i}].A"),
+            _read_file(read_matrix, c, f"pairs[{i}].C"),
+        )
+        for i, (a, c) in enumerate(sysd.pair_files)
+    )
+    Q = _read_file(read_matrix, sysd.Q_file, "Q")
+    R = _read_file(read_matrix, sysd.R_file, "R")
+    x0 = _read_file(read_vector, sysd.x0_mean_file, "x0_mean") if sysd.x0_mean_file else None
+    P0 = _read_file(read_matrix, sysd.P0_file, "P0") if sysd.P0_file else None
     period = _schedule_period(cfg.schedule.period, pairs[0].n)
     ts = TargetSet(pairs=pairs, period=period, key=config_schedule_key(cfg))
     return ts, NoiseModel(Q=Q, R=R, x0_mean=x0, P0=P0)

@@ -22,7 +22,6 @@ from mtident import (
     IdentificationLog,
     LtiPair,
     NoiseModel,
-    NotApplicableError,
     RemovalTracker,
     RunReport,
     TargetSet,
@@ -33,7 +32,6 @@ from mtident import (
 )
 from mtident.errors import DecompositionError
 from mtident.estimation import _common_nullspace_basis
-from mtident.identifiability import _v_stack_for
 from mtident.linalg import numerical_rank, observability_stack, spectral_radius
 from mtident.scenario import _build_attack, _summarize, config_schedule_key
 
@@ -65,10 +63,19 @@ def exact_int_inverse(T):
 
 
 def jordan_matrix(spec):
-    """Block-diagonal Jordan matrix from [(eigenvalue, chain_length), ...]."""
+    """Block-diagonal real Jordan matrix from [(eigenvalue, chain_length), ...].
+
+    A complex eigenvalue ``a + bi`` stands for the conjugate pair, each with
+    a chain of the given length: a ``2r x 2r`` block with ``[[a, -b], [b, a]]``
+    on the diagonal and identities above it.
+    """
     blocks = []
     for lam, r in spec:
-        blocks.append(lam * np.eye(r) + np.diag(np.ones(r - 1), 1))
+        if complex(lam).imag == 0.0:
+            blocks.append(lam * np.eye(r) + np.diag(np.ones(r - 1), 1))
+        else:
+            rot = np.array([[lam.real, -lam.imag], [lam.imag, lam.real]])
+            blocks.append(np.kron(np.eye(r), rot) + np.kron(np.eye(r, k=1), np.eye(2)))
     return block_diag(*blocks)
 
 
@@ -76,7 +83,8 @@ def matrix_with_jordan_structure(rng, spec, ops=None, max_entry=40):
     """Exact-arithmetic matrix with the given Jordan structure.
 
     Returns ``(A, T)``: A = T J T^{-1} with integer T, so the columns of T
-    are exact Jordan chain vectors (v_1 first within each block). Long chains
+    are exact (real) Jordan basis vectors (v_1 first within each real
+    block). Exactness needs eigenvalue parts exact in binary. Long chains
     split numerically like eps**(1/r) scaled by cond(T); callers needing many
     well-conditioned defective instances should keep ``max_entry`` small.
     """
@@ -154,25 +162,6 @@ def observability_matrix(pair: LtiPair, sensors, steps: int) -> np.ndarray:
     if not sensors:
         raise ValueError("sensor set must be non-empty")
     return observability_stack(pair.A, pair.C[list(sensors)], steps)
-
-
-def build_v_stack(js1, js2, c1, c2, lam: complex, match_tol: float | None = None):
-    """Eigenstructure stacks of both models at a shared eigenvalue.
-
-    Both stacks use ``r_max = `` the largest chain length at ``lam`` across
-    the two models, so shorter models are zero-padded and the row meaning
-    (derivative order) lines up.
-    """
-    if match_tol is None:
-        match_tol = 1e-8 * (1.0 + abs(lam))
-    g1 = js1.group_near(lam, match_tol)
-    g2 = js2.group_near(lam, match_tol)
-    if g1 is None or g2 is None:
-        raise NotApplicableError(f"eigenvalue {lam:.6g} is not shared by both models")
-    r_max = max(max(g1.chain_lengths()), max(g2.chain_lengths()))
-    c1 = np.asarray(c1, dtype=float).reshape(-1)
-    c2 = np.asarray(c2, dtype=float).reshape(-1)
-    return _v_stack_for(g1, c1, r_max), _v_stack_for(g2, c2, r_max)
 
 
 def brute_force_unidentifiability_oracle(pair1: LtiPair, pair2: LtiPair, sensor: int, t: int) -> bool:

@@ -11,7 +11,6 @@ from mtident import (
     LtiPair,
     OmniscientSchedulePolicy,
     PersistentBiasPolicy,
-    cross_model_unidentifiability,
     dominant_unstable_direction,
     sample_schedule,
     simulate_deterministic,
@@ -155,19 +154,6 @@ def test_cross_model_policy_requires_a_witness():
     pair2 = LtiPair(np.diag([0.7, -0.5]), np.eye(2))
     with pytest.raises(DegenerateWitnessError):
         CrossModelPolicy(pair1, pair2, build_attack_matrix((0,), 2), horizon=6)
-
-
-def test_cross_model_policy_recovers_from_degenerate_rotation():
-    pair1, pair2 = _shared_mode_pairs()
-    res = cross_model_unidentifiability(pair1, pair2, 0)
-    assert res.exists
-    # a real witness rotated by pi/2 realifies to zero; the policy must
-    # fall back to another phase instead of failing
-    bad = res.witness.rotated(np.pi / 2)
-    pol = CrossModelPolicy(
-        pair1, pair2, build_attack_matrix((0,), 2), horizon=6, witnesses={0: bad}
-    )
-    assert np.max(np.abs(pol.sequence(6))) > 1e-9
 
 
 def test_dominant_unstable_direction_picks_largest_mode():

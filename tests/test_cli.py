@@ -143,6 +143,26 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
     bad.write_text(json.dumps(example))
     assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "'attack.constant'" in capsys.readouterr().err
+    # a missing, then a malformed matrix file of the explicit design
+    del cfg["system"]["noise_scale"]
+    design.write_text(json.dumps(cfg))
+    runs = (
+        ["simulate", "--config", str(design), "--out-dir", str(tmp_path / "o")],
+        ["analyze", "--config", str(design)],
+    )
+    q_file, r_file = tmp_path / "sys" / "Q.txt", tmp_path / "sys" / "R.txt"
+    q_text = q_file.read_text()
+    q_file.unlink()
+    for cmd in runs:
+        assert main(cmd) == 2
+        err = capsys.readouterr().err
+        assert "'system.Q'" in err and str(q_file) in err
+    q_file.write_text(q_text)
+    r_file.write_text("garbage\n")
+    for cmd in runs:
+        assert main(cmd) == 2
+        err = capsys.readouterr().err
+        assert "'system.R'" in err and str(r_file) in err
 
 
 def test_numerical_failures_exit_with_3(tmp_path, capsys):

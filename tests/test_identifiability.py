@@ -1,12 +1,14 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import (
     brute_force_unidentifiability_oracle,
-    build_v_stack,
     matrix_with_jordan_structure,
     observability_matrix,
     random_observable_pair,
@@ -15,7 +17,6 @@ from helpers import (
 from mtident import (
     ConditioningError,
     LtiPair,
-    NotApplicableError,
     STATUS_CONSISTENT,
     STATUS_IDENTIFIED,
     TargetSet,
@@ -32,6 +33,7 @@ from mtident import (
     sparse_observability_margin,
     time_varying_observability,
 )
+from mtident.identifiability import _cluster_complex, _eigenspace_stack
 from mtident.linalg import numerical_rank
 
 
@@ -185,7 +187,22 @@ def test_guess_feasibility_shared_eigenvalue_models():
 
 
 # ---------------------------------------------------------------------------
-# Jordan structure
+# generalized eigenspaces
+
+
+def _nearest(spaces, lam):
+    return min(spaces, key=lambda e: abs(e.eigenvalue - lam))
+
+
+def _assert_eigenspace(A, space, multiplicity, atol=1e-6):
+    """``G`` is orthonormal, has one column per unit of multiplicity, and
+    ``(A - lam I)^p`` annihilates it at the longest chain length ``p``."""
+    G = space.basis
+    assert G.shape == (A.shape[0], multiplicity)
+    assert sum(space.chain_lengths) == multiplicity
+    assert_allclose(G.conj().T @ G, np.eye(multiplicity), atol=1e-12)
+    B = A - space.eigenvalue * np.eye(A.shape[0])
+    assert_allclose(np.linalg.matrix_power(B, space.chain_lengths[0]) @ G, 0.0, atol=atol)
 
 
 def test_jordan_chains_diagonalizable():
@@ -193,91 +210,78 @@ def test_jordan_chains_diagonalizable():
     lams = np.array([0.5, -1.0, 2.0, 3.5])
     T = rng.standard_normal((4, 4)) + 2 * np.eye(4)
     A = T @ np.diag(lams) @ np.linalg.inv(T)
-    js = jordan_chains(A)
-    assert js.n == 4
-    got = sorted(g.eigenvalue.real for g in js.groups)
+    spaces = jordan_chains(A)
+    got = sorted(e.eigenvalue.real for e in spaces)
     assert_allclose(got, sorted(lams), atol=1e-7)
-    for g in js.groups:
-        assert g.multiplicity == 1
-        assert g.chain_lengths() == (1,)
-    assert js.max_chain_residual < 1e-8
+    for e in spaces:
+        assert e.chain_lengths == (1,)
+        assert np.isrealobj(e.basis)
+        _assert_eigenspace(A, e, 1, atol=1e-8)
 
 
 def test_jordan_chains_defective_structure():
     rng = np.random.default_rng(27)
     spec = [(3.0, 2), (3.0, 1), (-1.0, 2)]
     A, _ = matrix_with_jordan_structure(rng, spec)
-    js = jordan_chains(A)
-    by_eig = {round(g.eigenvalue.real): g for g in js.groups}
+    spaces = jordan_chains(A)
+    by_eig = {round(e.eigenvalue.real): e for e in spaces}
     assert set(by_eig) == {3, -1}
-    assert by_eig[3].multiplicity == 3
-    assert by_eig[3].chain_lengths() == (2, 1)
-    assert by_eig[-1].multiplicity == 2
-    assert by_eig[-1].chain_lengths() == (2,)
-    # verify the chain relations directly
-    for g in js.groups:
-        lam = g.eigenvalue
-        for chain in g.chains:
-            V = chain.vectors
-            assert_allclose(A @ V[:, 0], lam * V[:, 0], atol=1e-6)
-            for c in range(1, chain.length):
-                assert_allclose(A @ V[:, c], lam * V[:, c] + V[:, c - 1], atol=1e-6)
+    assert by_eig[3].chain_lengths == (2, 1)
+    assert by_eig[-1].chain_lengths == (2,)
+    _assert_eigenspace(A, by_eig[3], 3)
+    _assert_eigenspace(A, by_eig[-1], 2)
 
 
 def test_jordan_chains_complex_pair():
     r, th = 1.2, 0.7
     A = r * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    js = jordan_chains(A)
-    eigs = sorted(js.eigenvalues, key=lambda z: z.imag)
+    spaces = jordan_chains(A)
+    eigs = sorted((e.eigenvalue for e in spaces), key=lambda z: z.imag)
     assert_allclose(eigs[0], r * np.exp(-1j * th), atol=1e-9)
     assert_allclose(eigs[1], r * np.exp(1j * th), atol=1e-9)
+    for e in spaces:
+        _assert_eigenspace(A, e, 1, atol=1e-12)
 
 
 def test_jordan_chains_tolerates_defective_perturbation():
     rng = np.random.default_rng(28)
     A, _ = matrix_with_jordan_structure(rng, [(2.0, 3), (0.5, 1)])
     A = A + 1e-10 * rng.standard_normal(A.shape)
-    js = jordan_chains(A)
-    g = js.group_near(2.0, 1e-2)
-    assert g is not None and g.multiplicity == 3
-    assert max(g.chain_lengths()) == 3
+    e = _nearest(jordan_chains(A), 2.0)
+    assert abs(e.eigenvalue - 2.0) < 1e-2
+    assert e.basis.shape[1] == 3
+    assert e.chain_lengths[0] == 3
 
 
 def test_jordan_cluster_chain_raises_on_ambiguous_diameter():
     # eigenvalues chained 0.9 tol apart: single linkage merges a cluster of
     # diameter 3.6 tol, which is too wide to trust
     tol = 1e-3
-    A = np.diag([1.0, 1.0 + 0.9 * tol, 1.0 + 1.8 * tol, 1.0 + 2.7 * tol, 1.0 + 3.6 * tol])
+    values = 1.0 + tol * np.array([0.0, 0.9, 1.8, 2.7, 3.6])
+    assert [idx.tolist() for idx in _cluster_complex(values[:4], tol)] == [[0, 1, 2, 3]]
     with pytest.raises(ConditioningError):
-        jordan_chains(A, cluster_tol=tol)
+        _cluster_complex(values, tol)
 
 
 # ---------------------------------------------------------------------------
-# eigenstructure stacks
+# eigenspace output stacks
 
 
 def test_v_stack_matches_output_derivative_expansion():
-    # y_k = c A^k x0 with x0 a chain combination expands in binomials:
-    # y_k = sum_p C(k, p) lam^(k-p) beta_p with beta = V alpha
+    # y_k = c A^k x0 with x0 = G z expands in binomials:
+    # y_k = sum_q C(k, q) lam^(k-q) beta_q with beta = V z
     rng = np.random.default_rng(29)
     spec = [(3.0, 2), (3.0, 1), (-1.0, 2)]
     A, _ = matrix_with_jordan_structure(rng, spec)
     c = rng.standard_normal(5)
-    js = jordan_chains(A)
-    g = js.group_near(3.0, 1e-6)
-    V1, V2 = build_v_stack(js, js, c, c, 3.0)
-    assert V1.shape == (2, 3)  # r_max = 2 rows, 3 chain columns
-    alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    beta = V1 @ alpha
-    vbar = np.hstack([ch.vectors for ch in g.chains])
-    x0 = vbar @ alpha
-    from math import comb
-
-    y = x0.copy()
+    space = _nearest(jordan_chains(A), 3.0)
+    V = _eigenspace_stack(A, c, space, space.chain_lengths[0])
+    assert V.shape == (2, 3)  # one row per power below the longest chain, 3 basis columns
+    z = rng.standard_normal(3)
+    beta = V @ z
+    y = space.basis @ z
     for k in range(8):
-        expected = sum(
-            comb(k, p) * (3.0 ** (k - p)) * beta[p] for p in range(min(k, 1) + 1)
-        )
+        expected = sum(comb(k, q) * (3.0 ** (k - q)) * beta[q] for q in range(min(k, 1) + 1))
         assert abs((c @ y) - expected) < 1e-6 * (1 + abs(expected))
         y = A @ y
 
@@ -287,11 +291,14 @@ def test_v_stack_pads_to_common_chain_length():
     A1, _ = matrix_with_jordan_structure(rng, [(2.0, 3), (5.0, 1)])
     A2, _ = matrix_with_jordan_structure(rng, [(2.0, 1), (7.0, 3)])
     c = rng.standard_normal(4)
-    V1, V2 = build_v_stack(jordan_chains(A1), jordan_chains(A2), c, c, 2.0)
-    assert V1.shape[0] == V2.shape[0] == 3  # padded to the longer chain
-    assert_allclose(V2[1:, :], 0.0, atol=1e-12)  # short chain has zero rows
-    with pytest.raises(NotApplicableError):
-        build_v_stack(jordan_chains(A1), jordan_chains(A2), c, c, 5.0)
+    e1, e2 = _nearest(jordan_chains(A1), 2.0), _nearest(jordan_chains(A2), 2.0)
+    rows = max(e1.chain_lengths[0], e2.chain_lengths[0])
+    V1 = _eigenspace_stack(A1, c, e1, rows)
+    V2 = _eigenspace_stack(A2, c, e2, rows)
+    assert V1.shape == (3, 3) and V2.shape == (3, 1)  # r = max(p1, p2) = 3 rows
+    assert np.linalg.matrix_rank(V1) == 3
+    # beyond its chain length, a model's rows vanish
+    assert_allclose(V2[1:, :], 0.0, atol=1e-9 * np.linalg.norm(A2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +379,56 @@ def test_cross_model_complex_witness_realifies():
     assert _explained_by(p2, 0, d, 12) < 1e-7
 
 
+# Shared modes, real and complex; a chain length of 2 makes one defective.
+# Each model's own modes come from a set the other never uses.
+_SHARED_MODES = (2.0, -0.5, 0.5 + 1.0j, -1.0 + 0.5j)
+_OWN_MODES = ((-1.0, 1.5), (0.5, -1.5))
+_own_lengths = st.lists(st.integers(1, 2), min_size=1, max_size=2)
+
+
+def _modes_size(spec):
+    return sum(r * (1 if complex(lam).imag == 0.0 else 2) for lam, r in spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    shared=st.sampled_from((None,) + _SHARED_MODES),
+    lengths=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    own=st.tuples(_own_lengths, _own_lengths),
+    seed=st.integers(0, 2**32 - 1),
+    same_row=st.booleans(),
+)
+def test_cross_model_witnesses_are_real_and_explained_by_both_models(
+    shared, lengths, own, seed, same_row
+):
+    # exact pairs: the verdict must match the brute-force oracle, and every
+    # witness must give a real, nonzero attack that both models explain
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(2):
+        spec = [] if shared is None else [(shared, lengths[i])]
+        specs.append(spec + [(lam, r) for lam, r in zip(_OWN_MODES[i], own[i])])
+    n = max(_modes_size(spec) for spec in specs)
+    for i, spec in enumerate(specs):
+        if _modes_size(spec) < n:
+            spec.append((_OWN_MODES[i][0], n - _modes_size(spec)))
+    A1, _ = matrix_with_jordan_structure(rng, specs[0], max_entry=6)
+    A2, _ = matrix_with_jordan_structure(rng, specs[1], max_entry=6)
+    c1 = rng.integers(-2, 3, (1, n)).astype(float)
+    c2 = c1 if same_row else rng.integers(-2, 3, (1, n)).astype(float)
+    p1, p2 = LtiPair(A1, c1), LtiPair(A2, c2)
+    res = cross_model_unidentifiability(p1, p2, sensor=0)
+    assert res.exists == brute_force_unidentifiability_oracle(p1, p2, 0, t=2 * n - 1)
+    if not res.exists:
+        return
+    w = res.witness
+    assert np.isrealobj(w.x0a_1) == (complex(w.eigenvalue).imag == 0.0)
+    d = construct_cross_model_attack(w, p1, p2, 0, horizon=2 * n)
+    assert np.isrealobj(d) and float(np.max(np.abs(d))) > 1e-3
+    for pair in (p1, p2):
+        assert _explained_by(pair, 0, d, 2 * n) < 1e-8 * (1.0 + float(np.max(np.abs(d))))
+
+
 def test_brute_force_oracle_identical_models():
     rng = np.random.default_rng(33)
     p = random_observable_pair(rng, 3, 1)
@@ -395,6 +452,19 @@ def test_analyze_target_set_flags_vulnerable_pair():
     assert not report.failures
     assert not report.recommendations.disjoint_spectra
     assert any("cross-model" in line for line in report.findings())
+
+
+def test_analyze_target_set_records_refused_pairs():
+    # 1.0 and 1.0005 fall into one eigenvalue cluster, but A is diagonal:
+    # (A - 1.00025 I) has no null space, so the eigenspace cannot grow to 2
+    c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]])
+    p1 = LtiPair(np.diag([1.0, 1.0005, 0.3]), c)
+    p2 = LtiPair(np.diag([2.0, 0.5, -0.4]), c)
+    report = analyze_target_set(TargetSet(pairs=(p1, p2), period=6, key=0))
+    msg = "null-space growth stalled at dimension 0 below multiplicity 2 for eigenvalue 1.00025+0j"
+    assert report.failures == {(0, 1): msg}
+    assert report.vulnerable_pairs == {}
+    assert report.findings()[-1] == f"configurations (0, 1): analysis failed ({msg})"
 
 
 def test_analyze_target_set_clean_design():
