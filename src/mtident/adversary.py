@@ -47,46 +47,43 @@ class AttackerInfo:
 
 
 class AttackPolicy:
-    """Base class: stateful per run, stepped sequentially from k = 0."""
+    """Base class: an open-loop attack, a fixed sequence of values per step.
+
+    No policy sees a plant signal, so a run draws its whole attack up front,
+    and the first ``k`` steps of a longer draw are the draw for ``k`` steps.
+    """
 
     admissible = True
 
     def __init__(self, attack: AttackSet):
         self.attack = attack
-        self._next_k = 0
 
     @property
     def sensors(self) -> tuple[int, ...]:
         return self.attack.sensors
 
-    def values(self, k: int) -> np.ndarray:
-        """Per-sensor attack values at step ``k`` (must be called in order)."""
-        if k != self._next_k:
-            raise ValueError(
-                f"policy stepped out of order (expected k={self._next_k}, got {k}); "
-                "create a fresh policy or call reset()"
-            )
-        v = np.asarray(self._values(k), dtype=float).reshape(self.attack.size)
-        self._next_k += 1
-        return v
+    def values(self, horizon: int) -> np.ndarray:
+        """Per-sensor attack values for steps ``0..horizon-1`` as a
+        ``(horizon, k)`` array."""
+        return np.asarray(self._values(horizon), dtype=float).reshape(horizon, self.attack.size)
 
-    def _values(self, k: int) -> np.ndarray:  # pragma: no cover - abstract
+    def _values(self, horizon: int) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def reset(self) -> None:
-        self._next_k = 0
-        self._reset()
-
-    def _reset(self) -> None:
-        pass
-
-    def sequence(self, horizon: int) -> np.ndarray:
-        """Materialize the first ``horizon`` steps as a ``(horizon, k)`` array."""
-        self.reset()
-        out = np.empty((horizon, self.attack.size))
-        for k in range(horizon):
-            out[k] = self.values(k)
-        self.reset()
+    def _trajectory_outputs(self, pairs, configs, x0_star, restart_every: int = 0) -> np.ndarray:
+        """Attacked-sensor outputs ``C_j[s] x_k`` of the virtual trajectory
+        ``x_{k+1} = A_j x_k`` from ``x0_star``, with ``j = configs[k]``; with
+        ``restart_every`` the trajectory restarts at ``x0_star`` every that
+        many steps."""
+        rows = list(self.sensors)
+        out = np.empty((len(configs), len(rows)))
+        x = x0_star
+        for k, j in enumerate(configs):
+            if restart_every and k % restart_every == 0:
+                x = x0_star
+            pair = pairs[j]
+            out[k] = pair.C[rows] @ x
+            x = pair.A @ x
         return out
 
 
@@ -107,16 +104,9 @@ class OmniscientSchedulePolicy(AttackPolicy):
         self.pairs = ts.pairs
         self.schedule = np.asarray(schedule, dtype=np.int64).reshape(-1)
         self.x0_star = np.asarray(x0_star, dtype=float).reshape(-1)
-        self._x = self.x0_star.copy()
 
-    def _values(self, k: int) -> np.ndarray:
-        pair = self.pairs[self.schedule[k]]
-        d = pair.C[list(self.sensors)] @ self._x
-        self._x = pair.A @ self._x
-        return d
-
-    def _reset(self) -> None:
-        self._x = self.x0_star.copy()
+    def _values(self, horizon: int) -> np.ndarray:
+        return self._trajectory_outputs(self.pairs, self.schedule[:horizon], self.x0_star)
 
 
 class GuessingPolicy(AttackPolicy):
@@ -142,30 +132,17 @@ class GuessingPolicy(AttackPolicy):
         self.x0_star = np.asarray(x0_star, dtype=float).reshape(-1)
         self.seed = seed
         self.restart_each_period = restart_each_period
-        self._rng = np.random.default_rng(seed)
-        self._x = self.x0_star.copy()
-        self._period = -1
-        self._guess = 0
-        self.guesses: list[int] = []
 
-    def _values(self, k: int) -> np.ndarray:
-        p = k // self.info.period
-        if p != self._period:
-            self._guess = int(self._rng.integers(self.info.l))
-            self.guesses.append(self._guess)
-            self._period = p
-            if self.restart_each_period:
-                self._x = self.x0_star.copy()
-        pair = self.info.pairs[self._guess]
-        d = pair.C[list(self.sensors)] @ self._x
-        self._x = pair.A @ self._x
-        return d
+    def guesses(self, horizon: int) -> np.ndarray:
+        """The guessed configuration of steps ``0..horizon-1``: one draw per
+        period from the attacker's seeded stream."""
+        period = self.info.period
+        draws = np.random.default_rng(self.seed).integers(self.info.l, size=-(-horizon // period))
+        return np.repeat(draws, period)[:horizon]
 
-    def _reset(self) -> None:
-        self._rng = np.random.default_rng(self.seed)
-        self._x = self.x0_star.copy()
-        self._period = -1
-        self.guesses.clear()
+    def _values(self, horizon: int) -> np.ndarray:
+        restart = self.info.period if self.restart_each_period else 0
+        return self._trajectory_outputs(self.info.pairs, self.guesses(horizon), self.x0_star, restart)
 
 
 class PersistentBiasPolicy(AttackPolicy):
@@ -178,34 +155,36 @@ class PersistentBiasPolicy(AttackPolicy):
         self.constant = float(constant)
         self.ramp = float(ramp)
 
-    def _values(self, k: int) -> np.ndarray:
-        return np.full(self.attack.size, self.constant + self.ramp * k)
+    def _values(self, horizon: int) -> np.ndarray:
+        k = np.arange(horizon)[:, None]
+        return np.repeat(self.constant + self.ramp * k, self.attack.size, axis=1)
 
 
 class CrossModelPolicy(AttackPolicy):
     """Replays witness-based attacks consistent with two fixed configurations.
 
     Only meaningful against constant schedules; a moving target exposes it.
-    A witness is found per attacked sensor.
+    A witness is found per attacked sensor when the policy is built; a
+    sensor without one raises :class:`DegenerateWitnessError`.
     """
 
-    def __init__(self, pair1: LtiPair, pair2: LtiPair, attack: AttackSet, horizon: int):
+    def __init__(self, pair1: LtiPair, pair2: LtiPair, attack: AttackSet):
         super().__init__(attack)
-        self.horizon = int(horizon)
-        table = np.empty((self.horizon, attack.size))
-        for i, s in enumerate(attack.sensors):
+        self.pair1, self.pair2 = pair1, pair2
+        self.witnesses = []
+        for s in attack.sensors:
             res = cross_model_unidentifiability(pair1, pair2, s)
             if not res.exists:
                 raise DegenerateWitnessError(
                     f"no cross-model unidentifiability witness exists for sensor {s}"
                 )
-            table[:, i] = construct_cross_model_attack(res.witness, pair1, pair2, s, self.horizon)
-        self._table = table
+            self.witnesses.append(res.witness)
 
-    def _values(self, k: int) -> np.ndarray:
-        if k >= self.horizon:
-            raise ValueError(f"cross-model attack precomputed only through step {self.horizon - 1}")
-        return self._table[k]
+    def _values(self, horizon: int) -> np.ndarray:
+        return np.column_stack([
+            construct_cross_model_attack(w, self.pair1, self.pair2, s, horizon)
+            for w, s in zip(self.witnesses, self.sensors)
+        ])
 
 
 def dominant_unstable_direction(A: np.ndarray) -> np.ndarray:

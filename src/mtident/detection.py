@@ -13,7 +13,7 @@ observability.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -88,65 +88,19 @@ class Chi2Detector:
         self._buf.clear()
 
 
-@dataclass
-class IdentificationLog:
-    """Detection and identification bookkeeping for one run.
-
-    Steps are absolute simulation steps (attacks start at step 0, so they
-    are also offsets from attack onset).
-    """
-
-    first_alarm: dict[int, int] = field(default_factory=dict)
-    removed: dict[int, int] = field(default_factory=dict)
-    central_first_alarm: int | None = None
-    alerts: list[str] = field(default_factory=list)
-
-    def record_alarm(self, step: int, sensor: int) -> None:
-        self.first_alarm.setdefault(sensor, step)
-
-    def record_central_alarm(self, step: int) -> None:
-        if self.central_first_alarm is None:
-            self.central_first_alarm = step
-
-    def record_removal(self, step: int, sensor: int) -> None:
-        self.removed.setdefault(sensor, step)
-
-
-class RemovalTracker:
-    """Counts consecutive alarms per sensor and decides removals.
-
-    A sensor becomes a removal candidate after ``policy`` consecutive
-    alarmed steps; the count resets on any non-alarmed step (once its
-    detector window is full).
-    """
-
-    def __init__(self, policy: int):
-        if policy < 1:
-            raise ValueError("removal policy must be >= 1")
-        self.policy = policy
-        self.counts: dict[int, int] = {}
-
-    def update(self, sensor: int, alarmed: bool) -> bool:
-        if alarmed:
-            self.counts[sensor] = self.counts.get(sensor, 0) + 1
-        else:
-            self.counts[sensor] = 0
-        return self.counts[sensor] >= self.policy
-
-
 def identify_and_remove(
     candidates,
     active,
     can_remove,
-    log: IdentificationLog,
+    alerts: list[str],
     step: int,
 ) -> list[int]:
     """Remove candidate sensors one at a time, skipping any whose removal
     would break joint observability of the remaining set.
 
     ``can_remove(remaining)`` must answer whether fusion over ``remaining``
-    still observes the full state. Refused removals are logged as operator
-    alerts and the sensor stays active.
+    still observes the full state. A refused removal appends an operator
+    alert for ``step`` to ``alerts``, and the sensor stays active.
     """
     removed = []
     current = list(active)
@@ -157,9 +111,8 @@ def identify_and_remove(
         if can_remove(rest):
             removed.append(s)
             current = rest
-            log.record_removal(step, s)
         else:
-            log.alerts.append(
+            alerts.append(
                 f"step {step}: sensor {s} met the removal policy but removal would "
                 "lose joint observability; operator attention required"
             )

@@ -116,23 +116,17 @@ def sensor_consistency_check(y_s, ts: TargetSet, schedule, sensor: int) -> Ident
     prediction equations is compared against
     ``tol = 1e-8 * (1 + max |y|)``; the first horizon where the residual
     exceeds it is the detection time and the sensor's record is declared
-    unambiguously identified as attacked.
+    unambiguously identified as attacked. The stacked rows are those of
+    :func:`time_varying_observability`.
     """
     y = np.asarray(y_s, dtype=float).reshape(-1)
-    schedule = np.asarray(schedule, dtype=np.int64).reshape(-1)
     if y.size == 0:
         raise ValueError("empty output record")
-    if schedule.size < y.size:
-        raise ValueError("schedule shorter than the output record")
     tol = 1e-8 * (1.0 + float(np.max(np.abs(y))))
 
-    rows = np.empty((y.size, ts.n))
-    phi = np.eye(ts.n)
+    rows = time_varying_observability(ts, schedule, sensor, y.size - 1)
     witness = None
     for k in range(y.size):
-        pair = ts.pairs[schedule[k]]
-        rows[k] = pair.C[sensor] @ phi
-        phi = pair.A @ phi
         M = rows[: k + 1]
         sol, *_ = np.linalg.lstsq(M, y[: k + 1], rcond=None)
         resid = float(np.max(np.abs(M @ sol - y[: k + 1])))
@@ -427,14 +421,14 @@ class AnalysisReport:
     ``vulnerable_pairs`` maps a configuration pair ``(i, j)`` to the sensors
     on which an attacker committed to either constant configuration could
     stay consistent with the other; a sound deployment wants this empty.
-    ``failures`` records configuration pairs whose generalized eigenspaces
-    could not be extracted reliably.
+    ``failures`` maps each configuration whose generalized eigenspaces could
+    not be extracted reliably to the reason; its pairs are not scanned.
     """
 
     recommendations: object  # RecommendationReport
     sparse_margins: tuple[int, ...]
     vulnerable_pairs: dict[tuple[int, int], tuple[int, ...]]
-    failures: dict[tuple[int, int], str]
+    failures: dict[int, str]
 
     def findings(self) -> list[str]:
         lines = list(self.recommendations.problems())
@@ -446,40 +440,37 @@ class AnalysisReport:
                 f"configurations ({i}, {j}) admit cross-model attacks on sensor(s) "
                 f"{', '.join(str(s) for s in sensors)}"
             )
-        for (i, j), msg in sorted(self.failures.items()):
-            lines.append(f"configurations ({i}, {j}): analysis failed ({msg})")
+        for j, msg in sorted(self.failures.items()):
+            lines.append(f"configuration {j}: analysis failed ({msg})")
         return lines
 
 
 def analyze_target_set(ts: TargetSet) -> AnalysisReport:
     """Audit a configuration set: design recommendations, per-configuration
     sparse observability margins, and a scan of every configuration pair and
-    sensor for cross-model unidentifiability."""
+    sensor for cross-model unidentifiability. Each configuration's
+    generalized eigenspaces are extracted once, before the scan."""
     recs = validate_design_recommendations(ts)
     margins = tuple(sparse_observability_margin(p) for p in ts.pairs)
     structures: dict[int, tuple[GeneralizedEigenspace, ...]] = {}
+    failures: dict[int, str] = {}
+    for j, pair in enumerate(ts.pairs):
+        try:
+            structures[j] = jordan_chains(pair.A)
+        except ConditioningError as exc:
+            failures[j] = str(exc)
     vulnerable: dict[tuple[int, int], tuple[int, ...]] = {}
-    failures: dict[tuple[int, int], str] = {}
-    for i in range(ts.l):
-        for j in range(i + 1, ts.l):
-            try:
-                for idx in (i, j):
-                    if idx not in structures:
-                        structures[idx] = jordan_chains(ts.pairs[idx].A)
-                hit = []
-                for s in range(ts.m):
-                    res = cross_model_unidentifiability(
-                        ts.pairs[i],
-                        ts.pairs[j],
-                        s,
-                        structures=(structures[i], structures[j]),
-                    )
-                    if res.exists:
-                        hit.append(s)
-                if hit:
-                    vulnerable[(i, j)] = tuple(hit)
-            except ConditioningError as exc:
-                failures[(i, j)] = str(exc)
+    for i, j in itertools.combinations(structures, 2):
+        pair_structures = (structures[i], structures[j])
+        hit = tuple(
+            s
+            for s in range(ts.m)
+            if cross_model_unidentifiability(
+                ts.pairs[i], ts.pairs[j], s, structures=pair_structures
+            ).exists
+        )
+        if hit:
+            vulnerable[(i, j)] = hit
     return AnalysisReport(
         recommendations=recs,
         sparse_margins=margins,

@@ -65,8 +65,8 @@ from .adversary import (
     PersistentBiasPolicy,
     dominant_unstable_direction,
 )
-from .detection import DetectorConfig, IdentificationLog, identify_and_remove
-from .errors import AttackSetError, ConditioningError, ConfigError, MtidentError
+from .detection import DetectorConfig, identify_and_remove
+from .errors import AttackSetError, ConditioningError, ConfigError, DegenerateWitnessError, MtidentError
 from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
@@ -525,7 +525,12 @@ def _build_attack(
     i, j = spec.models  # cross_model
     if not (0 <= i < ts.l and 0 <= j < ts.l and i != j):
         raise ConfigError(f"attack.models {spec.models} invalid for l={ts.l}")
-    return attack, CrossModelPolicy(ts.pairs[i], ts.pairs[j], attack, cfg.horizon)
+    try:
+        return attack, CrossModelPolicy(ts.pairs[i], ts.pairs[j], attack)
+    except DegenerateWitnessError as exc:
+        raise ConfigError(
+            f"attack.sensors {list(spec.sensors)} under attack.models {list(spec.models)}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +544,8 @@ class RunReport:
     Metric arrays cover steps ``0..horizon-1``; ``local_residues[k, s]`` is
     sensor ``s``'s whitened local residue (logged even after removal).
     Events are ``(step, sensor, kind)`` with ``sensor = -1`` for the central
-    detector.
+    detector; they are the run's record of alarms and removals. ``alerts``
+    holds the operator alerts of refused removals.
     """
 
     config: ScenarioConfig
@@ -550,7 +556,7 @@ class RunReport:
     fused_trace: np.ndarray
     local_residues: np.ndarray
     events: list[tuple[int, int, str]]
-    log: IdentificationLog
+    alerts: list[str]
     summary: dict
 
 
@@ -582,15 +588,13 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     e0, y_err, w = _draw_inputs(cfg.seed, plant.noise, T, attack, policy)
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
     offset = -(plant.noise.x0_mean + e0)
-    log = IdentificationLog()
+    alerts: list[str] = []
     err_fused, fused_trace, local_z, sensor_events, segments = _bank_pass(
-        plant, schedule, y_err, w, offset, sensor_cfg, det.removal_enabled, log
+        plant, schedule, y_err, w, offset, sensor_cfg, det.removal_enabled, alerts
     )
     err_central, trace_P, central_alarms = _central_pass(
         plant.noise, ts, schedule, y_err, w, offset, segments, det
     )
-    if central_alarms:
-        log.record_central_alarm(central_alarms[0])
     events = sorted(
         [(k, -1, "central_alarm") for k in central_alarms] + sensor_events,
         key=lambda e: (e[0], e[1] >= 0),  # stable: sensor events keep their order
@@ -604,7 +608,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
         fused_trace=fused_trace,
         local_residues=local_z,
         events=events,
-        log=log,
+        alerts=alerts,
         summary={},
     )
     report.summary = _summarize(report)
@@ -622,10 +626,10 @@ def _draw_inputs(seed, noise: NoiseModel, T: int, attack, policy):
     e0, v, w = draw_noise(noise, np.random.default_rng(ss_sim), T)
     if policy is None:
         return e0, v, w
-    return e0, v + np.matmul(attack.D, policy.sequence(T)[:, :, None])[..., 0], w
+    return e0, v + np.matmul(attack.D, policy.values(T)[:, :, None])[..., 0], w
 
 
-def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_enabled, log):
+def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_enabled, alerts):
     """Pass 2: the filter bank, fusion over the active set, and the sensor tests.
 
     The bank runs every sensor whatever the removals, but fusion at step
@@ -634,7 +638,8 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_ena
     step 0 and is never restarted, so one window over the stored squared
     residues tests all active sensors at once, summed left to right as
     ``sum`` over a deque does. A sensor whose alarm streak reaches the
-    removal policy is a candidate; removals take effect from the next step.
+    removal policy is a candidate; removals take effect from the next step,
+    and refused ones are appended to ``alerts``.
 
     Returns ``err_fused``, ``fused_trace``, the local residues, the sensor
     events in per-step order, and the active-set timeline as ``(first
@@ -670,7 +675,6 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_ena
         hits = [s for s in active if alarm[s]]
         for s in hits:
             events.append((k, s, "alarm"))
-            log.record_alarm(k, s)
         candidates = [s for s in hits if streak[s] >= policy] if removal_enabled else []
         if not candidates:
             continue
@@ -678,7 +682,7 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, sensor_cfg, removal_ena
             candidates,
             active,
             lambda rest: FusionEstimator.removal_keeps_observability(bank, rest),
-            log,
+            alerts,
             k,
         )
         if removed:
@@ -726,7 +730,11 @@ def _central_pass(noise: NoiseModel, ts: TargetSet, schedule, y_err, w, offset, 
 def _summarize(r: RunReport) -> dict:
     T = r.err_central.size
     tail = slice(T // 2, None)
-    removed = {int(s): int(k) for s, k in r.log.removed.items()}
+
+    def first(kind: str) -> dict[int, int]:
+        """The first step of each sensor's events of ``kind``."""
+        return {s: k for k, s, e in reversed(r.events) if e == kind}
+
     return {
         "horizon": int(T),
         "mse_central": float(np.mean(r.err_central**2)),
@@ -737,13 +745,11 @@ def _summarize(r: RunReport) -> dict:
         "trace_P_max": float(np.max(r.trace_P)),
         "attack_kind": r.config.attack.kind,
         "attacked_sensors": sorted(int(s) for s in r.config.attack.sensors),
-        "first_alarm": {str(int(s)): int(k) for s, k in sorted(r.log.first_alarm.items())},
-        "removed": {str(s): k for s, k in sorted(removed.items())},
-        "central_first_alarm": (
-            None if r.log.central_first_alarm is None else int(r.log.central_first_alarm)
-        ),
+        "first_alarm": {str(s): k for s, k in sorted(first("alarm").items())},
+        "removed": {str(s): k for s, k in sorted(first("removed").items())},
+        "central_first_alarm": first("central_alarm").get(-1),
         "alarm_count": sum(1 for _, s, kind in r.events if kind == "alarm"),
-        "operator_alerts": list(r.log.alerts),
+        "operator_alerts": list(r.alerts),
     }
 
 

@@ -19,10 +19,8 @@ from mtident import (
     Chi2Result,
     DetectorConfig,
     FusionEstimator,
-    IdentificationLog,
     LtiPair,
     NoiseModel,
-    RemovalTracker,
     RunReport,
     TargetSet,
     build_system,
@@ -181,11 +179,34 @@ def brute_force_unidentifiability_oracle(pair1: LtiPair, pair2: LtiPair, sensor:
 # reference scenario engine
 
 
+class RemovalTracker:
+    """Counts consecutive alarms per sensor and decides removals.
+
+    A sensor becomes a removal candidate after ``policy`` consecutive
+    alarmed steps; the count resets on any non-alarmed step (once its
+    detector window is full).
+    """
+
+    def __init__(self, policy: int):
+        if policy < 1:
+            raise ValueError("removal policy must be >= 1")
+        self.policy = policy
+        self.counts: dict[int, int] = {}
+
+    def update(self, sensor: int, alarmed: bool) -> bool:
+        if alarmed:
+            self.counts[sensor] = self.counts.get(sensor, 0) + 1
+        else:
+            self.counts[sensor] = 0
+        return self.counts[sensor] >= self.policy
+
+
 def reference_run_scenario(cfg, plant=None) -> RunReport:
     """``run_scenario`` as one loop over steps: every step draws its noise,
-    asks the attack policy for its values, steps the central filter, the
-    bank and fusion, and updates one ``Chi2Detector`` per active sensor, the
-    central detector and a ``RemovalTracker``."""
+    reads its attack values as the last row of a ``k + 1``-step draw, steps
+    the central filter, the bank and fusion, and updates one
+    ``Chi2Detector`` per active sensor, the central detector and a
+    ``RemovalTracker``."""
     if plant is None:
         plant = build_system(cfg)
     ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
@@ -209,7 +230,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     sensor_det = {s: Chi2Detector(sensor_cfg) for s in range(m)}
     central_det = Chi2Detector(DetectorConfig.from_alpha(det.central_window, m, det.central_alpha))
     tracker = RemovalTracker(det.removal_policy)
-    log = IdentificationLog()
+    alerts = []
 
     err_central, err_fused, trace_P, fused_trace = (np.empty(T) for _ in range(4))
     local_z = np.empty((T, m))
@@ -218,7 +239,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         j = int(schedule[k])
         pair = ts.pairs[j]
         v = noise.R_factor @ rng_sim.standard_normal(m)
-        dd = attack.D @ policy.values(k) if policy is not None else np.zeros(m)
+        dd = attack.D @ policy.values(k + 1)[k] if policy is not None else np.zeros(m)
         y_err = v + dd
 
         cres = central.step(pair, y_err, active=None if len(active) == m else active)
@@ -237,7 +258,6 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         cver = central_det.update(cres.residue)
         if cver is not None and cver.alarm:
             events.append((k, -1, "central_alarm"))
-            log.record_central_alarm(k)
         candidates = []
         for s in active:
             r = sensor_det[s].update(local_z[k, s])
@@ -245,7 +265,6 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
                 continue
             if r.alarm:
                 events.append((k, s, "alarm"))
-                log.record_alarm(k, s)
             if tracker.update(s, r.alarm) and det.removal_enabled:
                 candidates.append(s)
         if candidates:
@@ -253,7 +272,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
                 candidates,
                 active,
                 lambda rest: FusionEstimator.removal_keeps_observability(bank, rest),
-                log,
+                alerts,
                 k,
             )
             if removed:
@@ -274,7 +293,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         fused_trace=fused_trace,
         local_residues=local_z,
         events=events,
-        log=log,
+        alerts=alerts,
         summary={},
     )
     report.summary = _summarize(report)

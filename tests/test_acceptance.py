@@ -184,7 +184,7 @@ def test_criterion_03_omniscient_attack_stays_consistent():
         attack = build_attack_matrix((sensor,), 2)
         policy = OmniscientSchedulePolicy(ts, schedule, attack, rng.standard_normal(3))
         traj = simulate_deterministic(
-            ts, schedule, rng.standard_normal(3), attack=attack, d=policy.sequence(horizon)
+            ts, schedule, rng.standard_normal(3), attack=attack, d=policy.values(horizon)
         )
         verdict = sensor_consistency_check(traj.outputs[:, sensor], ts, schedule, sensor)
         consistent += int(verdict.status == STATUS_CONSISTENT)
@@ -246,7 +246,7 @@ def test_criterion_05_bias_recursion_matches_paired_runs():
         schedule = sample_schedule(ts, horizon)
         sensor = int(rng.integers(2))
         attack = build_attack_matrix((sensor,), 2)
-        d_seq = PersistentBiasPolicy(attack, constant=0.7, ramp=0.002).sequence(horizon)
+        d_seq = PersistentBiasPolicy(attack, constant=0.7, ramp=0.002).values(horizon)
         trace = bias_recursion(ts, schedule, noise, attack, d_seq)
 
         f_clean = CentralKalmanFilter(noise)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtident import (
     AttackerInfo,
@@ -34,23 +36,40 @@ def test_attacker_info_excludes_schedule_secrets(ts):
         assert not hasattr(info, secret)
 
 
-def test_policy_enforces_step_order_and_reset(ts):
-    attack = build_attack_matrix((1,), 2)
-    pol = PersistentBiasPolicy(attack, constant=2.0)
-    pol.values(0)
-    pol.values(1)
-    with pytest.raises(ValueError):
-        pol.values(3)  # skipped step 2
-    with pytest.raises(ValueError):
-        pol.values(1)  # replay
-    pol.reset()
-    assert pol.values(0) == pytest.approx([2.0])
+def _policies(horizon, seed):
+    """One policy of every kind on two sensors (the cross-model one on the
+    one sensor that has a witness); the omniscient one follows a schedule of
+    ``horizon`` steps, the guessing ones draw from ``seed``."""
+    ts = random_target_set(np.random.default_rng(70), n=3, m=2, l=3, period=4)
+    attack = build_attack_matrix((0, 1), 2)
+    info = AttackerInfo.from_target_set(ts)
+    x0_star = np.array([0.4, -0.2, 0.1])
+    pair1, pair2 = _shared_mode_pairs()
+    return {
+        "omniscient": OmniscientSchedulePolicy(ts, sample_schedule(ts, horizon), attack, x0_star),
+        "guessing": GuessingPolicy(info, attack, x0_star, seed=seed),
+        "guessing_restart": GuessingPolicy(info, attack, x0_star, seed=seed, restart_each_period=True),
+        "persistent_bias": PersistentBiasPolicy(attack, constant=1.5, ramp=0.25),
+        "cross_model": CrossModelPolicy(pair1, pair2, build_attack_matrix((0,), 2)),
+    }
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(horizon=st.integers(1, 25), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_policy_values_are_open_loop_prefixes(horizon, seed, data):
+    """The first ``k`` steps of an ``h``-step draw are, bit for bit, the
+    ``k``-step draw, so a run may draw its whole attack up front."""
+    k = data.draw(st.integers(1, horizon))
+    for kind, pol in _policies(horizon, seed).items():
+        full = pol.values(horizon)
+        assert full.shape == (horizon, pol.attack.size), kind
+        assert full[:k].tobytes() == pol.values(k).tobytes(), kind
 
 
 def test_persistent_bias_profile():
     attack = build_attack_matrix((0, 1), 2)
     pol = PersistentBiasPolicy(attack, constant=1.5, ramp=0.25)
-    seq = pol.sequence(4)
+    seq = pol.values(4)
     assert seq.shape == (4, 2)
     assert seq[:, 0] == pytest.approx([1.5, 1.75, 2.0, 2.25])
     assert seq[:, 0] == pytest.approx(seq[:, 1])
@@ -65,7 +84,7 @@ def test_omniscient_policy_mimics_offset_initial_state(ts):
     pol = OmniscientSchedulePolicy(ts, schedule, attack, x0_star)
     assert pol.admissible is False
     x0 = np.array([1.0, 0.5, -0.4])
-    att = simulate_deterministic(ts, schedule, x0, attack=attack, d=pol.sequence(12))
+    att = simulate_deterministic(ts, schedule, x0, attack=attack, d=pol.values(12))
     clean = simulate_deterministic(ts, schedule, x0 + x0_star)
     # attacked sensor looks exactly like a clean run from a shifted start
     assert att.outputs[:, 0] == pytest.approx(clean.outputs[:, 0], abs=1e-12)
@@ -79,18 +98,20 @@ def test_guessing_policy_draws_one_guess_per_period(ts):
     attack = build_attack_matrix((1,), 2)
     pol = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5)
     assert pol.admissible is True
-    for k in range(10):  # period 4 -> periods 0..2
-        pol.values(k)
-    assert len(pol.guesses) == 3
-    assert all(0 <= g < 3 for g in pol.guesses)
+    guesses = pol.guesses(10)  # period 4 -> periods 0..2
+    assert guesses.shape == (10,)
+    for p in range(3):
+        assert len(set(guesses[4 * p : 4 * p + 4])) == 1
+    assert all(0 <= g < 3 for g in guesses)
+    np.testing.assert_array_equal(guesses, pol.guesses(12)[:10])
 
 
 def test_guessing_policy_is_reproducible_and_seed_sensitive(ts):
     info = AttackerInfo.from_target_set(ts)
     attack = build_attack_matrix((0,), 2)
-    a = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).sequence(12)
-    b = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).sequence(12)
-    c = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=6).sequence(12)
+    a = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).values(12)
+    b = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).values(12)
+    c = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=6).values(12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -100,7 +121,7 @@ def test_guessing_policy_matches_manual_recursion(ts):
     attack = build_attack_matrix((0,), 2)
     x0_star = np.array([0.4, -0.2, 0.1])
     pol = GuessingPolicy(info, attack, x0_star, seed=9)
-    seq = pol.sequence(8)
+    seq = pol.values(8)
     rng = np.random.default_rng(9)
     x = x0_star.copy()
     for k in range(8):
@@ -116,9 +137,9 @@ def test_guessing_policy_period_restart(ts):
     attack = build_attack_matrix((0,), 2)
     x0_star = np.array([0.4, -0.2, 0.1])
     pol = GuessingPolicy(info, attack, x0_star, seed=9, restart_each_period=True)
-    seq = np.array([pol.values(k) for k in range(12)])
+    seq = pol.values(12)
     # at every period boundary the virtual trajectory restarts at x0_star
-    for p, g in enumerate(pol.guesses):
+    for p, g in enumerate(pol.guesses(12)[::4]):
         expect = ts.pairs[g].C[0] @ x0_star
         assert seq[4 * p, 0] == pytest.approx(expect, abs=1e-12)
 
@@ -135,8 +156,8 @@ def test_cross_model_policy_fools_both_models():
     pair1, pair2 = _shared_mode_pairs()
     attack = build_attack_matrix((0,), 2)
     horizon = 9
-    pol = CrossModelPolicy(pair1, pair2, attack, horizon)
-    seq = pol.sequence(horizon)[:, 0]
+    pol = CrossModelPolicy(pair1, pair2, attack)
+    seq = pol.values(horizon)[:, 0]
     assert np.max(np.abs(seq)) > 1e-9
     # the injected sequence is a legitimate sensor-0 output of either model
     for pair in (pair1, pair2):
@@ -144,8 +165,6 @@ def test_cross_model_policy_fools_both_models():
         _, res, _, _ = np.linalg.lstsq(rows, seq, rcond=None)
         misfit = res[0] if res.size else np.linalg.norm(rows @ np.linalg.pinv(rows) @ seq - seq) ** 2
         assert misfit < 1e-16
-    with pytest.raises(ValueError):
-        pol.values(horizon)  # beyond the precomputed table
 
 
 def test_cross_model_policy_requires_a_witness():
@@ -153,7 +172,7 @@ def test_cross_model_policy_requires_a_witness():
     pair1 = LtiPair(np.diag([0.9, 0.3]), np.eye(2))
     pair2 = LtiPair(np.diag([0.7, -0.5]), np.eye(2))
     with pytest.raises(DegenerateWitnessError):
-        CrossModelPolicy(pair1, pair2, build_attack_matrix((0,), 2), horizon=6)
+        CrossModelPolicy(pair1, pair2, build_attack_matrix((0,), 2))
 
 
 def test_dominant_unstable_direction_picks_largest_mode():
@@ -166,4 +185,4 @@ def test_dominant_unstable_direction_picks_largest_mode():
 def test_base_policy_is_abstract():
     pol = AttackPolicy(build_attack_matrix((0,), 2))
     with pytest.raises(NotImplementedError):
-        pol.values(0)
+        pol.values(1)

@@ -143,6 +143,13 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
     bad.write_text(json.dumps(example))
     assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "'attack.constant'" in capsys.readouterr().err
+    # a cross-model attack on a sensor where configurations 0 and 1 share no
+    # output behaviour: the attack the config asks for does not exist
+    example.update(horizon=40, attack={"kind": "cross_model", "sensors": [5], "models": [0, 1]})
+    bad.write_text(json.dumps(example))
+    assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "attack.sensors [5]" in err and "attack.models [0, 1]" in err and "sensor 5" in err
     # a missing, then a malformed matrix file of the explicit design
     del cfg["system"]["noise_scale"]
     design.write_text(json.dumps(cfg))
@@ -253,12 +260,14 @@ def test_package_exports_resolve_without_duplicates():
 
 def test_benchmark_trace_layers_resolve():
     # the traced benchmark wraps these names; a rename would break only its
-    # traced runs, so check them here the way Tracer.install looks them up
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    # traced runs, so check them here the way Tracer.install looks them up,
+    # on this checkout's src/, without installing any wrapper
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     for layer, module, cls_name, attr in tracer.LAYERS:
+        assert Path(module.__file__).resolve().is_relative_to(root / "src"), layer
         if cls_name is None:
             assert callable(getattr(module, attr, None)), layer
         else:

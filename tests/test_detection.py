@@ -7,12 +7,10 @@ import pytest
 from mpmath import mp
 from scipy.stats import chi2
 
-from helpers import chi2_test
+from helpers import RemovalTracker, chi2_test
 from mtident import (
     Chi2Detector,
     DetectorConfig,
-    IdentificationLog,
-    RemovalTracker,
     identify_and_remove,
     threshold_from_alpha,
 )
@@ -158,28 +156,18 @@ def test_removal_tracker_requires_consecutive_alarms():
     assert tr2.update(0, True)
 
 
-def test_identification_log_records_first_events_only():
-    log = IdentificationLog()
-    log.record_alarm(5, 2)
-    log.record_alarm(9, 2)
-    log.record_central_alarm(3)
-    log.record_central_alarm(7)
-    assert log.first_alarm == {2: 5}
-    assert log.central_first_alarm == 3
-
-
 def test_identify_and_remove_serializes_and_refuses():
-    log = IdentificationLog()
+    alerts = []
     active = [0, 1, 2]
     # removal is allowed only while at least two sensors remain
     removed = identify_and_remove(
-        [0, 1, 2], active, lambda rest: len(rest) >= 2, log, step=7
+        [0, 1, 2], active, lambda rest: len(rest) >= 2, alerts, step=7
     )
     assert removed == [0]
-    assert log.removed == {0: 7}
-    assert len(log.alerts) == 2  # sensors 1 and 2 refused
-    assert all("observability" in a for a in log.alerts)
+    assert active == [0, 1, 2]  # the caller applies removals
+    assert len(alerts) == 2  # sensors 1 and 2 refused
+    assert all(a.startswith("step 7: sensor ") and "observability" in a for a in alerts)
     # candidates outside the active set are ignored silently
-    log2 = IdentificationLog()
-    assert identify_and_remove([5], [0, 1], lambda rest: True, log2, step=0) == []
-    assert log2.alerts == []
+    alerts2 = []
+    assert identify_and_remove([5], [0, 1], lambda rest: True, alerts2, step=0) == []
+    assert alerts2 == []

@@ -24,6 +24,7 @@ from mtident import (
     build_attack_matrix,
     construct_cross_model_attack,
     cross_model_unidentifiability,
+    generate_example_system,
     guess_attack_feasibility,
     is_sparse_observable,
     jordan_chains,
@@ -33,6 +34,7 @@ from mtident import (
     sparse_observability_margin,
     time_varying_observability,
 )
+from mtident import identifiability
 from mtident.identifiability import _cluster_complex, _eigenspace_stack
 from mtident.linalg import numerical_rank
 
@@ -454,7 +456,7 @@ def test_analyze_target_set_flags_vulnerable_pair():
     assert any("cross-model" in line for line in report.findings())
 
 
-def test_analyze_target_set_records_refused_pairs():
+def test_analyze_target_set_records_each_refused_configuration_once(monkeypatch):
     # 1.0 and 1.0005 fall into one eigenvalue cluster, but A is diagonal:
     # (A - 1.00025 I) has no null space, so the eigenspace cannot grow to 2
     c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]])
@@ -462,9 +464,26 @@ def test_analyze_target_set_records_refused_pairs():
     p2 = LtiPair(np.diag([2.0, 0.5, -0.4]), c)
     report = analyze_target_set(TargetSet(pairs=(p1, p2), period=6, key=0))
     msg = "null-space growth stalled at dimension 0 below multiplicity 2 for eigenvalue 1.00025+0j"
-    assert report.failures == {(0, 1): msg}
+    assert report.failures == {0: msg}
     assert report.vulnerable_pairs == {}
-    assert report.findings()[-1] == f"configurations (0, 1): analysis failed ({msg})"
+    assert report.findings()[-1] == f"configuration 0: analysis failed ({msg})"
+
+    # configuration 0 of the seed-2 example plant is refused: each of the 7
+    # configurations is extracted once, and the refusal is reported once
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return jordan_chains(A)
+
+    monkeypatch.setattr(identifiability, "jordan_chains", counting)
+    report = analyze_target_set(generate_example_system(seed=2, n=15, l=7).ts)
+    assert len(calls) == 7
+    assert list(report.failures) == [0]
+    assert [line for line in report.findings() if "analysis failed" in line] == [
+        "configuration 0: analysis failed (null-space growth stalled at dimension 0 "
+        "below multiplicity 2 for eigenvalue 1.07583+0j)"
+    ]
 
 
 def test_analyze_target_set_clean_design():

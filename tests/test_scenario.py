@@ -426,7 +426,7 @@ def _assert_bitwise_same_run(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     assert got.events == want.events
-    assert got.log == want.log
+    assert got.alerts == want.alerts
     assert json.dumps(got.summary, sort_keys=True) == json.dumps(want.summary, sort_keys=True)
 
 
@@ -462,11 +462,11 @@ def test_run_engine_matches_the_per_step_reference(
 def test_reference_cases_reach_repeated_alerts_and_staggered_removals():
     """The two explicit examples above exercise what they claim to."""
     refused = run_scenario(config_from_dict(_engine_raw("persistent_bias", (0, 5), 1, 30, True, 2, 3, 3)))
-    assert list(refused.log.removed) == [0]
-    assert len(refused.log.alerts) >= 2
-    assert all("sensor 5" in a for a in refused.log.alerts)
+    assert list(refused.summary["removed"]) == ["0"]
+    assert len(refused.alerts) >= 2
+    assert all("sensor 5" in a for a in refused.alerts)
     staggered = run_scenario(config_from_dict(_engine_raw("persistent_bias", (1, 7), 1, 30, True, 2, 3, 3)))
-    assert len(set(staggered.log.removed.values())) == 2
+    assert len(set(staggered.summary["removed"].values())) == 2
 
 
 def test_clean_run_summary_is_quiet_and_serializable():
