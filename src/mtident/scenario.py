@@ -33,8 +33,8 @@ keeps those decompositions; an explicit plant is decomposed once when it is
 built. Monte Carlo trials differ from their study only in seeds and schedule
 key, and no plant matrix depends on the key, so :func:`monte_carlo` builds
 the plant, with its filter bank's arrays, once and runs every trial on it
-under the trial's own key. A single run builds its own plant and then takes
-the same path.
+under the trial's own key, in forked worker processes that inherit it. A
+single run builds its own plant and then takes the same path.
 
 Reproducibility: every random quantity derives from config seeds (simulation
 noise from ``seed``, the schedule from the schedule key, attacker guesses
@@ -45,6 +45,7 @@ outputs.
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -770,8 +771,8 @@ class MonteCarloReport:
 def trial_config(cfg: ScenarioConfig, index: int) -> ScenarioConfig:
     """Per-trial configuration: independent noise, schedule key, attack seed.
 
-    Derivations depend only on (config, index), so trials can run in any
-    order or in parallel and still reproduce.
+    Derivations depend only on (config, index), so trials reproduce in any
+    order and in whichever process runs them (see :func:`monte_carlo`).
     """
     state = np.random.SeedSequence([cfg.seed, index]).generate_state(3)
     key_i = hashlib.sha256(
@@ -791,18 +792,42 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     The plant is built once and every trial runs on it through
     :func:`run_scenario` under its own key; this equals building each
     trial's plant afresh, because generation and its retries never depend
-    on the key. Trials are sequential here; per-trial seeding is
-    index-based, so results are exchangeable under permutation of trial
-    indices.
+    on the key. Per-trial seeding is index-based, so results are
+    exchangeable under permutation of trial indices.
+
+    The trials are mapped over ``min(trials, usable CPUs)`` forked worker
+    processes and collected in trial order. The workers inherit the plant
+    through ``fork``; only each trial's summary and error series come back.
+    Each worker sets every loaded BLAS library to one thread, because
+    workers at default BLAS threading oversubscribe the cores and run
+    slower than one process. The trials run in this process instead when
+    ``fork`` is unavailable, one CPU or one trial is all there is, or a
+    loaded BLAS has no thread setter (:func:`_blas_thread_setters`). The
+    outputs are the same bytes either way. A trial's error is raised here
+    with its own type, and no worker outlives the call.
     """
     trials = trials if trials is not None else cfg.trials
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     plant = build_system(cfg)
-    reports = [run_scenario(trial_config(cfg, i), plant) for i in range(trials)]
-    summaries = [r.summary for r in reports]
-    mean_c = np.mean(np.stack([r.err_central for r in reports]), axis=0)
-    mean_f = np.mean(np.stack([r.err_fused for r in reports]), axis=0)
+    workers = _worker_count(trials)
+    setters = _blas_thread_setters() if workers > 1 else None
+    if setters is None:
+        results = [_trial(cfg, plant, i) for i in range(trials)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker,
+            initargs=(setters, cfg, plant),
+        ) as pool:
+            results = list(pool.map(_worker_trial, range(trials)))
+    summaries = [summary for summary, _, _ in results]
+    mean_c = np.mean(np.stack([err_c for _, err_c, _ in results]), axis=0)
+    mean_f = np.mean(np.stack([err_f for _, _, err_f in results]), axis=0)
 
     attacked = set(cfg.attack.sensors)
     removed_all, removed_clean = 0, 0
@@ -832,6 +857,70 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
         mean_err_fused=mean_f,
         aggregate=aggregate,
     )
+
+
+def _trial(cfg: ScenarioConfig, plant: Plant, index: int):
+    """Trial ``index`` of the study: its summary and error series."""
+    r = run_scenario(trial_config(cfg, index), plant)
+    return r.summary, r.err_central, r.err_fused
+
+
+def _worker_count(trials: int) -> int:
+    """How many processes run ``trials``: one per CPU this process may use,
+    at most one per trial, or 1 (this process alone) without ``fork``."""
+    import multiprocessing
+
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(trials, len(os.sched_getaffinity(0)))
+
+
+# the thread-count setters of OpenBLAS builds, 64-bit-integer interfaces first
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _blas_thread_setters() -> dict | None:
+    """The thread-count setter of every BLAS library loaded here, by path.
+
+    numpy and scipy each load their own OpenBLAS. Returns ``None`` when the
+    loaded libraries cannot be listed, when none is found, or when one has
+    no setter: a worker it could not set to one thread would oversubscribe
+    the cores, so the trials then run in this process.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            mapped = {f[5].strip() for f in (line.split(maxsplit=5) for line in fh) if len(f) == 6}
+        # shared libraries named for BLAS; Python extension modules are not
+        libs = {p: ctypes.CDLL(p) for p in sorted(mapped) if Path(p).match("lib*blas*")}
+    except OSError:
+        return None
+    setters = {}
+    for path, lib in libs.items():
+        if (name := next((n for n in _BLAS_SETTERS if hasattr(lib, n)), None)) is None:
+            return None
+        setter = setters[path] = getattr(lib, name)
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+    return setters or None
+
+
+_worker_study: tuple[ScenarioConfig, Plant] | None = None  # set in forked workers only
+
+
+def _start_worker(setters: dict, cfg: ScenarioConfig, plant: Plant) -> None:
+    """Pool initializer: one BLAS thread, and the study the fork inherited."""
+    global _worker_study
+    for set_threads in setters.values():
+        set_threads(1)
+    _worker_study = (cfg, plant)
+
+
+def _worker_trial(index: int):
+    return _trial(*_worker_study, index)
 
 
 # ---------------------------------------------------------------------------

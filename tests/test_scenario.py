@@ -1,9 +1,12 @@
 import copy
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import inspect
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from mtident import (
     AttackSpec,
     CentralKalmanFilter,
     ConfigError,
+    FilterError,
     FusionEstimator,
     LocalFilterBank,
     SystemSpec,
@@ -36,7 +40,7 @@ from mtident import (
     write_vector,
 )
 
-from mtident.cli import build_parser
+from mtident.cli import build_parser, main
 
 from helpers import random_target_set, reference_run_scenario, spd
 
@@ -605,6 +609,13 @@ def _assert_same_trial(got, want):
     assert np.array_equal(got.err_fused, want.err_fused)
 
 
+def _assert_same_study(got, want):
+    assert got.summaries == want.summaries
+    assert got.mean_err_central.tobytes() == want.mean_err_central.tobytes()
+    assert got.mean_err_fused.tobytes() == want.mean_err_fused.tobytes()
+    assert got.aggregate == want.aggregate
+
+
 @pytest.mark.parametrize("kind", ["guessing", "explicit"])
 def test_monte_carlo_trials_are_independent_of_the_shared_plant(kind, tmp_path, monkeypatch):
     if kind == "guessing":
@@ -618,9 +629,14 @@ def test_monte_carlo_trials_are_independent_of_the_shared_plant(kind, tmp_path, 
         in_study.append(run_scenario(*args, **kwargs))
         return in_study[-1]
 
+    pooled = monte_carlo(cfg, trials=trials)
+    # forked workers cannot append to the recorder, so record the study in
+    # this process, and require the worker pool to give the same bits
     monkeypatch.setattr(scenario, "run_scenario", recorded)
+    monkeypatch.setattr(scenario, "_worker_count", lambda trials: 1)
     mc = monte_carlo(cfg, trials=trials)
     monkeypatch.undo()
+    _assert_same_study(pooled, mc)
     alone = [run_scenario(trial_config(cfg, i)) for i in range(trials)]
     assert sum(len(r.summary["removed"]) for r in alone) > 0
     assert len(in_study) == trials
@@ -660,6 +676,73 @@ def test_monte_carlo_builds_and_decomposes_the_plant_once(monkeypatch):
     assert once["generate"] == 1 and once["decompose"] >= 10
     monte_carlo(cfg, trials=3)
     assert calls == {name: 2 * c for name, c in once.items()}
+
+
+def test_a_failing_trial_raises_its_error_and_leaves_no_worker(tmp_path, monkeypatch):
+    raw = _raw(horizon=10)
+    cfg = config_from_dict(raw)
+    monte_carlo(cfg, trials=4)
+    assert multiprocessing.active_children() == []
+
+    def failing(trial_cfg, plant=None):
+        if trial_cfg == trial_config(cfg, 2):
+            raise FilterError("trial 2 lost positive definiteness")
+        return run_scenario(trial_cfg, plant)
+
+    monkeypatch.setattr(scenario, "run_scenario", failing)  # before the workers fork
+    with pytest.raises(FilterError, match="trial 2"):
+        monte_carlo(cfg, trials=4)
+    assert multiprocessing.active_children() == []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["montecarlo", "--config", str(path), "--out-dir", str(tmp_path / "mc"), "--trials", "4"]) == 3
+    assert multiprocessing.active_children() == []
+
+
+# the thread-count getter of each BLAS library that has a setter, by path
+_BLAS_GETTERS = {
+    path: getattr(ctypes.CDLL(path), setter.__name__.replace("_set_", "_get_"))
+    for path, setter in (scenario._blas_thread_setters() or {}).items()
+}
+
+
+def _blas_threads() -> dict:
+    return {path: get() for path, get in _BLAS_GETTERS.items()}
+
+
+_trial = scenario._trial
+
+
+def _reporting_trial(cfg, plant, index):
+    """A trial that also says which process ran it, on how many BLAS threads."""
+    summary, err_central, err_fused = _trial(cfg, plant, index)
+    process = {"pid": os.getpid(), "blas_threads": _blas_threads()}
+    return dict(summary, process=process), err_central, err_fused
+
+
+@pytest.mark.skipif(
+    scenario._worker_count(2) < 2 or not _BLAS_GETTERS,
+    reason="trials run in this process here",
+)
+def test_monte_carlo_workers_run_on_one_blas_thread(monkeypatch):
+    cfg = config_from_dict(_guessing_raw())
+    want = monte_carlo(cfg, trials=3)
+    parent_threads = _blas_threads()
+    monkeypatch.setattr(scenario, "_trial", _reporting_trial)
+    pooled = monte_carlo(cfg, trials=3)
+    # a library without a known thread setter: the trials run in this process
+    monkeypatch.setattr(scenario, "_BLAS_SETTERS", ("no_such_thread_setter",))
+    assert scenario._blas_thread_setters() is None
+    in_parent = monte_carlo(cfg, trials=3)
+    monkeypatch.undo()
+
+    workers = [s.pop("process") for s in pooled.summaries]
+    assert all(w["pid"] != os.getpid() for w in workers)
+    assert all(w["blas_threads"] == dict.fromkeys(parent_threads, 1) for w in workers)
+    assert [s.pop("process")["pid"] for s in in_parent.summaries] == [os.getpid()] * 3
+    assert _blas_threads() == parent_threads  # the parent's threading is left alone
+    _assert_same_study(pooled, want)
+    _assert_same_study(in_parent, want)
 
 
 def test_keyless_explicit_studies_derive_keys_from_their_seed(tmp_path):
