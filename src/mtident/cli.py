@@ -35,6 +35,7 @@ from .errors import (
 from .identifiability import analyze_target_set
 from .matrixio import write_matrix, write_vector
 from .scenario import (
+    ScenarioConfig,
     SystemSpec,
     build_target_set,
     check_example_size,
@@ -50,9 +51,9 @@ from .scenario import (
 _NUMERICAL = (ConditioningError, FilterError, DecompositionError, ModelError, np.linalg.LinAlgError)
 
 
-def _add_common(p: argparse.ArgumentParser, out_required: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", required=True, help="JSON scenario configuration")
-    p.add_argument("--out-dir", required=out_required, help="output directory")
+    p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument(
         "--seed-override", type=int, default=None, help="replace the configured seed"
     )
@@ -92,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> object:
+def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config)
-    if getattr(args, "seed_override", None) is not None:
+    if args.seed_override is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed_override)
     return cfg
 

@@ -5,8 +5,8 @@ their squares over a sliding window is chi-square distributed; the alarm
 threshold is the ``1 - alpha`` quantile. Per-sensor detectors watch scalar
 local residues (one degree of freedom per step); the central detector
 watches the full residue vector (``m`` degrees of freedom per step). A
-sensor is identified as attacked after ``removal_policy`` consecutive
-alarms, and removed from fusion unless removal would destroy joint
+sensor is identified as attacked after a run of consecutive alarms (the
+removal policy), and removed from fusion unless removal would destroy joint
 observability.
 """
 
@@ -36,56 +36,48 @@ def threshold_from_alpha(window: int, dof_per_step: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Window length, threshold, and removal policy for one detector."""
+    """Window length and threshold of one detector."""
 
     window: int
     gamma: float
-    removal_policy: int = 2
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
-        if self.removal_policy < 1:
-            raise ValueError("removal_policy must be >= 1")
 
     @classmethod
-    def from_alpha(
-        cls, window: int, dof_per_step: int, alpha: float, removal_policy: int = 2
-    ) -> "DetectorConfig":
-        return cls(
-            window=window,
-            gamma=threshold_from_alpha(window, dof_per_step, alpha),
-            removal_policy=removal_policy,
-        )
+    def from_alpha(cls, window: int, dof_per_step: int, alpha: float) -> "DetectorConfig":
+        return cls(window=window, gamma=threshold_from_alpha(window, dof_per_step, alpha))
 
 
 @dataclass(frozen=True)
 class Chi2Result:
-    statistic: float
-    alarm: bool
+    statistic: float | np.ndarray
+    alarm: bool | np.ndarray
 
 
 class Chi2Detector:
-    """Sliding-window chi-square detector; no alarms until the window fills."""
+    """Sliding-window chi-square detector; no alarms until the window fills.
+
+    Each step feeds the detector that step's chi-square increment
+    ``|z_k|^2``: a scalar, or an array of independent increments (one per
+    sensor) that are summed and tested elementwise.
+    """
 
     def __init__(self, cfg: DetectorConfig):
         self.cfg = cfg
-        self._buf: deque[float] = deque(maxlen=cfg.window)
+        self._buf: deque = deque(maxlen=cfg.window)
 
-    def update(self, z) -> Chi2Result | None:
-        """Push one step's residue (scalar or vector); returns None while the
-        window is still filling."""
-        z = np.asarray(z, dtype=float)
-        self._buf.append(float(np.sum(z * z)))
+    def update(self, sq) -> Chi2Result | None:
+        """Push one step's increment; returns None while the window is still
+        filling. The window's increments are summed oldest first."""
+        self._buf.append(sq)
         if len(self._buf) < self.cfg.window:
             return None
-        stat = float(sum(self._buf))
+        stat = sum(self._buf)
         return Chi2Result(statistic=stat, alarm=stat > self.cfg.gamma)
-
-    def reset(self) -> None:
-        self._buf.clear()
 
 
 def identify_and_remove(

@@ -168,16 +168,12 @@ def bias_recursion(
     """
     schedule = np.asarray(schedule, dtype=np.int64).reshape(-1)
     T = schedule.size
-    dvals = np.asarray(d, dtype=float)
-    if dvals.ndim == 1:
-        dvals = dvals.reshape(-1, 1)
-    if dvals.shape != (T, attack.size):
-        raise ModelError(f"attack values have shape {dvals.shape}, expected ({T}, {attack.size})")
+    injected = attack.inject(d, T)
     filt = CentralKalmanFilter(noise, mean_offset=-noise.x0_mean)
     de = np.empty((T, ts.n))
     dz = np.empty((T, ts.m))
     for k in range(T):
-        res = filt.step(ts.pairs[schedule[k]], attack.D @ dvals[k])
+        res = filt.step(ts.pairs[schedule[k]], injected[k])
         dz[k] = res.residue
         de[k] = -res.x_post
     return BiasTrace(delta_e=de, delta_z=dz)

@@ -5,7 +5,7 @@ Which configuration is active is decided per period by a keyed, counter-based
 cryptographic generator, so an attacker who knows the configuration set but
 not the key cannot predict the active pair. Sensor attacks enter additively
 through a selection matrix ``D`` whose columns are standard basis vectors,
-one per attacked sensor.
+one per attacked sensor (:class:`AttackSet`).
 
 Indexing convention: sensors and configurations are 0-based throughout.
 """
@@ -158,46 +158,58 @@ def sample_schedule(ts: TargetSet, horizon: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AttackSet:
-    """Attacked sensors and the selection matrix ``D`` (m x k).
+    """The attacked sensors, as distinct indices in ``[0, m)``.
 
-    ``D[u, v] == 1`` exactly when sensor ``u`` is the ``v``-th attacked
-    sensor; all other entries are zero, so attack values can only enter the
-    attacked rows of the output.
+    The ``v``-th attacked sensor receives the ``v``-th attack value, so
+    attack values can only enter the attacked rows of the output.
     """
 
     sensors: tuple[int, ...]
-    D: np.ndarray
+    m: int
 
     def __post_init__(self):
-        D = _as_matrix(self.D, "D") if np.asarray(self.D).size else np.asarray(self.D, dtype=float)
-        object.__setattr__(self, "sensors", tuple(int(s) for s in self.sensors))
-        object.__setattr__(self, "D", _frozen(np.atleast_2d(D) if D.size else D.reshape(D.shape)))
+        sensors = tuple(int(s) for s in self.sensors)
+        if len(set(sensors)) != len(sensors):
+            raise AttackSetError(f"attacked sensors must be distinct, got {sensors}")
+        for s in sensors:
+            if not 0 <= s < self.m:
+                raise AttackSetError(f"sensor index {s} out of range [0, {self.m})")
+        object.__setattr__(self, "sensors", sensors)
 
     @property
     def size(self) -> int:
         return len(self.sensors)
 
     @property
-    def m(self) -> int:
-        return self.D.shape[0]
+    def D(self) -> np.ndarray:
+        """The selection matrix (m x k): ``D[s, v] == 1`` exactly when sensor
+        ``s`` is the ``v``-th attacked sensor, zero elsewhere."""
+        D = np.zeros((self.m, self.size))
+        D[self.sensors, range(self.size)] = 1.0
+        return D
+
+    def inject(self, d, horizon: int) -> np.ndarray:
+        """``D d_k`` for steps ``0..horizon-1`` as a ``(horizon, m)`` array.
+
+        ``d`` holds the attack values as a ``(horizon, k)`` array (a single
+        attacked sensor may take a ``(horizon,)`` one). Each value is written
+        to its sensor's row of a zero array, which is exactly the product
+        with ``D``; an empty attack injects zeros.
+        """
+        d = np.asarray(d, dtype=float)
+        if d.ndim == 1:
+            d = d.reshape(-1, 1)
+        if d.shape != (horizon, self.size):
+            raise AttackSetError(f"attack values have shape {d.shape}, expected ({horizon}, {self.size})")
+        out = np.zeros((horizon, self.m))
+        out[:, self.sensors] = d
+        return out
 
 
 def build_attack_matrix(sensors, m: int) -> AttackSet:
-    """Build the attack selection matrix for the given sensor indices.
-
-    ``sensors`` is an ordered collection of distinct indices in ``[0, m)``;
-    an empty collection yields an ``m x 0`` matrix (no attack channel).
-    """
-    sensors = tuple(int(s) for s in sensors)
-    if len(set(sensors)) != len(sensors):
-        raise AttackSetError(f"attacked sensors must be distinct, got {sensors}")
-    for s in sensors:
-        if not 0 <= s < m:
-            raise AttackSetError(f"sensor index {s} out of range [0, {m})")
-    D = np.zeros((m, len(sensors)))
-    for v, s in enumerate(sensors):
-        D[s, v] = 1.0
-    return AttackSet(sensors=sensors, D=D)
+    """The attack on ``sensors`` (distinct indices in ``[0, m)``) of an
+    ``m``-sensor plant; an empty collection is no attack channel."""
+    return AttackSet(tuple(sensors), m)
 
 
 @dataclass(frozen=True)
@@ -283,22 +295,6 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def _attack_values(attack: AttackSet | None, d, horizon: int) -> np.ndarray | None:
-    """Attack values as a ``(horizon, k)`` array; None without an attack."""
-    if attack is None or attack.size == 0:
-        return None
-    if d is None:
-        raise AttackSetError("attack set given but no attack values")
-    arr = np.asarray(d, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.shape != (horizon, attack.size):
-        raise AttackSetError(
-            f"attack values have shape {arr.shape}, expected ({horizon}, {attack.size})"
-        )
-    return arr
-
-
 def _check_schedule(ts: TargetSet, schedule) -> np.ndarray:
     schedule = np.asarray(schedule, dtype=np.int64).reshape(-1)
     if schedule.size == 0:
@@ -323,9 +319,7 @@ def draw_noise(noise: NoiseModel, rng: np.random.Generator, T: int):
 def _simulate(ts: TargetSet, schedule, x, v, w, attack, d) -> Trajectory:
     """``y_k = C_k x_k + D d_k + v_k`` and ``x_{k+1} = A_k x_k + w_k`` from ``x``."""
     T = schedule.size
-    dvals = _attack_values(attack, d, T)
-    # D selects rows, so each entry is one attack value plus zeros: exact
-    attacks = np.zeros((T, ts.m)) if dvals is None else dvals @ attack.D.T
+    attacks = np.zeros((T, ts.m)) if attack is None else attack.inject(d, T)
     states = np.empty((T, ts.n))
     outputs = np.empty((T, ts.m))
     for k in range(T):
@@ -404,18 +398,6 @@ class RecommendationReport:
             and self.all_pairs_observable
             and self.spectra_exclude_zero
         )
-
-    def findings(self) -> dict:
-        return {
-            "disjoint_spectra": self.disjoint_spectra,
-            "period_at_least_2n": self.period_at_least_2n,
-            "schedule_nondegenerate": self.schedule_nondegenerate,
-            "all_pairs_observable": self.all_pairs_observable,
-            "spectra_exclude_zero": self.spectra_exclude_zero,
-            "min_cross_gap": self.min_cross_gap,
-            "min_abs_eigenvalue": self.min_abs_eigenvalue,
-            "unobservable_pairs": list(self.unobservable_pairs),
-        }
 
     def problems(self) -> list[str]:
         """Human-readable list of violated design recommendations."""

@@ -226,7 +226,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     fusion = FusionEstimator(bank, active)
 
     det = cfg.detector
-    sensor_cfg = DetectorConfig.from_alpha(det.sensor_window, 1, det.sensor_alpha, det.removal_policy)
+    sensor_cfg = DetectorConfig.from_alpha(det.sensor_window, 1, det.sensor_alpha)
     sensor_det = {s: Chi2Detector(sensor_cfg) for s in range(m)}
     central_det = Chi2Detector(DetectorConfig.from_alpha(det.central_window, m, det.central_alpha))
     tracker = RemovalTracker(det.removal_policy)
@@ -255,12 +255,12 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         central.shift_prediction(-w)
         bank.shift_prediction(-w)
 
-        cver = central_det.update(cres.residue)
+        cver = central_det.update(np.sum(cres.residue * cres.residue))
         if cver is not None and cver.alarm:
             events.append((k, -1, "central_alarm"))
         candidates = []
         for s in active:
-            r = sensor_det[s].update(local_z[k, s])
+            r = sensor_det[s].update(local_z[k, s] * local_z[k, s])
             if r is None:
                 continue
             if r.alarm:

@@ -11,6 +11,7 @@ from scipy.linalg import block_diag
 
 from helpers import check_common_nullspace, random_target_set, spd, standard_noise
 from mtident import (
+    AttackSetError,
     CentralKalmanFilter,
     DecompositionError,
     FilterError,
@@ -189,6 +190,14 @@ def test_bias_recursion_is_linear_in_the_attack():
     t12 = bias_recursion(ts, sched, nm, atk, d1 + d2)
     assert_allclose(t12.delta_z, t1.delta_z + t2.delta_z, atol=1e-11)
     assert_allclose(t12.delta_e, t1.delta_e + t2.delta_e, atol=1e-11)
+
+
+def test_bias_recursion_rejects_wrong_shaped_attack_values():
+    rng = np.random.default_rng(47)
+    ts = random_target_set(rng, n=3, m=2, l=2)
+    sched = sample_schedule(ts, 10)
+    with pytest.raises(AttackSetError):
+        bias_recursion(ts, sched, standard_noise(rng, 3, 2), build_attack_matrix([0], ts.m), np.zeros((9, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
-from helpers import random_target_set, spd
+from helpers import random_target_set, spd, standard_noise
 from mtident import (
+    AttackSet,
     AttackSetError,
     LtiPair,
     ModelError,
@@ -155,6 +156,38 @@ def test_build_attack_matrix_rejects_bad_sensors():
         build_attack_matrix([3], m=3)
     with pytest.raises(AttackSetError):
         build_attack_matrix([-1], m=3)
+    with pytest.raises(AttackSetError, match="out of range"):
+        AttackSet((0, 5), 3)
+    with pytest.raises(AttackSetError, match="distinct"):
+        AttackSet((2, 0, 2), 3)
+
+
+def test_attack_set_inject_puts_each_value_on_its_own_row():
+    atk = AttackSet((3, 0, 5), 6)
+    d = np.arange(1.0, 13.0).reshape(4, 3)
+    injected = atk.inject(d, 4)
+    want = np.zeros((4, 6))
+    want[:, 3], want[:, 0], want[:, 5] = d[:, 0], d[:, 1], d[:, 2]
+    assert np.array_equal(injected, want)
+    assert np.array_equal(injected, d @ atk.D.T)
+    assert np.array_equal(AttackSet((), 6).inject(np.zeros((4, 0)), 4), np.zeros((4, 6)))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (4,), (12,)])
+def test_attack_set_inject_rejects_wrong_shapes(shape):
+    with pytest.raises(AttackSetError, match="shape"):
+        AttackSet((3, 0, 5), 6).inject(np.zeros(shape), 4)
+
+
+def test_simulation_rejects_wrong_shaped_attack_values():
+    rng = np.random.default_rng(5)
+    ts = random_target_set(rng, n=3, m=3, l=2)
+    sched = sample_schedule(ts, 5)
+    atk = AttackSet((1, 2), 3)
+    with pytest.raises(AttackSetError):
+        simulate_deterministic(ts, sched, np.ones(3), attack=atk, d=np.zeros((5, 1)))
+    with pytest.raises(AttackSetError):
+        simulate_stochastic(ts, sched, standard_noise(rng, 3, 3), rng, attack=atk, d=np.zeros((4, 2)))
 
 
 # ---------------------------------------------------------------------------
