@@ -191,8 +191,6 @@ def dominant_unstable_direction(A: np.ndarray) -> np.ndarray:
     """Unit vector along the dominant eigenvector of ``A`` (realified)."""
     w, V = np.linalg.eig(np.asarray(A, dtype=float))
     v = V[:, int(np.argmax(np.abs(w)))]
+    # eig returns unit eigenvectors, so the larger part has norm >= 1/sqrt(2)
     x = v.real if np.linalg.norm(v.real) >= np.linalg.norm(v.imag) else v.imag
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:
-        raise ValueError("degenerate dominant eigenvector")
-    return x / nrm
+    return x / np.linalg.norm(x)

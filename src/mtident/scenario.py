@@ -13,23 +13,19 @@ state, which for the deliberately unstable example plant overflows doubles
 (and drowns innovations in cancellation) long before the 10^4-step horizons
 used for residue calibration.
 
-A run takes three passes over the horizon. Nothing a run draws depends on
+A run takes two passes over the horizon. Nothing a run draws depends on
 filter state, and every attack policy is open-loop, so the first pass draws
-all inputs at once. The filter bank runs every sensor whatever the removals,
-and removals depend only on the bank's residues, so the second pass steps
-the bank, tests all active sensors at once and fixes the removal timeline.
-Fusion runs in that pass too: it needs each step's joint bank covariance
-(72 x 72 on the example plant), and keeping those for a later pass would
-cost 41 MB per 1000 steps. The central filter's detector only logs, so the
-third pass runs the central filter over the known active-set timeline, with
-a new detector for each stretch of that timeline. Folding the central filter
-into the bank's loop instead gives the same bytes but is slower: over 10
-alternating pairs of a 3,000-step clean run of the example plant, the
-separate pass took a median 1.04 s and the folded loop 1.27 s, at default
-OpenBLAS threading on a 2-vCPU Xeon; at one OpenBLAS thread the two took the
-same time. Every window test in either pass is a :class:`Chi2Detector`, and
-the result is bit for bit that of one loop over steps with a detector object
-per sensor.
+all inputs at once. The second, the filter loop, steps the central filter
+and its detector, then the filter bank, fusion over the active sensors and
+the sensor tests (:func:`_filter_loop`). Its result is bit for bit that of
+one loop with a detector object per sensor.
+
+The filter loop runs on one BLAS thread (:func:`_one_blas_thread`). It
+alternates numpy products with scipy's LAPACK calls, each on its own
+OpenBLAS, and at default threading each library's idle threads spin
+against the other's work: on a 2-vCPU Xeon, a clean n = 30 run took about
+4x as long, and the example plant beside another numpy process 3 to 15x as
+long, for the same bytes.
 
 A run happens on a :class:`Plant`: the target set, the noise model and a
 filter bank over every sensor's Kalman decomposition. Generating the example
@@ -38,8 +34,9 @@ keeps those decompositions; an explicit plant is decomposed once when it is
 built. Monte Carlo trials differ from their study only in seeds and schedule
 key, and no plant matrix depends on the key, so :func:`monte_carlo` builds
 the plant, with its filter bank's arrays, once and runs every trial on it
-under the trial's own key, in forked worker processes that inherit it. A
-single run builds its own plant and then takes the same path.
+under the trial's own key, in forked worker processes that inherit it and
+its single BLAS thread. A single run builds its own plant and then takes the
+same path.
 
 Reproducibility: every random quantity derives from config seeds (simulation
 noise from ``seed``, the schedule from the schedule key, attacker guesses
@@ -49,9 +46,11 @@ outputs.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -572,12 +571,9 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     its study's shared plant instead. Either way the run uses the plant
     under ``cfg``'s schedule key and leaves the plant unchanged.
 
-    The run takes three passes over the horizon (see the module docstring):
-    the inputs (:func:`_draw_inputs`), the filter bank with fusion and the
-    sensor tests (:func:`_bank_pass`), which fixes the removal timeline, and
-    the central filter with its detector (:func:`_central_pass`). Their
-    events are merged in the order a single per-step loop logs them: the
-    central alarm, then sensor alarms in active order, then removals.
+    The run takes two passes over the horizon (see the module docstring):
+    the inputs (:func:`_draw_inputs`), then the filter loop
+    (:func:`_filter_loop`) on one BLAS thread (:func:`_one_blas_thread`).
     """
     if plant is None:
         plant = build_system(cfg)
@@ -590,16 +586,10 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
     offset = -(plant.noise.x0_mean + e0)
     alerts: list[str] = []
-    err_fused, fused_trace, local_z, sensor_events, segments = _bank_pass(
-        plant, schedule, y_err, w, offset, cfg.detector, alerts
-    )
-    err_central, trace_P, central_alarms = _central_pass(
-        plant.noise, ts, schedule, y_err, w, offset, segments, cfg.detector
-    )
-    events = sorted(
-        [(k, -1, "central_alarm") for k in central_alarms] + sensor_events,
-        key=lambda e: (e[0], e[1] >= 0),  # stable: sensor events keep their order
-    )
+    with _one_blas_thread():
+        err_central, err_fused, trace_P, fused_trace, local_z, events = _filter_loop(
+            plant, ts, schedule, y_err, w, offset, cfg.detector, alerts
+        )
     report = RunReport(
         config=cfg,
         schedule=schedule,
@@ -629,34 +619,38 @@ def _draw_inputs(seed, noise: NoiseModel, T: int, attack, policy):
     return e0, v + attack.inject(policy.values(T), T), w
 
 
-def _bank_pass(plant: Plant, schedule, y_err, w, offset, det: DetectorSpec, alerts):
-    """Pass 2: the filter bank, fusion over the active set, and the sensor tests.
+def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: DetectorSpec, alerts):
+    """Pass 2: per step, the central filter and its detector, then the
+    filter bank, fusion over the active set and the sensor tests; returns
+    the four metric series, the local residues and the events.
 
-    The bank runs every sensor whatever the removals, but fusion at step
-    ``k`` needs the bank's joint covariance of that step, so fusion runs
-    here rather than in a later pass. Every sensor's detector starts at
-    step 0 and is never restarted, so one :class:`Chi2Detector` fed the
-    squared residues of all sensors tests each of them elementwise. A
-    sensor whose alarm streak reaches the removal policy is a candidate;
-    removals take effect from the next step, and refused ones are appended
-    to ``alerts``.
-
-    Returns ``err_fused``, ``fused_trace``, the local residues, the sensor
-    events in per-step order, and the active-set timeline as ``(first
-    step, active sensors)`` segments.
+    The bank runs every sensor whatever the removals and no sensor's test
+    restarts, so one :class:`Chi2Detector` fed all squared residues tests
+    each sensor elementwise. A sensor whose alarm streak reaches the removal
+    policy is a candidate. Removals take effect from the next step, refused
+    ones are appended to ``alerts``, and the central detector, which only
+    logs, restarts with the new residue dimension.
     """
     T, m = y_err.shape
+    central = CentralKalmanFilter(plant.noise, mean_offset=offset)
     bank = plant.bank.restarted(offset)
     active = list(range(m))
     fusion = FusionEstimator(bank, active)
+    central_detector = Chi2Detector(DetectorConfig.from_alpha(det.central_window, m, det.central_alpha))
     detector = Chi2Detector(DetectorConfig.from_alpha(det.sensor_window, 1, det.sensor_alpha))
-    err_fused = np.empty(T)
-    fused_trace = np.empty(T)
+    err_central, err_fused, trace_P, fused_trace = (np.empty(T) for _ in range(4))
     local_z = np.empty((T, m))
     streak = np.zeros(m, dtype=np.int64)
     events: list[tuple[int, int, str]] = []
-    segments = [(0, tuple(active))]
     for k in range(T):
+        cres = central.step(ts.pairs[schedule[k]], y_err[k], active=None if len(active) == m else active)
+        err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
+        trace_P[k] = float(np.trace(cres.P_prior))
+        central.shift_prediction(-w[k])
+        test = central_detector.update(np.sum(cres.residue * cres.residue))
+        if test is not None and test.alarm:
+            events.append((k, -1, "central_alarm"))
+
         bres = bank.step(int(schedule[k]), y_err[k])
         fres = fusion.fuse(bres.zeta_post, bres.P_post)
         err_fused[k] = float(np.linalg.norm(fres.x_star))
@@ -689,36 +683,10 @@ def _bank_pass(plant: Plant, schedule, y_err, w, offset, det: DetectorSpec, aler
                 active.remove(s)
                 events.append((k, s, "removed"))
             fusion = FusionEstimator(bank, active)
-            segments.append((k + 1, tuple(active)))
-    return err_fused, fused_trace, local_z, events, segments
-
-
-def _central_pass(noise: NoiseModel, ts: TargetSet, schedule, y_err, w, offset, segments, det):
-    """Pass 3: the central filter over the known active-set timeline, then
-    its detector.
-
-    The detector only logs. Its residue dimension changes at every removal,
-    so each segment gets a new detector with that segment's threshold.
-    Returns ``err_central``, ``trace_P`` and the steps of central alarms.
-    """
-    T, m = y_err.shape
-    central = CentralKalmanFilter(noise, mean_offset=offset)
-    err_central = np.empty(T)
-    trace_P = np.empty(T)
-    alarms: list[int] = []
-    bounds = [start for start, _ in segments[1:]] + [T]
-    for (start, active), stop in zip(segments, bounds):
-        mask = None if len(active) == m else active
-        detector = Chi2Detector(DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha))
-        for k in range(start, stop):
-            cres = central.step(ts.pairs[schedule[k]], y_err[k], active=mask)
-            err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
-            trace_P[k] = float(np.trace(cres.P_prior))
-            central.shift_prediction(-w[k])
-            test = detector.update(np.sum(cres.residue * cres.residue))
-            if test is not None and test.alarm:
-                alarms.append(k)
-    return err_central, trace_P, alarms
+            central_detector = Chi2Detector(
+                DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)
+            )
+    return err_central, err_fused, trace_P, fused_trace, local_z, events
 
 
 def _summarize(r: RunReport) -> dict:
@@ -791,33 +759,34 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     The trials are mapped over ``min(trials, usable CPUs)`` forked worker
     processes and collected in trial order. The workers inherit the plant
     through ``fork``; only each trial's summary and error series come back.
-    Each worker sets every loaded BLAS library to one thread, because
-    workers at default BLAS threading oversubscribe the cores and run
-    slower than one process. The trials run in this process instead when
-    ``fork`` is unavailable, one CPU or one trial is all there is, or a
-    loaded BLAS has no thread setter (:func:`_blas_thread_setters`). The
-    outputs are the same bytes either way. A trial's error is raised here
-    with its own type, and no worker outlives the call.
+    The pool forks inside :func:`_one_blas_thread`, so every worker inherits
+    one BLAS thread and calls no thread setter; workers at default BLAS
+    threading would oversubscribe the cores and run slower than one
+    process. The trials run in this process instead when ``fork`` is
+    unavailable, one CPU or one trial is all there is, or the loaded BLAS
+    libraries cannot all be set to one thread. The outputs are the same
+    bytes either way. A trial's error is raised here with its own type, and
+    no worker outlives the call.
     """
     trials = trials if trials is not None else cfg.trials
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     plant = build_system(cfg)
     workers = _worker_count(trials)
-    setters = _blas_thread_setters() if workers > 1 else None
-    if setters is None:
-        results = [_trial(cfg, plant, i) for i in range(trials)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    with _one_blas_thread() as pinned:
+        if workers < 2 or not pinned:
+            results = [_trial(cfg, plant, i) for i in range(trials)]
+        else:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker,
-            initargs=(setters, cfg, plant),
-        ) as pool:
-            results = list(pool.map(_worker_trial, range(trials)))
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker,
+                initargs=(cfg, plant),
+            ) as pool:
+                results = list(pool.map(_worker_trial, range(trials)))
     summaries = [summary for summary, _, _ in results]
     mean_c = np.mean(np.stack([err_c for _, err_c, _ in results]), axis=0)
     mean_f = np.mean(np.stack([err_f for _, _, err_f in results]), axis=0)
@@ -868,47 +837,68 @@ def _worker_count(trials: int) -> int:
     return min(trials, len(os.sched_getaffinity(0)))
 
 
-# the thread-count setters of OpenBLAS builds, 64-bit-integer interfaces first
-_BLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
+# the (setter, getter) thread-count functions of OpenBLAS builds,
+# 64-bit-integer interfaces first
+_BLAS_THREAD_FUNCTIONS = tuple(
+    (f"{prefix}_set_num_threads{suffix}", f"{prefix}_get_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
 )
 
 
-def _blas_thread_setters() -> dict | None:
-    """The thread-count setter of every BLAS library loaded here, by path.
+@functools.cache
+def _blas_thread_functions() -> tuple | None:
+    """The ``(set, get)`` thread-count functions of every BLAS library loaded
+    here. They are looked up once: numpy and scipy each load their own
+    OpenBLAS at import, and neither unloads it.
 
-    numpy and scipy each load their own OpenBLAS. Returns ``None`` when the
-    loaded libraries cannot be listed, when none is found, or when one has
-    no setter: a worker it could not set to one thread would oversubscribe
-    the cores, so the trials then run in this process.
+    Returns ``None`` when the loaded libraries cannot be listed, when none
+    is found, or when one lacks either function.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             mapped = {f[5].strip() for f in (line.split(maxsplit=5) for line in fh) if len(f) == 6}
         # shared libraries named for BLAS; Python extension modules are not
-        libs = {p: ctypes.CDLL(p) for p in sorted(mapped) if Path(p).match("lib*blas*")}
+        libs = [ctypes.CDLL(p) for p in sorted(mapped) if Path(p).match("lib*blas*")]
     except OSError:
         return None
-    setters = {}
-    for path, lib in libs.items():
-        if (name := next((n for n in _BLAS_SETTERS if hasattr(lib, n)), None)) is None:
+    functions = []
+    for lib in libs:
+        found = [pair for pair in _BLAS_THREAD_FUNCTIONS if all(hasattr(lib, n) for n in pair)]
+        if not found:
             return None
-        setter = setters[path] = getattr(lib, name)
+        setter, getter = (getattr(lib, n) for n in found[0])
         setter.argtypes, setter.restype = [ctypes.c_int], None
-    return setters or None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        functions.append((setter, getter))
+    return tuple(functions) or None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded BLAS library on one thread for the duration; yields
+    whether all could be set. Only libraries not already on one thread are
+    set, and exactly those are restored on exit. Skipping the others keeps a
+    forked worker, which inherits one thread, from restarting its thread
+    pools: after a fork, any OpenBLAS setter call, even one to a single
+    thread, starts them anew."""
+    functions = _blas_thread_functions()
+    changed = [(setter, count) for setter, getter in functions or () if (count := getter()) != 1]
+    for setter, _ in changed:
+        setter(1)
+    try:
+        yield functions is not None
+    finally:
+        for setter, count in changed:
+            setter(count)
 
 
 _worker_study: tuple[ScenarioConfig, Plant] | None = None  # set in forked workers only
 
 
-def _start_worker(setters: dict, cfg: ScenarioConfig, plant: Plant) -> None:
-    """Pool initializer: one BLAS thread, and the study the fork inherited."""
+def _start_worker(cfg: ScenarioConfig, plant: Plant) -> None:
+    """Pool initializer: the study the fork inherited."""
     global _worker_study
-    for set_threads in setters.values():
-        set_threads(1)
     _worker_study = (cfg, plant)
 
 

@@ -25,6 +25,7 @@ from mtident import (
     STATUS_IDENTIFIED,
     bias_recursion,
     build_attack_matrix,
+    build_system,
     config_from_dict,
     cross_model_unidentifiability,
     generate_example_system,
@@ -344,6 +345,8 @@ def test_criterion_08_prior_covariance_stays_bounded(long_clean_run):
 
 def test_criterion_09_omniscient_attack_is_damaging_but_silent():
     gamma = float(chi2.ppf(0.99, 5))
+    # every run shares the seed-7 plant; each runs it under its own key
+    plant = build_system(config_from_dict(_example_raw(9000, 120, "acceptance-omniscient")))
     passing = 0
     for i in range(50):
         seed = 9000 + i
@@ -359,8 +362,8 @@ def test_criterion_09_omniscient_attack_is_damaging_but_silent():
             },
         )
         clean_raw = _example_raw(seed, 120, "acceptance-omniscient")
-        attacked = run_scenario(config_from_dict(attacked_raw))
-        clean = run_scenario(config_from_dict(clean_raw))
+        attacked = run_scenario(config_from_dict(attacked_raw), plant)
+        clean = run_scenario(config_from_dict(clean_raw), plant)
         # same seed -> identical noise; the residue difference is the attack's
         # entire detectable footprint
         damage = attacked.err_central[-1] / np.median(clean.err_central)

@@ -1,10 +1,14 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtident
 from mtident import schedule_key, write_matrix, write_vector
 from mtident.cli import main
 
@@ -83,6 +87,34 @@ def test_simulate_is_reproducible_and_seed_override_changes_output(tmp_path):
         ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c"), "--seed-override", "999"]
     ) == 0
     assert (tmp_path / "a" / "metrics.csv").read_bytes() != (tmp_path / "c" / "metrics.csv").read_bytes()
+
+
+def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    """Plant generation runs at the process's BLAS threading and the filter
+    loop on one thread; an n = 30 plant is large enough for OpenBLAS to
+    thread its products."""
+    cfg = _write_cfg(
+        tmp_path / "cfg.json",
+        horizon=40,
+        system={"kind": "generated", "seed": 7, "n": 30, "l": 2},
+        attack={"kind": "persistent_bias", "sensors": [3], "constant": 50.0},
+    )
+    src = str(Path(mtident.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "mtident.cli", "simulate", "--config", str(cfg), "--out-dir", str(out)],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert list(outputs[0]) == ["events.csv", "metrics.csv", "summary.json"]
+    assert outputs[0] == outputs[1]
+    assert list(json.loads(outputs[0]["summary.json"])["removed"]) == ["3"]
 
 
 def test_simulate_jsonl_format(tmp_path):

@@ -1,6 +1,5 @@
 import copy
 import csv
-import ctypes
 import dataclasses
 import hashlib
 import inspect
@@ -12,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mtident import estimation, scenario
 from mtident import (
     AttackSpec,
     CentralKalmanFilter,
+    ConditioningError,
     ConfigError,
     FilterError,
     FusionEstimator,
@@ -400,7 +400,7 @@ def test_run_scenario_is_reproducible():
 _SMALL = {"kind": "generated", "seed": 3, "n": 5, "l": 3}
 
 
-def _engine_raw(kind, sensors, seed, horizon, removal, policy, sensor_window, central_window):
+def _engine_raw(kind, sensors, seed, horizon, removal, policy, sensor_window, central_window, system=_SMALL):
     attack = {"kind": kind}
     if kind != "none":
         attack["sensors"] = list(sensors)
@@ -411,7 +411,7 @@ def _engine_raw(kind, sensors, seed, horizon, removal, policy, sensor_window, ce
     return {
         "horizon": horizon,
         "seed": seed,
-        "system": dict(_SMALL),
+        "system": dict(system),
         "schedule": {"period": 4},
         "attack": attack,
         "detector": {
@@ -434,7 +434,19 @@ def _assert_bitwise_same_run(got, want):
     assert json.dumps(got.summary, sort_keys=True) == json.dumps(want.summary, sort_keys=True)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+# example plants of both block sizes the bank distinguishes (one and two
+# states per block) and one to four configurations
+_PLANTS = st.fixed_dictionaries(
+    {
+        "kind": st.just("generated"),
+        "seed": st.integers(0, 2**32 - 1),
+        "n": st.sampled_from([5, 10]),
+        "l": st.sampled_from([1, 2, 3, 4]),
+    }
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["none", "guessing", "persistent_bias", "omniscient"]),
     sensors=st.sampled_from([(2,), (1, 7), (0, 5), (5, 6, 7, 8, 9)]),
@@ -444,21 +456,25 @@ def _assert_bitwise_same_run(got, want):
     policy=st.integers(1, 3),
     sensor_window=st.integers(1, 6),
     central_window=st.integers(1, 6),
+    system=_PLANTS,
 )
-# sensors 0 and 5 alone observe block 0: removing 0 leaves 5 unremovable,
-# so its alerts repeat on every further alarmed step
-@example("persistent_bias", (0, 5), 1, 30, True, 2, 3, 3)
+# sensors 0 and 5 alone observe block 0 of _SMALL: removing 0 leaves 5
+# unremovable, so its alerts repeat on every further alarmed step
+@example("persistent_bias", (0, 5), 1, 30, True, 2, 3, 3, _SMALL)
 # sensors 1 and 7 are removed at two different steps (6 and 10)
-@example("persistent_bias", (1, 7), 1, 30, True, 2, 3, 3)
+@example("persistent_bias", (1, 7), 1, 30, True, 2, 3, 3, _SMALL)
 def test_run_engine_matches_the_per_step_reference(
-    kind, sensors, seed, horizon, removal, policy, sensor_window, central_window
+    kind, sensors, seed, horizon, removal, policy, sensor_window, central_window, system
 ):
-    """The pass-structured engine reproduces, bit for bit, one loop over
-    steps with a ``Chi2Detector`` per sensor and a ``RemovalTracker``."""
+    """The engine reproduces, bit for bit, one loop over steps with a
+    ``Chi2Detector`` per sensor and a ``RemovalTracker``, on random plants."""
     cfg = config_from_dict(
-        _engine_raw(kind, sensors, seed, horizon, removal, policy, sensor_window, central_window)
+        _engine_raw(kind, sensors, seed, horizon, removal, policy, sensor_window, central_window, system)
     )
-    plant = build_system(cfg)
+    try:
+        plant = build_system(cfg)
+    except ConditioningError:
+        assume(False)  # generation refused the draw
     got = run_scenario(cfg, plant)
     _assert_bitwise_same_run(got, reference_run_scenario(cfg, plant))
 
@@ -699,48 +715,120 @@ def test_a_failing_trial_raises_its_error_and_leaves_no_worker(tmp_path, monkeyp
     assert multiprocessing.active_children() == []
 
 
-# the thread-count getter of each BLAS library that has a setter, by path
-_BLAS_GETTERS = {
-    path: getattr(ctypes.CDLL(path), setter.__name__.replace("_set_", "_get_"))
-    for path, setter in (scenario._blas_thread_setters() or {}).items()
-}
+def _blas_threads() -> list[int]:
+    """The thread count of each loaded BLAS library."""
+    return [get() for _, get in scenario._blas_thread_functions() or ()]
 
 
-def _blas_threads() -> dict:
-    return {path: get() for path, get in _BLAS_GETTERS.items()}
+class _FakeBlas:
+    """A BLAS library's thread count with its ``(set, get)`` functions."""
+
+    def __init__(self, threads):
+        self.threads, self.set_calls = threads, []
+        self.functions = (self.set, self.get)
+
+    def set(self, threads):
+        self.set_calls.append(threads)
+        self.threads = threads
+
+    def get(self):
+        return self.threads
+
+
+def test_one_blas_thread_sets_and_restores_only_the_libraries_it_changes(monkeypatch):
+    single, double, quad = _FakeBlas(1), _FakeBlas(2), _FakeBlas(4)
+    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: (single.functions,))
+    with scenario._one_blas_thread() as pinned:
+        assert pinned
+    assert single.set_calls == []  # a library already on one thread is left alone
+
+    fakes = (single.functions, double.functions, quad.functions)
+    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: fakes)
+    with pytest.raises(FilterError):
+        with scenario._one_blas_thread() as pinned:
+            assert pinned
+            assert [single.threads, double.threads, quad.threads] == [1, 1, 1]
+            raise FilterError("the counts are restored on the way out")
+    assert [single.threads, double.threads, quad.threads] == [1, 2, 4]
+    assert [single.set_calls, double.set_calls, quad.set_calls] == [[], [1, 2], [1, 4]]
+
+    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: None)
+    with scenario._one_blas_thread() as pinned:
+        assert not pinned
+
+
+@pytest.mark.skipif(scenario._blas_thread_functions() is None, reason="no BLAS thread functions found")
+def test_a_run_reads_one_blas_thread_and_leaves_the_previous_count(monkeypatch):
+    before = _blas_threads()
+    inside = []
+    filter_loop = scenario._filter_loop
+
+    def recorded(*args):
+        inside.append(_blas_threads())
+        return filter_loop(*args)
+
+    monkeypatch.setattr(scenario, "_filter_loop", recorded)
+    run_scenario(config_from_dict(_raw(horizon=5)))
+    assert inside == [[1] * len(before)]
+    assert _blas_threads() == before
 
 
 _trial = scenario._trial
+_setter_calls: list[tuple[int, int]] = []  # (pid, count) of each spied setter call
+
+
+def _spied(functions):
+    """``functions`` with each setter call recorded in ``_setter_calls``."""
+
+    def spy(set_threads):
+        def recorded(threads):
+            _setter_calls.append((os.getpid(), threads))
+            set_threads(threads)
+
+        return recorded
+
+    return tuple((spy(set_threads), get) for set_threads, get in functions)
 
 
 def _reporting_trial(cfg, plant, index):
-    """A trial that also says which process ran it, on how many BLAS threads."""
+    """A trial that also says which process ran it, on how many BLAS threads,
+    and which setter calls that process made."""
     summary, err_central, err_fused = _trial(cfg, plant, index)
-    process = {"pid": os.getpid(), "blas_threads": _blas_threads()}
+    pid = os.getpid()
+    calls = [threads for caller, threads in _setter_calls if caller == pid]
+    process = {"pid": pid, "blas_threads": _blas_threads(), "setter_calls": calls}
     return dict(summary, process=process), err_central, err_fused
 
 
 @pytest.mark.skipif(
-    scenario._worker_count(2) < 2 or not _BLAS_GETTERS,
+    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
     reason="trials run in this process here",
 )
 def test_monte_carlo_workers_run_on_one_blas_thread(monkeypatch):
+    _setter_calls.clear()
     cfg = config_from_dict(_guessing_raw())
     want = monte_carlo(cfg, trials=3)
     parent_threads = _blas_threads()
     monkeypatch.setattr(scenario, "_trial", _reporting_trial)
+    spied = _spied(scenario._blas_thread_functions())
+    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: spied)
     pooled = monte_carlo(cfg, trials=3)
-    # a library without a known thread setter: the trials run in this process
-    monkeypatch.setattr(scenario, "_BLAS_SETTERS", ("no_such_thread_setter",))
-    assert scenario._blas_thread_setters() is None
+    # no BLAS thread functions found: the trials run in this process
+    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: None)
     in_parent = monte_carlo(cfg, trials=3)
     monkeypatch.undo()
 
     workers = [s.pop("process") for s in pooled.summaries]
     assert all(w["pid"] != os.getpid() for w in workers)
-    assert all(w["blas_threads"] == dict.fromkeys(parent_threads, 1) for w in workers)
+    # the workers inherit one thread and call no setter, which would restart
+    # their thread pools
+    assert all(w["blas_threads"] == [1] * len(parent_threads) for w in workers)
+    assert all(w["setter_calls"] == [] for w in workers)
+    parent_calls = [threads for pid, threads in _setter_calls if pid == os.getpid()]
+    changed = [n for n in parent_threads if n != 1]
+    assert parent_calls == [1] * len(changed) + changed  # set once, restored once
     assert [s.pop("process")["pid"] for s in in_parent.summaries] == [os.getpid()] * 3
-    assert _blas_threads() == parent_threads  # the parent's threading is left alone
+    assert _blas_threads() == parent_threads  # the parent's threading is restored
     _assert_same_study(pooled, want)
     _assert_same_study(in_parent, want)
 
