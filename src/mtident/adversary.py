@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not in a run
 
 from .errors import DegenerateWitnessError
 from .identifiability import construct_cross_model_attack, cross_model_unidentifiability

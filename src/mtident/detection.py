@@ -16,7 +16,10 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
+
+from .linalg import scipy_compiled
+
+(gammaincinv,) = scipy_compiled("special._special_ufuncs", "special", "gammaincinv")
 
 
 def threshold_from_alpha(window: int, dof_per_step: int, alpha: float) -> float:

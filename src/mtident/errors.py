@@ -1,4 +1,12 @@
-"""Exception types used across the package."""
+"""Exception types used across the package.
+
+A library function given an argument outside its contract (a window below
+one, an alpha outside (0, 1), an empty schedule) raises the
+built-in ``ValueError``, as numpy and scipy do. A scenario configuration or a
+CLI argument that is wrong raises :class:`ConfigError`; the config reader
+turns the ``ValueError`` of a malformed matrix file into one. The classes
+below are the package's own failures, all under :class:`MtidentError`.
+"""
 
 
 class MtidentError(Exception):

@@ -29,8 +29,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtrtrs
 
 from .errors import DecompositionError, FilterError, ModelError
 from .linalg import (
@@ -38,9 +36,16 @@ from .linalg import (
     numerical_rank,
     observability_stack,
     orth_complement,
+    scipy_compiled,
     sym,
 )
 from .system_model import AttackSet, LtiPair, NoiseModel, TargetSet
+
+# loaded at import, so that scipy's OpenBLAS is mapped before
+# scenario._blas_thread_functions lists the loaded BLAS libraries
+dpotrf, dpotrs, dpstrf, dtrtrs = scipy_compiled(
+    "linalg._flapack", "linalg.lapack", "dpotrf", "dpotrs", "dpstrf", "dtrtrs"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +326,18 @@ class LocalFilterBank:
         dims = [d.n_obs for d in decs]
         self.offsets = np.concatenate([[0], np.cumsum(dims)])
         self.H = np.vstack([d.T_o.T for d in decs])
-        self.A_blk = [block_diag(*(d.A_red[j] for d in decs)) for j in range(ts.l)]
-        self.C_blk = [block_diag(*(d.C_red[j].reshape(1, -1) for d in decs)) for j in range(ts.l)]
+        o, N = self.offsets, self.offsets[-1]
+        self.A_blk = [np.zeros((N, N)) for _ in range(ts.l)]
+        self.C_blk = [np.zeros((ts.m, N)) for _ in range(ts.l)]
+        self._mask = np.zeros((N, ts.m))
+        for s, d in enumerate(decs):
+            b = slice(o[s], o[s + 1])
+            self._mask[b, s] = 1.0
+            for j in range(ts.l):
+                self.A_blk[j][b, b] = d.A_red[j]
+                self.C_blk[j][s, b] = d.C_red[j]
         self.Q_red = self.H @ noise.Q @ self.H.T
         self._R = noise.R
-        self._mask = block_diag(*(np.ones((d, 1)) for d in dims))
         self._x0_mean = noise.x0_mean
         self._P0 = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
         self.zeta_prior = self.H @ noise.x0_mean

@@ -3,15 +3,60 @@
 Rank and null-space decisions are all SVD-based with the conventional
 tolerance ``max(rows, cols) * eps * sigma_max``; only :func:`nullspace`
 accepts an absolute cutoff instead.
+
+:func:`scipy_compiled` hands the engine scipy's compiled LAPACK and special
+functions without running scipy's package initialisation.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
 
 from .errors import ModelError
 
 EPS = float(np.finfo(float).eps)
+
+
+def _extension_file(module: str) -> str | None:
+    """The file of scipy's extension module ``scipy.<module>``, found
+    without executing scipy, or None. Suffixes are tried in the
+    interpreter's own search order."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    stem = os.path.join(spec.submodule_search_locations[0], *module.split("."))
+    return next(
+        (stem + s for s in importlib.machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)),
+        None,
+    )
+
+
+def scipy_compiled(module: str, public: str, *names: str) -> tuple:
+    """The functions ``names`` of scipy's extension module ``scipy.<module>``.
+
+    The module is loaded from its file, which skips scipy's package
+    ``__init__``s: importing ``scipy.linalg`` and ``scipy.special`` costs
+    about 0.3 s, almost all of it Python set-up that the engine never uses.
+    It is registered under its own name, so a later ``import scipy...``
+    reuses it and exports these same function objects. If the file or a
+    name is missing in this scipy's layout, the functions come from the
+    public module ``scipy.<public>`` instead.
+    """
+    full = f"scipy.{module}"
+    mod = sys.modules.get(full)
+    if mod is None and (path := _extension_file(module)) is not None:
+        spec = importlib.util.spec_from_file_location(full, path)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        sys.modules[full] = mod
+    if mod is None or not all(hasattr(mod, n) for n in names):
+        mod = importlib.import_module(f"scipy.{public}")
+    return tuple(getattr(mod, n) for n in names)
 
 
 def sym(M: np.ndarray) -> np.ndarray:

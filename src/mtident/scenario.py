@@ -60,6 +60,7 @@ from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it here, not in a run
 
 from .adversary import (
     AttackerInfo,

@@ -89,6 +89,12 @@ def test_simulate_is_reproducible_and_seed_override_changes_output(tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() != (tmp_path / "c" / "metrics.csv").read_bytes()
 
 
+def _subprocess_env(**extra):
+    """This environment, with ``extra`` set and this package importable."""
+    src = str(Path(mtident.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
     """Plant generation runs at the process's BLAS threading and the filter
     loop on one thread; an n = 30 plant is large enough for OpenBLAS to
@@ -99,15 +105,12 @@ def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
         system={"kind": "generated", "seed": 7, "n": 30, "l": 2},
         attack={"kind": "persistent_bias", "sensors": [3], "constant": 50.0},
     )
-    src = str(Path(mtident.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         out = tmp_path / threads
         subprocess.run(
             [sys.executable, "-m", "mtident.cli", "simulate", "--config", str(cfg), "--out-dir", str(out)],
-            env=env,
+            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
             check=True,
             capture_output=True,
         )
@@ -115,6 +118,22 @@ def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
     assert list(outputs[0]) == ["events.csv", "metrics.csv", "summary.json"]
     assert outputs[0] == outputs[1]
     assert list(json.loads(outputs[0]["summary.json"])["removed"]) == ["3"]
+
+
+def test_a_run_after_importing_the_cli_imports_no_numpy_or_scipy_module(tmp_path):
+    """numpy loads ``numpy.random`` lazily; the CLI loads it at import, so a
+    run's timed work does not."""
+    raw = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(raw, horizon=40)))
+    code = f"""
+import sys, mtident.cli
+before = set(sys.modules)
+assert mtident.cli.main(['simulate', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / "out")!r}]) == 0
+print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_simulate_jsonl_format(tmp_path):

@@ -83,6 +83,51 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_the_cli_starts_without_scipy_packages_and_holds_scipy_own_functions():
+    import mtident
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtident.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """
+import sys, mtident.cli
+print(sorted({'scipy', 'scipy.linalg', 'scipy.special', 'scipy.stats'} & set(sys.modules)))
+import scipy.linalg.lapack, scipy.special, scipy.stats
+from mtident import detection, estimation
+print([getattr(estimation, f) is getattr(scipy.linalg.lapack, f) for f in ('dpotrf', 'dpotrs', 'dpstrf', 'dtrtrs')])
+print(detection.gammaincinv is scipy.special.gammaincinv)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:3] == ["[]", "[True, True, True, True]", "True"]
+
+
+def test_scipy_functions_fall_back_to_the_public_modules(monkeypatch):
+    from mtident import detection, estimation, linalg
+
+    import scipy.linalg.lapack
+    import scipy.special
+
+    # a name the loaded extension module lacks sends every name to the public module
+    assert linalg.scipy_compiled("linalg._flapack", "linalg.lapack", "dpotrf", "get_lapack_funcs") == (
+        scipy.linalg.lapack.dpotrf,
+        scipy.linalg.lapack.get_lapack_funcs,
+    )
+    A = np.random.default_rng(5).standard_normal((6, 4))
+    A = A @ A.T  # rank 4 of 6, so the pivoted Cholesky stops early
+    want_chol = estimation.dpstrf(A, lower=1)
+    want_gamma = threshold_from_alpha(3, 10, 4.2e-4)
+    monkeypatch.setattr(linalg, "_extension_file", lambda module: None)
+    for module in ("scipy.linalg._flapack", "scipy.special._special_ufuncs"):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+    (dpstrf,) = linalg.scipy_compiled("linalg._flapack", "linalg.lapack", "dpstrf")
+    (gammaincinv,) = linalg.scipy_compiled("special._special_ufuncs", "special", "gammaincinv")
+    assert dpstrf is scipy.linalg.lapack.dpstrf
+    assert gammaincinv is scipy.special.gammaincinv
+    bits = lambda out: [np.asarray(v).tobytes() for v in out]  # noqa: E731
+    assert bits(dpstrf(A, lower=1)) == bits(want_chol)
+    monkeypatch.setattr(detection, "gammaincinv", gammaincinv)
+    assert threshold_from_alpha(3, 10, 4.2e-4) == want_gamma
+
+
 def test_threshold_rejects_bad_arguments():
     with pytest.raises(ValueError):
         threshold_from_alpha(0, 1, 0.05)

@@ -412,6 +412,18 @@ def test_local_bank_matches_dense_joint_implementation():
         assert_allclose(step.P_post, Sigma_d, atol=1e-9)
 
 
+@pytest.mark.parametrize("n,l,seed", [(15, 7, 7), (10, 2, 11)])  # the example plant, and n = 10
+def test_local_bank_blocks_equal_scipy_block_diag(n, l, seed):
+    bank = generate_example_system(seed=seed, n=n, l=l).bank
+    decs = bank.decomps
+    pairs = [(bank._mask, block_diag(*(np.ones((d.n_obs, 1)) for d in decs)))]
+    for j in range(l):
+        pairs.append((bank.A_blk[j], block_diag(*(d.A_red[j] for d in decs))))
+        pairs.append((bank.C_blk[j], block_diag(*(d.C_red[j].reshape(1, -1) for d in decs))))
+    for got, want in pairs:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_local_bank_covariance_is_calibrated_empirically():
     # the reported joint covariance matches the sample covariance of the
     # actual reduced estimation errors T_o' x - zeta
