@@ -10,6 +10,8 @@ minimum-variance fusion, windowed chi-square detection with sensor removal,
 a set of reference attacker policies, and seeded end-to-end scenarios.
 """
 
+from types import ModuleType as _ModuleType
+
 from .detection import (
     Chi2Detector,
     Chi2Result,
@@ -95,71 +97,7 @@ from .system_model import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttackPolicy",
-    "AttackSet",
-    "AttackSetError",
-    "AttackSpec",
-    "AttackerInfo",
-    "CentralKalmanFilter",
-    "Chi2Detector",
-    "Chi2Result",
-    "ConditioningError",
-    "ConfigError",
-    "CrossModelPolicy",
-    "DecompositionError",
-    "DegenerateWitnessError",
-    "DetectorConfig",
-    "DetectorSpec",
-    "FilterError",
-    "FusionEstimator",
-    "GuessingPolicy",
-    "LocalFilterBank",
-    "LtiPair",
-    "ModelError",
-    "MtidentError",
-    "NoiseModel",
-    "OmniscientSchedulePolicy",
-    "PersistentBiasPolicy",
-    "Plant",
-    "RunReport",
-    "STATUS_CONSISTENT",
-    "STATUS_IDENTIFIED",
-    "ScenarioConfig",
-    "ScheduleSpec",
-    "SystemSpec",
-    "TargetSet",
-    "analyze_target_set",
-    "bias_recursion",
-    "build_attack_matrix",
-    "build_system",
-    "config_from_dict",
-    "construct_cross_model_attack",
-    "cross_model_unidentifiability",
-    "dominant_unstable_direction",
-    "generate_example_system",
-    "guess_attack_feasibility",
-    "identify_and_remove",
-    "is_sparse_observable",
-    "jordan_chains",
-    "kalman_decomposition",
-    "load_config",
-    "monte_carlo",
-    "read_matrix",
-    "read_vector",
-    "run_scenario",
-    "sample_schedule",
-    "schedule_key",
-    "sensor_consistency_check",
-    "simulate_deterministic",
-    "simulate_stochastic",
-    "sparse_observability_margin",
-    "threshold_from_alpha",
-    "time_varying_observability",
-    "trial_config",
-    "validate_design_recommendations",
-    "write_matrix",
-    "write_monte_carlo_outputs",
-    "write_run_outputs",
-    "write_vector",
-]
+# the public names imported above, so that each export is written once
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -108,12 +108,20 @@ class CentralKalmanFilter:
             idx, R = self._rows(active)
             C = pair.C.take(idx, axis=0)
         P = self.P_prior
-        U, info = dpotrf(sym(C @ P @ C.T + R))
+        # each product below is new, so sums are formed in place; C P feeds
+        # both P_yy = (C P) C' + R and the gain solve
+        CP = C @ P
+        P_yy = CP @ C.T
+        P_yy += R
+        U, info = dpotrf(sym(P_yy))
         if info or not np.isfinite(U).all():  # impossible with finite R > 0
             raise FilterError("innovation covariance lost positive definiteness")
-        K = dpotrs(U, C @ P)[0].T
-        P_post = sym(P - K @ C @ P)
-        self.P_prior = sym(pair.A @ P_post @ pair.A.T + self.noise.Q)
+        K = dpotrs(U, CP)[0].T
+        P_post = K @ C @ P
+        np.subtract(P, P_post, out=P_post)
+        P_next = pair.A @ sym(P_post) @ pair.A.T
+        P_next += self.noise.Q
+        self.P_prior = sym(P_next)
         return K, U, C, P
 
     def step(self, pair: LtiPair, y, active=None) -> CentralStep:
@@ -338,8 +346,12 @@ class LocalFilterBank:
                 self.C_blk[j][s, b] = d.C_red[j]
         self.Q_red = self.H @ noise.Q @ self.H.T
         self._R = noise.R
+        self._R_diag = noise.R.diagonal()
         self._x0_mean = noise.x0_mean
         self._P0 = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
+        # every bank restarted from this one shares these arrays
+        for M in (self.offsets, self.H, *self.A_blk, *self.C_blk, self._mask, self.Q_red, self._P0):
+            M.setflags(write=False)
         self.zeta_prior = self.H @ noise.x0_mean
         self.P_prior = self._P0
 
@@ -358,7 +370,7 @@ class LocalFilterBank:
         ``H``, ``Q_red``, the gain mask and the prior covariance depend only
         on the plant. A study therefore builds one bank per plant and
         restarts it for every run. Stepping either bank rebinds its own
-        state and writes to no shared array.
+        state; the shared arrays are read-only.
         """
         bank = copy.copy(self)
         x0 = self._x0_mean + np.asarray(mean_offset, dtype=float).reshape(self.ts.n)
@@ -377,18 +389,32 @@ class LocalFilterBank:
         j = int(model_index)
         A, C = self.A_blk[j], self.C_blk[j]
         P = self.P_prior
+        # every product below is new, so the sums are formed in place; the
+        # shared arrays (A, C, P at a restart, R, Q_red, the mask) are read only
         PC = P @ C.T
-        den = np.einsum("ij,ji->i", C, PC) + self._R.diagonal()
-        K = (PC * self._mask) / den
+        den = np.einsum("ij,ji->i", C, PC)
+        den += self._R_diag
+        K = PC * self._mask
+        K /= den
         nu = y - C @ self.zeta_prior
-        zeta_post = self.zeta_prior + K @ nu
+        zeta_post = K @ nu
+        zeta_post += self.zeta_prior
         # Joseph form with each factor (I - K C) applied as a low-rank
         # update; C P = (P C')' because P is symmetric
-        IKC_P = P - K @ PC.T
-        P_post = sym(IKC_P + (K @ self._R - IKC_P @ C.T) @ K.T)
+        IKC_P = K @ PC.T
+        np.subtract(P, IKC_P, out=IKC_P)
+        KR = K @ self._R
+        KR -= IKC_P @ C.T
+        P_post = KR @ K.T
+        P_post += IKC_P
+        P_post = sym(P_post)
         self.zeta_prior = A @ zeta_post
-        self.P_prior = sym(A @ P_post @ A.T + self.Q_red)
-        return BankStep(residues=nu / np.sqrt(den), zeta_post=zeta_post, P_post=P_post)
+        P_next = A @ P_post @ A.T
+        P_next += self.Q_red
+        self.P_prior = sym(P_next)
+        np.sqrt(den, out=den)
+        nu /= den
+        return BankStep(residues=nu, zeta_post=zeta_post, P_post=P_post)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
         """Add a known full-state offset to every sensor's predicted state."""
@@ -450,6 +476,12 @@ class FusionEstimator:
                 "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
             )
         self._HHt = self.H @ self.H.T
+        self._eye = np.eye(self.n)
+        for M in (self.H, self._HHt, self._eye):
+            M.setflags(write=False)
+        # [H | zeta]: each fuse writes its zeta into the last column
+        self._Hz = np.empty((rows.size, self.n + 1))
+        self._Hz[:, :-1] = self.H
         if active == tuple(range(bank.ts.m)):
             self._rows = None
         else:
@@ -473,18 +505,22 @@ class FusionEstimator:
         solve ``U_11' [B b] = [H[p] zeta[p]]`` gives ``G = B'B``, ``x* =
         G^{-1} B' b`` and ``cov = G^{-1} - I``.
         """
-        if self._rows is not None:
-            zeta_post = zeta_post[self._rows]
-            P_post = P_post[self._block]
-        T = P_post + self._HHt
+        Hz = self._Hz
+        if self._rows is None:
+            Hz[:, -1] = zeta_post
+            T = P_post + self._HHt
+        else:
+            Hz[:, -1] = zeta_post[self._rows]
+            T = P_post[self._block]
+            T += self._HHt
         if not np.isfinite(T).all():
             raise FilterError("fusion covariance is not finite")
         U, piv, r, _ = dpstrf(T, tol=FUSION_RANK_TOL)
-        p = piv[:r] - 1
-        Bb = dtrtrs(U[:r, :r], np.column_stack((self.H[p], zeta_post[p])), trans=1)[0]
+        Bb = dtrtrs(U[:r, :r], Hz.take(piv[:r] - 1, axis=0), trans=1)[0]
         B, b = Bb[:, :-1], Bb[:, -1]
         Gf, info = dpotrf(B.T @ B)
         if info:
             raise FilterError("fusion normal matrix lost positive definiteness")
-        cov = dpotrs(Gf, np.eye(self.n))[0] - np.eye(self.n)
+        cov = dpotrs(Gf, self._eye)[0]
+        cov -= self._eye
         return FusionResult(x_star=dpotrs(Gf, B.T @ b)[0], cov=sym(cov), rank=int(r))

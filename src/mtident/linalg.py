@@ -60,8 +60,12 @@ def scipy_compiled(module: str, public: str, *names: str) -> tuple:
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Symmetric part of a square matrix."""
-    return 0.5 * (M + M.T)
+    """Symmetric part ``0.5 (M + M')`` of a square float matrix, formed in
+    one new array."""
+    S = M.T.copy()
+    S += M
+    S *= 0.5
+    return S
 
 
 def _svd_tol(M: np.ndarray, s: np.ndarray) -> float:

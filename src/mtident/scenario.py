@@ -53,6 +53,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -643,21 +644,27 @@ def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: D
     local_z = np.empty((T, m))
     streak = np.zeros(m, dtype=np.int64)
     events: list[tuple[int, int, str]] = []
+    # norms as np.linalg.norm forms them for a vector: sqrt(x . x)
+    models, neg_w = schedule.tolist(), -w
     for k in range(T):
-        cres = central.step(ts.pairs[schedule[k]], y_err[k], active=None if len(active) == m else active)
-        err_central[k] = float(np.linalg.norm(cres.x_post))  # |-e_k| = |e_k|
-        trace_P[k] = float(np.trace(cres.P_prior))
-        central.shift_prediction(-w[k])
-        test = central_detector.update(np.sum(cres.residue * cres.residue))
+        j = models[k]
+        cres = central.step(ts.pairs[j], y_err[k], active=None if len(active) == m else active)
+        x = cres.x_post
+        err_central[k] = math.sqrt(x.dot(x))  # |-e_k| = |e_k|
+        trace_P[k] = cres.P_prior.trace()
+        central.shift_prediction(neg_w[k])
+        r = cres.residue
+        test = central_detector.update((r * r).sum())
         if test is not None and test.alarm:
             events.append((k, -1, "central_alarm"))
 
-        bres = bank.step(int(schedule[k]), y_err[k])
+        bres = bank.step(j, y_err[k])
         fres = fusion.fuse(bres.zeta_post, bres.P_post)
-        err_fused[k] = float(np.linalg.norm(fres.x_star))
-        fused_trace[k] = float(np.trace(fres.cov))
+        x = fres.x_star
+        err_fused[k] = math.sqrt(x.dot(x))
+        fused_trace[k] = fres.cov.trace()
         z = local_z[k] = bres.residues
-        bank.shift_prediction(-w[k])
+        bank.shift_prediction(neg_w[k])
 
         test = detector.update(z * z)
         if test is None:

@@ -5,7 +5,9 @@ so the built matrices are exact in floating point and their true eigenvalues
 and chain structure are known by construction. The oracles below are
 direct, slow restatements of what the package computes more cleverly; only
 tests call them. :func:`reference_run_scenario` is the scenario engine as
-one per-step loop with per-sensor detector objects.
+one per-step loop with per-sensor detector objects. The ``Reference*``
+filter classes keep the step methods as first written, one numpy
+expression per formula, as bit-for-bit oracles for the engine's lean ones.
 """
 
 import dataclasses
@@ -28,8 +30,19 @@ from mtident import (
     sample_schedule,
     schedule_key,
 )
-from mtident.errors import DecompositionError
-from mtident.estimation import _common_nullspace_basis
+from mtident.errors import DecompositionError, FilterError, ModelError
+from mtident.estimation import (
+    FUSION_RANK_TOL,
+    BankStep,
+    CentralStep,
+    FusionResult,
+    LocalFilterBank,
+    _common_nullspace_basis,
+    dpotrf,
+    dpotrs,
+    dpstrf,
+    dtrtrs,
+)
 from mtident.linalg import numerical_rank, observability_stack, spectral_radius
 from mtident.scenario import _build_attack, _summarize, config_schedule_key
 
@@ -298,3 +311,106 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     )
     report.summary = _summarize(report)
     return report
+
+
+def sym(M):
+    """The symmetric part as :func:`mtident.linalg.sym` was first written."""
+    return 0.5 * (M + M.T)
+
+
+class ReferenceCentralKalmanFilter(CentralKalmanFilter):
+    """The central filter with its first-written step methods."""
+
+    def step_covariance(self, pair: LtiPair, active=None):
+        """Advance the attack-free Riccati recursion only; returns
+        ``(gain, U, C_active, P_prior_used)`` with ``P_yy = U' U``."""
+        if active is None:
+            C, R = pair.C, self.noise.R
+        else:
+            idx, R = self._rows(active)
+            C = pair.C.take(idx, axis=0)
+        P = self.P_prior
+        U, info = dpotrf(sym(C @ P @ C.T + R))
+        if info or not np.isfinite(U).all():  # impossible with finite R > 0
+            raise FilterError("innovation covariance lost positive definiteness")
+        K = dpotrs(U, C @ P)[0].T
+        P_post = sym(P - K @ C @ P)
+        self.P_prior = sym(pair.A @ P_post @ pair.A.T + self.noise.Q)
+        return K, U, C, P
+
+    def step(self, pair: LtiPair, y, active=None) -> CentralStep:
+        """Full measurement update + prediction with the step-k configuration.
+
+        ``y`` is the full m-vector; only the ``active`` sensors' rows are used.
+        """
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != self.m:
+            raise ModelError(f"measurement has {y.shape[0]} rows, expected {self.m}")
+        if active is not None:
+            y = y.take(self._rows(active)[0])
+        x = self.x_prior
+        K, U, C, P_used = self.step_covariance(pair, active)
+        innov = y - C @ x
+        x_post = x + K @ innov
+        self.x_prior = pair.A @ x_post
+        return CentralStep(residue=dtrtrs(U, innov, trans=1)[0], x_post=x_post, P_prior=P_used)
+
+
+class ReferenceLocalFilterBank(LocalFilterBank):
+    """The filter bank with its first-written step."""
+
+    def step(self, model_index: int, y) -> BankStep:
+        """Update every sensor filter with its own row of ``y``, then predict.
+
+        ``y`` is the full m-vector; sensor ``s`` consumes ``y[s]`` only.
+        """
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != self.ts.m:
+            raise ModelError(f"output has {y.shape[0]} rows, expected {self.ts.m}")
+        j = int(model_index)
+        A, C = self.A_blk[j], self.C_blk[j]
+        P = self.P_prior
+        PC = P @ C.T
+        den = np.einsum("ij,ji->i", C, PC) + self._R.diagonal()
+        K = (PC * self._mask) / den
+        nu = y - C @ self.zeta_prior
+        zeta_post = self.zeta_prior + K @ nu
+        # Joseph form with each factor (I - K C) applied as a low-rank
+        # update; C P = (P C')' because P is symmetric
+        IKC_P = P - K @ PC.T
+        P_post = sym(IKC_P + (K @ self._R - IKC_P @ C.T) @ K.T)
+        self.zeta_prior = A @ zeta_post
+        self.P_prior = sym(A @ P_post @ A.T + self.Q_red)
+        return BankStep(residues=nu / np.sqrt(den), zeta_post=zeta_post, P_post=P_post)
+
+
+class ReferenceFusionEstimator(FusionEstimator):
+    """Fusion with its first-written step."""
+
+    def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray) -> FusionResult:
+        """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.
+
+        Takes the active sensors' rows and factors ``T = P + H H'`` by
+        pivoted Cholesky (LAPACK ``dpstrf``, upper): ``T[p, p] = U_11' U_11``
+        for the first ``r = rank(T)`` pivots ``p``, where the factorization
+        stops at the first pivot below ``N eps max(diag T)``
+        (:data:`FUSION_RANK_TOL`). Restricted to those rows and columns,
+        ``T[p, p]^{-1}`` is a generalized inverse of ``T``, so one triangular
+        solve ``U_11' [B b] = [H[p] zeta[p]]`` gives ``G = B'B``, ``x* =
+        G^{-1} B' b`` and ``cov = G^{-1} - I``.
+        """
+        if self._rows is not None:
+            zeta_post = zeta_post[self._rows]
+            P_post = P_post[self._block]
+        T = P_post + self._HHt
+        if not np.isfinite(T).all():
+            raise FilterError("fusion covariance is not finite")
+        U, piv, r, _ = dpstrf(T, tol=FUSION_RANK_TOL)
+        p = piv[:r] - 1
+        Bb = dtrtrs(U[:r, :r], np.column_stack((self.H[p], zeta_post[p])), trans=1)[0]
+        B, b = Bb[:, :-1], Bb[:, -1]
+        Gf, info = dpotrf(B.T @ B)
+        if info:
+            raise FilterError("fusion normal matrix lost positive definiteness")
+        cov = dpotrs(Gf, np.eye(self.n))[0] - np.eye(self.n)
+        return FusionResult(x_star=dpotrs(Gf, B.T @ b)[0], cov=sym(cov), rank=int(r))

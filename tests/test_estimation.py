@@ -9,7 +9,15 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag
 
-from helpers import check_common_nullspace, random_target_set, spd, standard_noise
+from helpers import (
+    ReferenceCentralKalmanFilter,
+    ReferenceFusionEstimator,
+    ReferenceLocalFilterBank,
+    check_common_nullspace,
+    random_target_set,
+    spd,
+    standard_noise,
+)
 from mtident import (
     AttackSetError,
     CentralKalmanFilter,
@@ -355,6 +363,73 @@ def test_restarted_bank_equals_a_fresh_bank_whatever_the_original_did():
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         restarted.shift_prediction(w)
         fresh.shift_prediction(w)
+
+
+def test_a_restarted_bank_writes_to_none_of_its_templates_arrays():
+    ts, noise, decomps = _bank_plant()
+    rng = np.random.default_rng(59)
+    template = LocalFilterBank(ts, noise, decomps)
+    fusion_template = FusionEstimator(template, range(1, ts.m))
+    shared = [
+        template.offsets, template.H, *template.A_blk, *template.C_blk, template._mask,
+        template.Q_red, template._P0, template._R, template._R_diag,
+        fusion_template.H, fusion_template._HHt, fusion_template._eye,
+    ]
+    before = [M.tobytes() for M in shared]
+    bank = template.restarted(rng.standard_normal(ts.n))
+    fusion = FusionEstimator(bank, range(ts.m))
+    for k in range(4):
+        step = bank.step(k % ts.l, rng.standard_normal(ts.m))
+        fusion.fuse(step.zeta_post, step.P_post)
+        fusion_template.fuse(step.zeta_post, step.P_post)
+        bank.shift_prediction(rng.standard_normal(ts.n))
+    assert bank.P_prior is not template.P_prior
+    for M, data in zip(shared, before):
+        assert M.tobytes() == data
+        with pytest.raises(ValueError, match="read-only"):
+            M[...] = 0
+
+
+@functools.lru_cache(maxsize=None)
+def _example_plant(n, l):
+    return generate_example_system(seed=n + l, n=n, l=l)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_step_methods_match_the_reference_steps_bit_for_bit(data):
+    # the engine's steps form the reference steps' floating-point operations
+    # in the same order on the same operands; the first steps fuse a
+    # rank-deficient covariance
+    plant = _example_plant(data.draw(st.sampled_from((5, 10, 15))), data.draw(st.integers(1, 4)))
+    ts, noise = plant.ts, plant.noise
+    order = data.draw(st.permutations(range(ts.m)))
+    size = next(i for i in range(1, ts.m + 1) if FusionEstimator.removal_keeps_observability(plant.bank, order[:i]))
+    sensors = tuple(order[: data.draw(st.integers(size, ts.m))])
+    central_active = None if len(sensors) == ts.m else sensors
+    T = 25
+    sched = data.draw(st.lists(st.integers(0, ts.l - 1), min_size=T, max_size=T))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    offset, ys, ws = rng.standard_normal(ts.n), rng.standard_normal((T, ts.m)), rng.standard_normal((T, ts.n))
+    central = CentralKalmanFilter(noise, mean_offset=offset)
+    ref_central = ReferenceCentralKalmanFilter(noise, mean_offset=offset)
+    bank = plant.bank.restarted(offset)
+    ref_bank = ReferenceLocalFilterBank(ts, noise, plant.bank.decomps).restarted(offset)
+    fusion, ref_fusion = FusionEstimator(bank, sensors), ReferenceFusionEstimator(ref_bank, sensors)
+
+    def outputs(central, bank, fusion, k):
+        c = central.step(ts.pairs[sched[k]], ys[k], active=central_active)
+        b = bank.step(sched[k], ys[k])
+        f = fusion.fuse(b.zeta_post, b.P_post)
+        central.shift_prediction(ws[k])
+        bank.shift_prediction(ws[k])
+        return (c.residue, c.x_post, c.P_prior, central.x_prior, central.P_prior,
+                b.residues, b.zeta_post, b.P_post, bank.zeta_prior, bank.P_prior, f.x_star, f.cov, f.rank)
+
+    for k in range(T):
+        got, want = outputs(central, bank, fusion, k), outputs(ref_central, ref_bank, ref_fusion, k)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (k, i)
 
 
 def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):
