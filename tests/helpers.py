@@ -21,6 +21,7 @@ from mtident import (
     Chi2Result,
     DetectorConfig,
     FusionEstimator,
+    LocalFilterBank,
     LtiPair,
     NoiseModel,
     RunReport,
@@ -36,7 +37,6 @@ from mtident.estimation import (
     BankStep,
     CentralStep,
     FusionResult,
-    LocalFilterBank,
     _common_nullspace_basis,
     dpotrf,
     dpotrs,
