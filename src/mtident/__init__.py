@@ -87,7 +87,6 @@ from .system_model import (
     LtiPair,
     NoiseModel,
     TargetSet,
-    build_attack_matrix,
     sample_schedule,
     schedule_key,
     simulate_deterministic,

@@ -23,7 +23,7 @@ import numpy.random  # numpy loads it lazily; load it here, not in a run
 
 from .errors import DegenerateWitnessError
 from .identifiability import construct_cross_model_attack, cross_model_unidentifiability
-from .system_model import AttackSet, LtiPair, TargetSet
+from .system_model import AttackSet, LtiPair, TargetSet, free_response
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class AttackerInfo:
 
     pairs: tuple[LtiPair, ...]
     period: int
-    distribution: str = "uniform-per-period"
 
     @classmethod
     def from_target_set(cls, ts: TargetSet) -> "AttackerInfo":
@@ -71,22 +70,6 @@ class AttackPolicy:
     def _values(self, horizon: int) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _trajectory_outputs(self, pairs, configs, x0_star, restart_every: int = 0) -> np.ndarray:
-        """Attacked-sensor outputs ``C_j[s] x_k`` of the virtual trajectory
-        ``x_{k+1} = A_j x_k`` from ``x0_star``, with ``j = configs[k]``; with
-        ``restart_every`` the trajectory restarts at ``x0_star`` every that
-        many steps."""
-        rows = list(self.sensors)
-        out = np.empty((len(configs), len(rows)))
-        x = x0_star
-        for k, j in enumerate(configs):
-            if restart_every and k % restart_every == 0:
-                x = x0_star
-            pair = pairs[j]
-            out[k] = pair.C[rows] @ x
-            x = pair.A @ x
-        return out
-
 
 class OmniscientSchedulePolicy(AttackPolicy):
     """Worst-case baseline: mimics a legitimate initial-state offset.
@@ -107,7 +90,7 @@ class OmniscientSchedulePolicy(AttackPolicy):
         self.x0_star = np.asarray(x0_star, dtype=float).reshape(-1)
 
     def _values(self, horizon: int) -> np.ndarray:
-        return self._trajectory_outputs(self.pairs, self.schedule[:horizon], self.x0_star)
+        return free_response(self.pairs, self.schedule[:horizon], self.x0_star, list(self.sensors))
 
 
 class GuessingPolicy(AttackPolicy):
@@ -142,8 +125,13 @@ class GuessingPolicy(AttackPolicy):
         return np.repeat(draws, period)[:horizon]
 
     def _values(self, horizon: int) -> np.ndarray:
-        restart = self.info.period if self.restart_each_period else 0
-        return self._trajectory_outputs(self.info.pairs, self.guesses(horizon), self.x0_star, restart)
+        # with restarts, each period's guesses replay from x0_star
+        period = self.info.period
+        starts = range(period, horizon, period) if self.restart_each_period else []
+        return np.concatenate([
+            free_response(self.info.pairs, guesses, self.x0_star, list(self.sensors))
+            for guesses in np.split(self.guesses(horizon), starts)
+        ])
 
 
 class PersistentBiasPolicy(AttackPolicy):

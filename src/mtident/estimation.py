@@ -35,6 +35,7 @@ from .linalg import (
     nullspace,
     numerical_rank,
     observability_stack,
+    observable,
     orth_complement,
     scipy_compiled,
     sym,
@@ -63,7 +64,8 @@ class CentralStep:
 
 
 class CentralKalmanFilter:
-    """Time-varying Kalman filter over the full (or an active subset of) sensors.
+    """Time-varying Kalman filter over all sensors, or the subset given to
+    :meth:`restrict`.
 
     Update with the step-k pair, then predict with the same pair:
 
@@ -88,31 +90,34 @@ class CentralKalmanFilter:
         if mean_offset is not None:
             self.x_prior = self.x_prior + np.asarray(mean_offset, dtype=float).reshape(self.n)
         self.P_prior = noise.P0.copy()
-        self._restriction = None  # (active sensors, their rows, their R block)
+        self._idx = None  # the active sensors' row index; None while all are active
+        self._R = noise.R
 
-    def _rows(self, active) -> tuple[np.ndarray, np.ndarray]:
-        """The ``active`` sensors' row index and ``R`` block, formed once for
-        each new active set; a run keeps one active set for many steps."""
-        key = tuple(active)
-        if self._restriction is None or self._restriction[0] != key:
-            idx = np.array(key, dtype=np.intp)
-            self._restriction = (key, idx, self.noise.R[np.ix_(idx, idx)])
-        return self._restriction[1:]
+    def restrict(self, active) -> None:
+        """Use only the ``active`` sensors' rows of every later measurement,
+        in the order given; their row index and ``R`` block are formed here,
+        once."""
+        self._idx = np.array(tuple(active), dtype=np.intp)
+        self._R = self.noise.R[np.ix_(self._idx, self._idx)]
 
-    def step_covariance(self, pair: LtiPair, active=None):
-        """Advance the attack-free Riccati recursion only; returns
-        ``(gain, U, C_active, P_prior_used)`` with ``P_yy = U' U``."""
-        if active is None:
-            C, R = pair.C, self.noise.R
-        else:
-            idx, R = self._rows(active)
-            C = pair.C.take(idx, axis=0)
-        P = self.P_prior
+    def step(self, pair: LtiPair, y) -> CentralStep:
+        """Full measurement update + prediction with the step-k configuration.
+
+        ``y`` is the full m-vector; only the active sensors' rows are used.
+        """
+        y = np.asarray(y, dtype=float).reshape(-1)
+        if y.shape[0] != self.m:
+            raise ModelError(f"measurement has {y.shape[0]} rows, expected {self.m}")
+        C = pair.C
+        if self._idx is not None:
+            y = y.take(self._idx)
+            C = C.take(self._idx, axis=0)
+        x, P = self.x_prior, self.P_prior
         # each product below is new, so sums are formed in place; C P feeds
         # both P_yy = (C P) C' + R and the gain solve
         CP = C @ P
         P_yy = CP @ C.T
-        P_yy += R
+        P_yy += self._R
         U, info = dpotrf(sym(P_yy))
         if info or not np.isfinite(U).all():  # impossible with finite R > 0
             raise FilterError("innovation covariance lost positive definiteness")
@@ -122,24 +127,10 @@ class CentralKalmanFilter:
         P_next = pair.A @ sym(P_post) @ pair.A.T
         P_next += self.noise.Q
         self.P_prior = sym(P_next)
-        return K, U, C, P
-
-    def step(self, pair: LtiPair, y, active=None) -> CentralStep:
-        """Full measurement update + prediction with the step-k configuration.
-
-        ``y`` is the full m-vector; only the ``active`` sensors' rows are used.
-        """
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if y.shape[0] != self.m:
-            raise ModelError(f"measurement has {y.shape[0]} rows, expected {self.m}")
-        if active is not None:
-            y = y.take(self._rows(active)[0])
-        x = self.x_prior
-        K, U, C, P_used = self.step_covariance(pair, active)
         innov = y - C @ x
         x_post = x + K @ innov
         self.x_prior = pair.A @ x_post
-        return CentralStep(residue=dtrtrs(U, innov, trans=1)[0], x_post=x_post, P_prior=P_used)
+        return CentralStep(residue=dtrtrs(U, innov, trans=1)[0], x_post=x_post, P_prior=P)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
         """Add a known offset to the current predicted state.
@@ -266,7 +257,7 @@ def kalman_decomposition(ts: TargetSet, sensor: int) -> SensorDecomposition:
                 )
         Ar = T_o.T @ p.A @ T_o
         Cr = p.C[sensor] @ T_o
-        if numerical_rank(observability_stack(Ar, Cr.reshape(1, -1), Ar.shape[0])) < Ar.shape[0]:
+        if not observable(Ar, Cr):
             raise DecompositionError(
                 f"sensor {sensor}: reduced pair of configuration {j} is unobservable"
             )

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateWitnessError
-from .linalg import EPS, numerical_rank, nullity, nullspace, observability_stack
-from .system_model import LtiPair, TargetSet, validate_design_recommendations
+from .linalg import EPS, nullspace, numerical_rank, observable
+from .system_model import LtiPair, TargetSet, free_response, validate_design_recommendations
 
 STATUS_CONSISTENT = "consistent"
 STATUS_IDENTIFIED = "unambiguously-identified"
@@ -39,7 +39,8 @@ STATUS_IDENTIFIED = "unambiguously-identified"
 
 
 def time_varying_observability(ts: TargetSet, sequence, sensor: int, t: int) -> np.ndarray:
-    """Time-varying stack with rows ``C_k^s (A_{k-1} ... A_0)`` for k = 0..t.
+    """Time-varying stack with rows ``C_k^s (A_{k-1} ... A_0)`` for k = 0..t:
+    the free response of the identity.
 
     ``sequence`` holds configuration indices for steps ``0..t`` (at least
     ``t + 1`` entries); the k = 0 row uses the empty product, i.e. ``C_0^s``.
@@ -51,13 +52,7 @@ def time_varying_observability(ts: TargetSet, sequence, sensor: int, t: int) -> 
         raise ValueError(f"sequence has {sequence.size} entries, need {t + 1}")
     if not 0 <= sensor < ts.m:
         raise ValueError(f"sensor index {sensor} out of range")
-    rows = np.empty((t + 1, ts.n))
-    phi = np.eye(ts.n)
-    for k in range(t + 1):
-        pair = ts.pairs[sequence[k]]
-        rows[k] = pair.C[sensor] @ phi
-        phi = pair.A @ phi
-    return rows
+    return free_response(ts.pairs, sequence[: t + 1], np.eye(ts.n), sensor)
 
 
 def is_sparse_observable(pair: LtiPair, r: int) -> bool:
@@ -70,12 +65,10 @@ def is_sparse_observable(pair: LtiPair, r: int) -> bool:
     if not 0 <= r < pair.m:
         raise ValueError(f"r must be in [0, {pair.m}), got {r}")
     all_sensors = set(range(pair.m))
-    for removed in itertools.combinations(range(pair.m), r):
-        keep = sorted(all_sensors - set(removed))
-        M = observability_stack(pair.A, pair.C[keep], pair.n)
-        if numerical_rank(M) < pair.n:
-            return False
-    return True
+    return all(
+        observable(pair.A, pair.C[sorted(all_sensors - set(removed))])
+        for removed in itertools.combinations(range(pair.m), r)
+    )
 
 
 def sparse_observability_margin(pair: LtiPair) -> int:
@@ -147,14 +140,13 @@ def guess_attack_feasibility(ts: TargetSet, guessed, true_schedule, sensor: int,
     """Can an attacker who committed to ``guessed`` stay consistent through ``t``?
 
     Feasibility of an undetectable nonzero attack is equivalent to the
-    concatenated guessed/true stacks having more null directions than the
-    two stacks separately:
+    images of the guessed and true stacks intersecting nontrivially:
 
-        null([O_guess  O_true]) > null(O_guess) + null(O_true).
+        rank([O_guess  O_true]) < rank(O_guess) + rank(O_true).
     """
     Og = time_varying_observability(ts, guessed, sensor, t)
     Os = time_varying_observability(ts, true_schedule, sensor, t)
-    return nullity(np.hstack([Og, Os])) > nullity(Og) + nullity(Os)
+    return numerical_rank(np.hstack([Og, Os])) < numerical_rank(Og) + numerical_rank(Os)
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +388,10 @@ def construct_cross_model_attack(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    seqs = []
-    for pair, x in ((pair1, witness.x0a_1), (pair2, witness.x0a_2)):
-        c = pair.C[sensor]
-        d = np.empty(horizon, dtype=x.dtype)
-        for k in range(horizon):
-            d[k] = c @ x
-            x = pair.A @ x
-        seqs.append(d)
-    d1, d2 = seqs
+    d1, d2 = (
+        free_response((pair,), [0] * horizon, x, sensor)
+        for pair, x in ((pair1, witness.x0a_1), (pair2, witness.x0a_2))
+    )
     if float(np.max(np.abs(d1 - d2))) > 1e-8 * (1.0 + float(np.max(np.abs(d1)))):
         raise DegenerateWitnessError(
             "witness output sequences disagree between the two models"

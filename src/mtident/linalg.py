@@ -81,12 +81,6 @@ def numerical_rank(M: np.ndarray) -> int:
     return int(np.sum(s > _svd_tol(M, s)))
 
 
-def nullity(M: np.ndarray) -> int:
-    """Dimension of the (right) null space; always ``cols - rank``."""
-    M = np.atleast_2d(np.asarray(M))
-    return M.shape[1] - numerical_rank(M)
-
-
 def nullspace(M: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the right null space, one column per dimension;
     singular values at or below ``tol`` (default cutoff when None) count as
@@ -142,3 +136,11 @@ def observability_stack(A: np.ndarray, C: np.ndarray, steps: int) -> np.ndarray:
         row = row @ A
         blocks.append(row)
     return np.vstack(blocks)
+
+
+def observable(A: np.ndarray, C: np.ndarray) -> bool:
+    """Is the pair ``(A, C)`` observable: does its stack of ``n = dim A``
+    steps have numerical rank ``n``?"""
+    n = np.shape(A)[0]
+    stack = observability_stack(A, C, n)
+    return numerical_rank(stack) == n

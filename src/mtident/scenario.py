@@ -73,14 +73,14 @@ from .adversary import (
     dominant_unstable_direction,
 )
 from .detection import Chi2Detector, DetectorConfig, identify_and_remove
-from .errors import AttackSetError, ConditioningError, ConfigError, DegenerateWitnessError, MtidentError
+from .errors import AttackSetError, ConditioningError, ConfigError, DecompositionError, DegenerateWitnessError
 from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
     LocalFilterBank,
     kalman_decomposition,
 )
-from .linalg import numerical_rank, observability_stack, spectral_radius
+from .linalg import observable, spectral_radius
 from .matrixio import read_matrix, read_vector
 from .system_model import (
     AttackSet,
@@ -354,8 +354,8 @@ def generate_example_system(
     is the same coordinate subspace under every configuration, which is what
     the per-sensor filter bank requires. Diagonal blocks are rescaled to a
     spectral radius drawn from ``radius`` (unstable by default). Draws are
-    retried until every pair is observable and every sensor decomposes
-    cleanly, at most 40 draws; the returned plant's bank keeps those
+    retried until every diagonal block can be rescaled, every pair is
+    observable and every sensor decomposes cleanly, at most 40 draws; the returned plant's bank keeps those
     decompositions. No retry depends on ``key``.
     """
     check_example_size(n, l, "")
@@ -364,47 +364,45 @@ def generate_example_system(
     last_err = None
     for attempt in range(40):
         rng = np.random.default_rng([seed, attempt])
-        pairs = []
-        degenerate = False
-        for _ in range(l):
-            A = np.zeros((n, n))
-            for (r, c) in _BLOCK_PATTERN:
-                Mb = rng.uniform(-1.0, 1.0, (b, b))
-                if r == c:
-                    target = rng.uniform(radius[0], radius[1])
-                    sr = spectral_radius(Mb)
-                    if sr < 1e-9:
-                        degenerate = True
-                        break
-                    Mb = Mb * (target / sr)
-                else:
-                    Mb = Mb * coupling
-                A[r * b : (r + 1) * b, c * b : (c + 1) * b] = Mb
-            if degenerate:
-                break
-            C = np.zeros((m, n))
-            for bank in range(2):
-                for i in range(5):
-                    C[bank * 5 + i, i * b : (i + 1) * b] = rng.uniform(-1.0, 1.0, b)
-            pairs.append(LtiPair(A, C))
-        if degenerate:
-            continue
-        MQ = rng.uniform(-1.0, 1.0, (n, n))
-        Q = noise_scale * (MQ @ MQ.T)
-        MR = rng.uniform(-1.0, 1.0, (m, m))
-        R = noise_scale * (MR @ MR.T) + 1e-3 * np.eye(m)
-        ts = TargetSet(
-            pairs=tuple(pairs),
-            period=_schedule_period(period, n),
-            key=key if key is not None else schedule_key(example_key(seed)),
-        )
-        noise = NoiseModel(Q=Q, R=R)
+        # a degenerate block, an unobservable pair or a sensor that does not
+        # decompose is retried with a new draw
         try:
+            pairs = []
+            for _ in range(l):
+                A = np.zeros((n, n))
+                for (r, c) in _BLOCK_PATTERN:
+                    Mb = rng.uniform(-1.0, 1.0, (b, b))
+                    if r == c:
+                        target = rng.uniform(radius[0], radius[1])
+                        sr = spectral_radius(Mb)
+                        if sr < 1e-9:
+                            raise ConditioningError(
+                                f"diagonal block of spectral radius {sr:.1e} cannot be rescaled"
+                            )
+                        Mb = Mb * (target / sr)
+                    else:
+                        Mb = Mb * coupling
+                    A[r * b : (r + 1) * b, c * b : (c + 1) * b] = Mb
+                C = np.zeros((m, n))
+                for bank in range(2):
+                    for i in range(5):
+                        C[bank * 5 + i, i * b : (i + 1) * b] = rng.uniform(-1.0, 1.0, b)
+                pairs.append(LtiPair(A, C))
+            MQ = rng.uniform(-1.0, 1.0, (n, n))
+            Q = noise_scale * (MQ @ MQ.T)
+            MR = rng.uniform(-1.0, 1.0, (m, m))
+            R = noise_scale * (MR @ MR.T) + 1e-3 * np.eye(m)
+            ts = TargetSet(
+                pairs=tuple(pairs),
+                period=_schedule_period(period, n),
+                key=key if key is not None else schedule_key(example_key(seed)),
+            )
+            noise = NoiseModel(Q=Q, R=R)
             for p in pairs:
-                if numerical_rank(observability_stack(p.A, p.C, n)) < n:
+                if not observable(p.A, p.C):
                     raise ConditioningError("pair unobservable")
             decomps = [kalman_decomposition(ts, s) for s in range(m)]
-        except (MtidentError, np.linalg.LinAlgError) as exc:  # retry with a new draw
+        except (ConditioningError, DecompositionError, np.linalg.LinAlgError) as exc:
             last_err = exc
             continue
         return Plant(ts, noise, LocalFilterBank(ts, noise, decomps))
@@ -503,21 +501,19 @@ def _resolve_x0_star(spec: AttackSpec, ts: TargetSet) -> np.ndarray:
     return spec.x0_star_scale * v
 
 
-def _build_attack(
-    cfg: ScenarioConfig, ts: TargetSet, schedule: np.ndarray
-) -> tuple[AttackSet | None, AttackPolicy | None]:
+def _build_attack(cfg: ScenarioConfig, ts: TargetSet, schedule: np.ndarray) -> AttackPolicy | None:
     spec = cfg.attack
     if spec.kind == "none":
-        return None, None
+        return None
     try:
         attack = AttackSet(spec.sensors, ts.m)
     except AttackSetError as exc:
         raise ConfigError(f"attack.sensors: {exc}") from exc
     if spec.kind == "omniscient":
-        return attack, OmniscientSchedulePolicy(ts, schedule, attack, _resolve_x0_star(spec, ts))
+        return OmniscientSchedulePolicy(ts, schedule, attack, _resolve_x0_star(spec, ts))
     if spec.kind == "guessing":
         info = AttackerInfo.from_target_set(ts)
-        return attack, GuessingPolicy(
+        return GuessingPolicy(
             info,
             attack,
             _resolve_x0_star(spec, ts),
@@ -527,12 +523,12 @@ def _build_attack(
     if spec.kind == "persistent_bias":
         if spec.constant == 0.0 and spec.ramp == 0.0:
             raise ConfigError("persistent_bias attack needs a nonzero constant or ramp")
-        return attack, PersistentBiasPolicy(attack, constant=spec.constant, ramp=spec.ramp)
+        return PersistentBiasPolicy(attack, constant=spec.constant, ramp=spec.ramp)
     i, j = spec.models  # cross_model
     if not (0 <= i < ts.l and 0 <= j < ts.l and i != j):
         raise ConfigError(f"attack.models {spec.models} invalid for l={ts.l}")
     try:
-        return attack, CrossModelPolicy(ts.pairs[i], ts.pairs[j], attack)
+        return CrossModelPolicy(ts.pairs[i], ts.pairs[j], attack)
     except DegenerateWitnessError as exc:
         raise ConfigError(
             f"attack.sensors {list(spec.sensors)} under attack.models {list(spec.models)}: {exc}"
@@ -582,9 +578,9 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
     T = cfg.horizon
     schedule = sample_schedule(ts, T)
-    attack, policy = _build_attack(cfg, ts, schedule)
+    policy = _build_attack(cfg, ts, schedule)
 
-    e0, y_err, w = _draw_inputs(cfg.seed, plant.noise, T, attack, policy)
+    e0, y_err, w = _draw_inputs(cfg.seed, plant.noise, T, policy)
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
     offset = -(plant.noise.x0_mean + e0)
     alerts: list[str] = []
@@ -608,7 +604,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     return report
 
 
-def _draw_inputs(seed, noise: NoiseModel, T: int, attack, policy):
+def _draw_inputs(seed, noise: NoiseModel, T: int, policy: AttackPolicy | None):
     """Pass 1: the initial error ``e0``, the error-coordinate outputs
     ``y_k - C_k x_k = v_k + D d_k`` and the process noise ``w_k``, with the
     noise from :func:`draw_noise` and ``D d_k`` from :meth:`AttackSet.inject`.
@@ -618,7 +614,7 @@ def _draw_inputs(seed, noise: NoiseModel, T: int, attack, policy):
     e0, v, w = draw_noise(noise, np.random.default_rng(ss_sim), T)
     if policy is None:
         return e0, v, w
-    return e0, v + attack.inject(policy.values(T), T), w
+    return e0, v + policy.attack.inject(policy.values(T), T), w
 
 
 def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: DetectorSpec, alerts):
@@ -630,8 +626,9 @@ def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: D
     restarts, so one :class:`Chi2Detector` fed all squared residues tests
     each sensor elementwise. A sensor whose alarm streak reaches the removal
     policy is a candidate. Removals take effect from the next step, refused
-    ones are appended to ``alerts``, and the central detector, which only
-    logs, restarts with the new residue dimension.
+    ones are appended to ``alerts``, the central filter keeps the remaining
+    sensors' rows, and the central detector, which only logs, restarts with
+    the new residue dimension.
     """
     T, m = y_err.shape
     central = CentralKalmanFilter(plant.noise, mean_offset=offset)
@@ -648,7 +645,7 @@ def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: D
     models, neg_w = schedule.tolist(), -w
     for k in range(T):
         j = models[k]
-        cres = central.step(ts.pairs[j], y_err[k], active=None if len(active) == m else active)
+        cres = central.step(ts.pairs[j], y_err[k])
         x = cres.x_post
         err_central[k] = math.sqrt(x.dot(x))  # |-e_k| = |e_k|
         trace_P[k] = cres.P_prior.trace()
@@ -691,6 +688,7 @@ def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: D
                 active.remove(s)
                 events.append((k, s, "removed"))
             fusion = FusionEstimator(bank, active)
+            central.restrict(active)
             central_detector = Chi2Detector(
                 DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AttackSetError, ModelError
-from .linalg import numerical_rank, observability_stack, psd_factor
+from .linalg import observable, psd_factor
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -206,12 +206,6 @@ class AttackSet:
         return out
 
 
-def build_attack_matrix(sensors, m: int) -> AttackSet:
-    """The attack on ``sensors`` (distinct indices in ``[0, m)``) of an
-    ``m``-sensor plant; an empty collection is no attack channel."""
-    return AttackSet(tuple(sensors), m)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Gaussian disturbance model: process ``Q``, measurement ``R``, initial prior.
@@ -314,6 +308,22 @@ def draw_noise(noise: NoiseModel, rng: np.random.Generator, T: int):
     Z = rng.standard_normal((T, m + n, 1))
     v = np.matmul(noise.R_factor, Z[:, :m])[..., 0]
     return e0, v, np.matmul(noise.Q_factor, Z[:, m:])[..., 0]
+
+
+def free_response(pairs, configs, x, rows) -> np.ndarray:
+    """Outputs ``C_j[rows] @ x_k`` of the free response ``x_{k+1} = A_j x_k``
+    from ``x``, where ``j = configs[k]``; row ``k`` of the result is step ``k``.
+
+    ``x`` is a state vector or a matrix of them (the identity gives the
+    observability rows), real or complex; ``rows`` is one sensor index or a
+    list of them.
+    """
+    out = []
+    for j in configs:
+        pair = pairs[j]
+        out.append(pair.C[rows] @ x)
+        x = pair.A @ x
+    return np.array(out)
 
 
 def _simulate(ts: TargetSet, schedule, x, v, w, attack, d) -> Trajectory:
@@ -447,11 +457,7 @@ def validate_design_recommendations(ts: TargetSet) -> RecommendationReport:
 
     min_abs_eig = min(float(np.min(np.abs(s))) for s in spectra)
 
-    unobs = tuple(
-        i
-        for i, p in enumerate(ts.pairs)
-        if numerical_rank(observability_stack(p.A, p.C, ts.n)) < ts.n
-    )
+    unobs = tuple(i for i, p in enumerate(ts.pairs) if not observable(p.A, p.C))
 
     return RecommendationReport(
         disjoint_spectra=disjoint,

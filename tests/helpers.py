@@ -7,7 +7,9 @@ direct, slow restatements of what the package computes more cleverly; only
 tests call them. :func:`reference_run_scenario` is the scenario engine as
 one per-step loop with per-sensor detector objects. The ``Reference*``
 filter classes keep the step methods as first written, one numpy
-expression per formula, as bit-for-bit oracles for the engine's lean ones.
+expression per formula, as bit-for-bit oracles for the engine's lean ones;
+the ``reference_*`` free-response functions do the same for
+:func:`mtident.system_model.free_response`.
 """
 
 import dataclasses
@@ -227,7 +229,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     n, m = ts.n, ts.m
     T = cfg.horizon
     schedule = sample_schedule(ts, T)
-    attack, policy = _build_attack(cfg, ts, schedule)
+    policy = _build_attack(cfg, ts, schedule)
 
     ss_sim, _ = np.random.SeedSequence(cfg.seed).spawn(2)
     rng_sim = np.random.default_rng(ss_sim)
@@ -252,10 +254,10 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         j = int(schedule[k])
         pair = ts.pairs[j]
         v = noise.R_factor @ rng_sim.standard_normal(m)
-        dd = attack.D @ policy.values(k + 1)[k] if policy is not None else np.zeros(m)
+        dd = policy.attack.D @ policy.values(k + 1)[k] if policy is not None else np.zeros(m)
         y_err = v + dd
 
-        cres = central.step(pair, y_err, active=None if len(active) == m else active)
+        cres = central.step(pair, y_err)
         bres = bank.step(j, y_err)
         fres = fusion.fuse(bres.zeta_post, bres.P_post)
         err_central[k] = float(np.linalg.norm(cres.x_post))
@@ -293,6 +295,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
                     active.remove(s)
                     events.append((k, s, "removed"))
                 fusion = FusionEstimator(bank, active)
+                central.restrict(active)
                 central_det = Chi2Detector(
                     DetectorConfig.from_alpha(det.central_window, len(active), det.central_alpha)
                 )
@@ -319,7 +322,19 @@ def sym(M):
 
 
 class ReferenceCentralKalmanFilter(CentralKalmanFilter):
-    """The central filter with its first-written step methods."""
+    """The central filter with its first-written step methods and its
+    per-step ``active`` argument."""
+
+    _restriction = None  # (active sensors, their rows, their R block)
+
+    def _rows(self, active) -> tuple[np.ndarray, np.ndarray]:
+        """The ``active`` sensors' row index and ``R`` block, formed once for
+        each new active set; a run keeps one active set for many steps."""
+        key = tuple(active)
+        if self._restriction is None or self._restriction[0] != key:
+            idx = np.array(key, dtype=np.intp)
+            self._restriction = (key, idx, self.noise.R[np.ix_(idx, idx)])
+        return self._restriction[1:]
 
     def step_covariance(self, pair: LtiPair, active=None):
         """Advance the attack-free Riccati recursion only; returns
@@ -414,3 +429,52 @@ class ReferenceFusionEstimator(FusionEstimator):
             raise FilterError("fusion normal matrix lost positive definiteness")
         cov = dpotrs(Gf, np.eye(self.n))[0] - np.eye(self.n)
         return FusionResult(x_star=dpotrs(Gf, B.T @ b)[0], cov=sym(cov), rank=int(r))
+
+
+# ---------------------------------------------------------------------------
+# the free-response loops that system_model.free_response replaced, as
+# first written
+
+
+def reference_time_varying_observability(ts: TargetSet, sequence, sensor: int, t: int) -> np.ndarray:
+    """``identifiability.time_varying_observability`` with its own loop."""
+    sequence = np.asarray(sequence, dtype=np.int64).reshape(-1)
+    rows = np.empty((t + 1, ts.n))
+    phi = np.eye(ts.n)
+    for k in range(t + 1):
+        pair = ts.pairs[sequence[k]]
+        rows[k] = pair.C[sensor] @ phi
+        phi = pair.A @ phi
+    return rows
+
+
+def reference_witness_sequences(witness, pair1: LtiPair, pair2: LtiPair, sensor: int, horizon: int):
+    """The two output sequences ``c_j A_j^k x0a_j`` that
+    ``identifiability.construct_cross_model_attack`` compares, with its own
+    loop."""
+    seqs = []
+    for pair, x in ((pair1, witness.x0a_1), (pair2, witness.x0a_2)):
+        c = pair.C[sensor]
+        d = np.empty(horizon, dtype=x.dtype)
+        for k in range(horizon):
+            d[k] = c @ x
+            x = pair.A @ x
+        seqs.append(d)
+    return seqs
+
+
+def reference_trajectory_outputs(sensors, pairs, configs, x0_star, restart_every: int = 0) -> np.ndarray:
+    """Attacked-sensor outputs ``C_j[s] x_k`` of the virtual trajectory
+    ``x_{k+1} = A_j x_k`` from ``x0_star``, with ``j = configs[k]``; with
+    ``restart_every`` the trajectory restarts at ``x0_star`` every that
+    many steps. The attack policies' loop."""
+    rows = list(sensors)
+    out = np.empty((len(configs), len(rows)))
+    x = x0_star
+    for k, j in enumerate(configs):
+        if restart_every and k % restart_every == 0:
+            x = x0_star
+        pair = pairs[j]
+        out[k] = pair.C[rows] @ x
+        x = pair.A @ x
+    return out

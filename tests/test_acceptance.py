@@ -15,6 +15,7 @@ from scipy.linalg import solve_discrete_are
 from scipy.stats import chi2
 
 from mtident import (
+    AttackSet,
     CentralKalmanFilter,
     ConditioningError,
     DetectorConfig,
@@ -24,7 +25,6 @@ from mtident import (
     STATUS_CONSISTENT,
     STATUS_IDENTIFIED,
     bias_recursion,
-    build_attack_matrix,
     build_system,
     config_from_dict,
     cross_model_unidentifiability,
@@ -151,7 +151,7 @@ def test_criterion_02_wrong_guess_detected_within_2n_minus_1():
         # precondition: no undetectable nonzero attack exists for this guess
         if guess_attack_feasibility(ts, np.full(window, guess), schedule, sensor, window - 1):
             continue
-        attack = build_attack_matrix((sensor,), 2)
+        attack = AttackSet((sensor,), 2)
         d = np.empty((window, 1))
         x_virtual = rng.standard_normal(n)
         for k in range(window):
@@ -182,7 +182,7 @@ def test_criterion_03_omniscient_attack_stays_consistent():
         horizon = 10 * ts.period
         schedule = sample_schedule(ts, horizon)
         sensor = int(rng.integers(2))
-        attack = build_attack_matrix((sensor,), 2)
+        attack = AttackSet((sensor,), 2)
         policy = OmniscientSchedulePolicy(ts, schedule, attack, rng.standard_normal(3))
         traj = simulate_deterministic(
             ts, schedule, rng.standard_normal(3), attack=attack, d=policy.values(horizon)
@@ -246,7 +246,7 @@ def test_criterion_05_bias_recursion_matches_paired_runs():
         noise = standard_noise(rng, 3, 2, 0.3)
         schedule = sample_schedule(ts, horizon)
         sensor = int(rng.integers(2))
-        attack = build_attack_matrix((sensor,), 2)
+        attack = AttackSet((sensor,), 2)
         d_seq = PersistentBiasPolicy(attack, constant=0.7, ramp=0.002).values(horizon)
         trace = bias_recursion(ts, schedule, noise, attack, d_seq)
 

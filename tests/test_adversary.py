@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mtident import (
     AttackerInfo,
     AttackPolicy,
-    build_attack_matrix,
+    AttackSet,
     CrossModelPolicy,
     DegenerateWitnessError,
     GuessingPolicy,
@@ -18,7 +18,18 @@ from mtident import (
     simulate_deterministic,
 )
 
-from helpers import random_target_set
+from helpers import (
+    random_target_set,
+    reference_time_varying_observability,
+    reference_trajectory_outputs,
+    reference_witness_sequences,
+)
+from mtident.identifiability import (
+    construct_cross_model_attack,
+    cross_model_unidentifiability,
+    time_varying_observability,
+)
+from mtident.system_model import free_response
 
 
 @pytest.fixture
@@ -31,7 +42,6 @@ def test_attacker_info_excludes_schedule_secrets(ts):
     assert info.pairs == ts.pairs
     assert info.period == ts.period
     assert info.l == 3
-    assert info.distribution == "uniform-per-period"
     for secret in ("key", "schedule"):
         assert not hasattr(info, secret)
 
@@ -41,7 +51,7 @@ def _policies(horizon, seed):
     one sensor that has a witness); the omniscient one follows a schedule of
     ``horizon`` steps, the guessing ones draw from ``seed``."""
     ts = random_target_set(np.random.default_rng(70), n=3, m=2, l=3, period=4)
-    attack = build_attack_matrix((0, 1), 2)
+    attack = AttackSet((0, 1), 2)
     info = AttackerInfo.from_target_set(ts)
     x0_star = np.array([0.4, -0.2, 0.1])
     pair1, pair2 = _shared_mode_pairs()
@@ -50,7 +60,7 @@ def _policies(horizon, seed):
         "guessing": GuessingPolicy(info, attack, x0_star, seed=seed),
         "guessing_restart": GuessingPolicy(info, attack, x0_star, seed=seed, restart_each_period=True),
         "persistent_bias": PersistentBiasPolicy(attack, constant=1.5, ramp=0.25),
-        "cross_model": CrossModelPolicy(pair1, pair2, build_attack_matrix((0,), 2)),
+        "cross_model": CrossModelPolicy(pair1, pair2, AttackSet((0,), 2)),
     }
 
 
@@ -67,7 +77,7 @@ def test_policy_values_are_open_loop_prefixes(horizon, seed, data):
 
 
 def test_persistent_bias_profile():
-    attack = build_attack_matrix((0, 1), 2)
+    attack = AttackSet((0, 1), 2)
     pol = PersistentBiasPolicy(attack, constant=1.5, ramp=0.25)
     seq = pol.values(4)
     assert seq.shape == (4, 2)
@@ -78,7 +88,7 @@ def test_persistent_bias_profile():
 
 
 def test_omniscient_policy_mimics_offset_initial_state(ts):
-    attack = build_attack_matrix((0,), 2)
+    attack = AttackSet((0,), 2)
     schedule = sample_schedule(ts, 12)
     x0_star = np.array([0.3, -0.1, 0.2])
     pol = OmniscientSchedulePolicy(ts, schedule, attack, x0_star)
@@ -95,7 +105,7 @@ def test_omniscient_policy_mimics_offset_initial_state(ts):
 
 def test_guessing_policy_draws_one_guess_per_period(ts):
     info = AttackerInfo.from_target_set(ts)
-    attack = build_attack_matrix((1,), 2)
+    attack = AttackSet((1,), 2)
     pol = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5)
     assert pol.admissible is True
     guesses = pol.guesses(10)  # period 4 -> periods 0..2
@@ -108,7 +118,7 @@ def test_guessing_policy_draws_one_guess_per_period(ts):
 
 def test_guessing_policy_is_reproducible_and_seed_sensitive(ts):
     info = AttackerInfo.from_target_set(ts)
-    attack = build_attack_matrix((0,), 2)
+    attack = AttackSet((0,), 2)
     a = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).values(12)
     b = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).values(12)
     c = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=6).values(12)
@@ -118,7 +128,7 @@ def test_guessing_policy_is_reproducible_and_seed_sensitive(ts):
 
 def test_guessing_policy_matches_manual_recursion(ts):
     info = AttackerInfo.from_target_set(ts)
-    attack = build_attack_matrix((0,), 2)
+    attack = AttackSet((0,), 2)
     x0_star = np.array([0.4, -0.2, 0.1])
     pol = GuessingPolicy(info, attack, x0_star, seed=9)
     seq = pol.values(8)
@@ -134,7 +144,7 @@ def test_guessing_policy_matches_manual_recursion(ts):
 
 def test_guessing_policy_period_restart(ts):
     info = AttackerInfo.from_target_set(ts)
-    attack = build_attack_matrix((0,), 2)
+    attack = AttackSet((0,), 2)
     x0_star = np.array([0.4, -0.2, 0.1])
     pol = GuessingPolicy(info, attack, x0_star, seed=9, restart_each_period=True)
     seq = pol.values(12)
@@ -154,7 +164,7 @@ def _shared_mode_pairs():
 
 def test_cross_model_policy_fools_both_models():
     pair1, pair2 = _shared_mode_pairs()
-    attack = build_attack_matrix((0,), 2)
+    attack = AttackSet((0,), 2)
     horizon = 9
     pol = CrossModelPolicy(pair1, pair2, attack)
     seq = pol.values(horizon)[:, 0]
@@ -172,7 +182,7 @@ def test_cross_model_policy_requires_a_witness():
     pair1 = LtiPair(np.diag([0.9, 0.3]), np.eye(2))
     pair2 = LtiPair(np.diag([0.7, -0.5]), np.eye(2))
     with pytest.raises(DegenerateWitnessError):
-        CrossModelPolicy(pair1, pair2, build_attack_matrix((0,), 2))
+        CrossModelPolicy(pair1, pair2, AttackSet((0,), 2))
 
 
 def test_dominant_unstable_direction_picks_largest_mode():
@@ -183,6 +193,56 @@ def test_dominant_unstable_direction_picks_largest_mode():
 
 
 def test_base_policy_is_abstract():
-    pol = AttackPolicy(build_attack_matrix((0,), 2))
+    pol = AttackPolicy(AttackSet((0,), 2))
     with pytest.raises(NotImplementedError):
         pol.values(1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 4),
+    l=st.integers(1, 4),
+    period=st.integers(1, 5),
+    horizon=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    restart=st.booleans(),
+    data=st.data(),
+)
+def test_free_response_replays_the_replaced_loops_bit_for_bit(n, m, l, period, horizon, seed, restart, data):
+    """The observability rows, the policies' outputs and a complex witness's
+    output sequences keep the bytes of the loops they replaced."""
+    rng = np.random.default_rng(seed)
+    ts = random_target_set(rng, n=n, m=m, l=l, period=period)
+    sched = np.array(data.draw(st.lists(st.integers(0, l - 1), min_size=horizon, max_size=horizon)))
+    sensors = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    x0_star = rng.standard_normal(n)
+
+    got = time_varying_observability(ts, sched, sensors[0], horizon - 1)
+    assert got.tobytes() == reference_time_varying_observability(ts, sched, sensors[0], horizon - 1).tobytes()
+
+    attack = AttackSet(sensors, m)
+    omniscient = OmniscientSchedulePolicy(ts, sched, attack, x0_star)
+    want = reference_trajectory_outputs(sensors, ts.pairs, sched, x0_star)
+    assert omniscient.values(horizon).tobytes() == want.tobytes()
+    guessing = GuessingPolicy(AttackerInfo.from_target_set(ts), attack, x0_star, seed, restart_each_period=restart)
+    guesses = guessing.guesses(horizon)
+    want = reference_trajectory_outputs(sensors, ts.pairs, guesses, x0_star, period if restart else 0)
+    assert guessing.values(horizon).tobytes() == want.tobytes()
+
+    # two plants sharing a rotation mode, each with its own well-separated
+    # real modes, in random orthonormal coordinates
+    radius, angle = rng.uniform(0.5, 1.2), rng.uniform(0.3, 2.8)
+    rot = radius * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    pairs = []
+    for own in (np.linspace(0.05, 0.45, n), np.linspace(-0.45, -0.05, n)):
+        Qo = np.linalg.qr(rng.standard_normal((n + 2, n + 2)))[0]
+        A = np.zeros((n + 2, n + 2))
+        A[:2, :2], A[2:, 2:] = rot, np.diag(own)
+        pairs.append(LtiPair(Qo @ A @ Qo.T, rng.standard_normal((1, n + 2))))
+    witness = cross_model_unidentifiability(*pairs, sensor=0).witness
+    assert np.iscomplexobj(witness.x0a_1)
+    d1, d2 = reference_witness_sequences(witness, *pairs, 0, horizon)
+    for pair, x, d in zip(pairs, (witness.x0a_1, witness.x0a_2), (d1, d2)):
+        assert free_response((pair,), [0] * horizon, x, 0).tobytes() == d.tobytes()
+    assert construct_cross_model_attack(witness, *pairs, 0, horizon).tobytes() == (2.0 * d1.real).tobytes()

@@ -19,6 +19,7 @@ from helpers import (
     standard_noise,
 )
 from mtident import (
+    AttackSet,
     AttackSetError,
     CentralKalmanFilter,
     DecompositionError,
@@ -30,7 +31,6 @@ from mtident import (
     NoiseModel,
     TargetSet,
     bias_recursion,
-    build_attack_matrix,
     generate_example_system,
     kalman_decomposition,
     sample_schedule,
@@ -53,9 +53,12 @@ def test_central_filter_scalar_riccati_closed_form():
     f = CentralKalmanFilter(nm)
     for k in range(6):
         assert_allclose(f.P_prior[0, 0], 1.0 / (k + 1), atol=1e-12)
-        K, U, _, _ = f.step_covariance(pair)
-        assert_allclose(K[0, 0], 1.0 / (k + 2), atol=1e-12)
-        assert_allclose((U.T @ U)[0, 0], 1.0 / (k + 1) + 1.0, atol=1e-12)
+        # a unit innovation moves the estimate by the gain K and whitens to
+        # 1 / sqrt(P_yy)
+        x = f.x_prior[0]
+        res = f.step(pair, [x + 1.0])
+        assert_allclose(res.x_post[0] - x, 1.0 / (k + 2), atol=1e-12)
+        assert_allclose(res.residue[0] ** -2, 1.0 / (k + 1) + 1.0, atol=1e-12)
 
 
 def _textbook_filter(pairs, sched, noise, ys):
@@ -124,8 +127,9 @@ def test_central_filter_active_subset_matches_reduced_model():
     nm_red = NoiseModel(Q=nm.Q, R=nm.R[np.ix_(keep, keep)], x0_mean=nm.x0_mean, P0=nm.P0)
     pairs_red = tuple(LtiPair(p.A, p.C[list(keep)]) for p in ts.pairs)
     f_red = CentralKalmanFilter(nm_red)
+    f_sub.restrict(keep)
     for k in range(15):
-        a = f_sub.step(ts.pairs[sched[k]], traj.outputs[k], active=keep)
+        a = f_sub.step(ts.pairs[sched[k]], traj.outputs[k])
         b = f_red.step(pairs_red[sched[k]], traj.outputs[k][list(keep)])
         assert_allclose(a.x_post, b.x_post, atol=1e-10)
         assert_allclose(a.residue, b.residue, atol=1e-10)
@@ -166,7 +170,7 @@ def test_bias_recursion_equals_paired_filter_difference():
     ts = random_target_set(rng, n=4, m=3, l=2)
     nm = standard_noise(rng, 4, 3)
     sched = sample_schedule(ts, 40)
-    atk = build_attack_matrix([1, 2], ts.m)
+    atk = AttackSet([1, 2], ts.m)
     d = rng.standard_normal((40, 2)) * 2.0
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(5))
     y_att = traj.outputs + d @ atk.D.T  # same noise realization, attack added
@@ -190,7 +194,7 @@ def test_bias_recursion_is_linear_in_the_attack():
     ts = random_target_set(rng, n=3, m=2, l=2)
     nm = standard_noise(rng, 3, 2)
     sched = sample_schedule(ts, 30)
-    atk = build_attack_matrix([0], ts.m)
+    atk = AttackSet([0], ts.m)
     d1 = rng.standard_normal((30, 1))
     d2 = rng.standard_normal((30, 1))
     t1 = bias_recursion(ts, sched, nm, atk, d1)
@@ -205,7 +209,7 @@ def test_bias_recursion_rejects_wrong_shaped_attack_values():
     ts = random_target_set(rng, n=3, m=2, l=2)
     sched = sample_schedule(ts, 10)
     with pytest.raises(AttackSetError):
-        bias_recursion(ts, sched, standard_noise(rng, 3, 2), build_attack_matrix([0], ts.m), np.zeros((9, 1)))
+        bias_recursion(ts, sched, standard_noise(rng, 3, 2), AttackSet([0], ts.m), np.zeros((9, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +416,15 @@ def test_step_methods_match_the_reference_steps_bit_for_bit(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     offset, ys, ws = rng.standard_normal(ts.n), rng.standard_normal((T, ts.m)), rng.standard_normal((T, ts.n))
     central = CentralKalmanFilter(noise, mean_offset=offset)
+    if central_active is not None:
+        central.restrict(central_active)
     ref_central = ReferenceCentralKalmanFilter(noise, mean_offset=offset)
     bank = plant.bank.restarted(offset)
     ref_bank = ReferenceLocalFilterBank(ts, noise, plant.bank.decomps).restarted(offset)
     fusion, ref_fusion = FusionEstimator(bank, sensors), ReferenceFusionEstimator(ref_bank, sensors)
 
-    def outputs(central, bank, fusion, k):
-        c = central.step(ts.pairs[sched[k]], ys[k], active=central_active)
+    def outputs(central, bank, fusion, k, **active):
+        c = central.step(ts.pairs[sched[k]], ys[k], **active)
         b = bank.step(sched[k], ys[k])
         f = fusion.fuse(b.zeta_post, b.P_post)
         central.shift_prediction(ws[k])
@@ -427,7 +433,8 @@ def test_step_methods_match_the_reference_steps_bit_for_bit(data):
                 b.residues, b.zeta_post, b.P_post, bank.zeta_prior, bank.P_prior, f.x_star, f.cov, f.rank)
 
     for k in range(T):
-        got, want = outputs(central, bank, fusion, k), outputs(ref_central, ref_bank, ref_fusion, k)
+        got = outputs(central, bank, fusion, k)
+        want = outputs(ref_central, ref_bank, ref_fusion, k, active=central_active)
         for i, (g, w) in enumerate(zip(got, want)):
             assert np.asarray(g).tobytes() == np.asarray(w).tobytes(), (k, i)
 

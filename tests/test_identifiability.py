@@ -15,13 +15,13 @@ from helpers import (
     random_target_set,
 )
 from mtident import (
+    AttackSet,
     ConditioningError,
     LtiPair,
     STATUS_CONSISTENT,
     STATUS_IDENTIFIED,
     TargetSet,
     analyze_target_set,
-    build_attack_matrix,
     construct_cross_model_attack,
     cross_model_unidentifiability,
     generate_example_system,
@@ -128,7 +128,7 @@ def test_garbage_attack_is_identified_quickly():
     rng = np.random.default_rng(22)
     ts = random_target_set(rng, n=3, m=2, l=2, period=2)
     sched = sample_schedule(ts, 12)
-    atk = build_attack_matrix([0], ts.m)
+    atk = AttackSet([0], ts.m)
     d = rng.standard_normal((12, 1)) * 5.0
     traj = simulate_deterministic(ts, sched, rng.standard_normal(3), attack=atk, d=d)
     verdict = sensor_consistency_check(traj.outputs[:, 0], ts, sched, sensor=0)
@@ -152,7 +152,7 @@ def test_schedule_mimicking_attack_stays_consistent():
         pair = ts.pairs[sched[k]]
         d[k, 0] = pair.C[0] @ xv
         xv = pair.A @ xv
-    atk = build_attack_matrix([0], ts.m)
+    atk = AttackSet([0], ts.m)
     x0 = rng.standard_normal(3)
     traj = simulate_deterministic(ts, sched, x0, attack=atk, d=d)
     verdict = sensor_consistency_check(traj.outputs[:, 0], ts, sched, sensor=0)

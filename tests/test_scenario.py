@@ -331,6 +331,16 @@ def test_generated_system_argument_validation():
         generate_example_system(seed=1, n=10, l=0)
 
 
+def test_generated_system_reports_why_its_last_draw_failed(monkeypatch):
+    # every diagonal block reads as nilpotent, so every draw fails
+    monkeypatch.setattr(scenario, "spectral_radius", lambda M: 0.0)
+    with pytest.raises(
+        ConditioningError,
+        match=r"after 40 attempts \(last failure: diagonal block of spectral radius 0\.0e\+00 cannot be rescaled\)",
+    ):
+        generate_example_system(seed=1, n=5, l=1)
+
+
 def test_generated_system_sensor_observability_profile():
     ts, _ = _stable_system()
     dims = [kalman_decomposition(ts, s).n_unobs for s in range(10)]

@@ -13,7 +13,6 @@ from mtident import (
     ModelError,
     NoiseModel,
     TargetSet,
-    build_attack_matrix,
     sample_schedule,
     schedule_key,
     simulate_deterministic,
@@ -139,23 +138,23 @@ def test_schedule_uniformity_chi_square():
 # attack sets
 
 
-def test_build_attack_matrix_structure():
-    atk = build_attack_matrix([2, 0], m=4)
+def test_attack_set_structure():
+    atk = AttackSet([2, 0], m=4)
     assert atk.sensors == (2, 0)
     assert atk.D.shape == (4, 2)
     assert atk.D[2, 0] == 1.0 and atk.D[0, 1] == 1.0
     assert np.sum(atk.D) == 2.0
-    empty = build_attack_matrix([], m=4)
+    empty = AttackSet([], m=4)
     assert empty.size == 0 and empty.D.shape[1] == 0
 
 
-def test_build_attack_matrix_rejects_bad_sensors():
+def test_attack_set_rejects_bad_sensors():
     with pytest.raises(AttackSetError):
-        build_attack_matrix([1, 1], m=3)
+        AttackSet([1, 1], m=3)
     with pytest.raises(AttackSetError):
-        build_attack_matrix([3], m=3)
+        AttackSet([3], m=3)
     with pytest.raises(AttackSetError):
-        build_attack_matrix([-1], m=3)
+        AttackSet([-1], m=3)
     with pytest.raises(AttackSetError, match="out of range"):
         AttackSet((0, 5), 3)
     with pytest.raises(AttackSetError, match="distinct"):
@@ -232,7 +231,7 @@ def test_deterministic_simulation_hand_unrolled():
 def test_deterministic_attack_enters_selected_rows_only():
     rng = np.random.default_rng(4)
     ts = random_target_set(rng, n=3, m=3, l=2)
-    atk = build_attack_matrix([1], m=3)
+    atk = AttackSet([1], m=3)
     d = rng.standard_normal((5, 1))
     sched = sample_schedule(ts, 5)
     clean = simulate_deterministic(ts, sched, np.ones(3))
@@ -260,7 +259,7 @@ def test_stochastic_simulation_draw_order(n, m):
     ts = random_target_set(rng, n=n, m=m, l=2)
     nm = NoiseModel(Q=spd(rng, n), R=spd(rng, m), x0_mean=rng.standard_normal(n), P0=spd(rng, n))
     sched = sample_schedule(ts, 50)
-    atk = build_attack_matrix([0], m=m)
+    atk = AttackSet([0], m=m)
     d = rng.standard_normal((50, 1))
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(9), attack=atk, d=d)
 
