@@ -36,7 +36,6 @@ from .linalg import (
     numerical_rank,
     observability_stack,
     observable,
-    orth_complement,
     scipy_compiled,
     sym,
 )
@@ -214,41 +213,37 @@ class SensorDecomposition:
         return self.T_uo.shape[1]
 
 
-def _common_nullspace_basis(ts: TargetSet, sensor: int):
-    stacks = [
-        observability_stack(p.A, p.C[[sensor]], ts.n) for p in ts.pairs
-    ]
-    N0 = nullspace(stacks[0])
-    dim = N0.shape[1]
-    for j, M in enumerate(stacks):
-        scale = float(np.linalg.norm(M, np.inf)) + 1.0
-        if nullspace(M).shape[1] != dim:
-            raise DecompositionError(
-                f"sensor {sensor}: unobservable dimension differs for configuration {j}"
-            )
-        if dim and float(np.max(np.abs(M @ N0))) > 1e-8 * scale:
-            raise DecompositionError(
-                f"sensor {sensor}: unobservable subspace differs for configuration {j}"
-            )
-    return N0
-
-
 def kalman_decomposition(ts: TargetSet, sensor: int) -> SensorDecomposition:
     """Build the per-sensor reduced observable pairs for every configuration.
 
-    Raises :class:`DecompositionError` when the unobservable subspace is not
-    common to all configurations or a reduced pair fails observability.
+    The unobservable subspace ``T_uo`` is the null space of configuration
+    0's observability stack; every other configuration's stack must have
+    the same nullity and vanish on ``T_uo``. Raises
+    :class:`DecompositionError` when the subspace is not common to all
+    configurations or a reduced pair fails observability.
     """
     if not 0 <= sensor < ts.m:
         raise ValueError(f"sensor index {sensor} out of range")
-    T_uo = _common_nullspace_basis(ts, sensor)
-    T_o = orth_complement(T_uo, ts.n)
+    stacks = [observability_stack(p.A, p.C[[sensor]], ts.n) for p in ts.pairs]
+    T_uo = nullspace(stacks[0])
+    dim = T_uo.shape[1]
+    for j, M in enumerate(stacks[1:], start=1):
+        if ts.n - numerical_rank(M) != dim:
+            raise DecompositionError(
+                f"sensor {sensor}: unobservable dimension differs for configuration {j}"
+            )
+        scale = float(np.linalg.norm(M, np.inf)) + 1.0
+        if dim and float(np.max(np.abs(M @ T_uo))) > 1e-8 * scale:
+            raise DecompositionError(
+                f"sensor {sensor}: unobservable subspace differs for configuration {j}"
+            )
+    T_o = nullspace(T_uo.T)
     if T_o.shape[1] == 0:
         raise DecompositionError(f"sensor {sensor} observes nothing")
     A_red, C_red = [], []
     for j, p in enumerate(ts.pairs):
         # invariance of the unobservable subspace makes the block triangular
-        if T_uo.shape[1]:
+        if dim:
             leak = float(np.max(np.abs(T_o.T @ p.A @ T_uo)))
             if leak > 1e-7 * (1.0 + float(np.linalg.norm(p.A, np.inf))):
                 raise DecompositionError(

@@ -94,17 +94,6 @@ def nullspace(M: np.ndarray, tol: float | None = None) -> np.ndarray:
     return Vh[rank:].conj().T
 
 
-def orth_complement(B: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of span(B) in R^n (or C^n)."""
-    B = np.atleast_2d(np.asarray(B))
-    if B.shape[1] == 0:
-        return np.eye(n, dtype=float)
-    if B.shape[0] != n:
-        raise ValueError(f"basis has {B.shape[0]} rows, expected {n}")
-    # rows of B^H span the row space; its null space is the complement
-    return nullspace(B.conj().T)
-
-
 def psd_factor(M: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Factor ``L`` with ``L @ L.T`` equal to the PSD part of symmetric ``M``.
 

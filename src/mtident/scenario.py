@@ -432,28 +432,38 @@ def config_schedule_key(cfg: ScenarioConfig) -> bytes:
     return schedule_key(f"mtident-explicit-{cfg.seed}")
 
 
-def _read_file(read, path: str, key: str) -> np.ndarray:
-    """``read(path)``, with a missing or malformed file reported as a
-    :class:`ConfigError` naming the ``system`` key that points at it."""
+def _read_file(path: str, key: str, sizes: dict[str, int], *dims: str) -> np.ndarray:
+    """The matrix (two ``dims``) or vector (one) in ``path``, the file that
+    ``system.<key>`` names. Each of ``dims`` names a size in ``sizes``; a
+    name not there yet takes this file's size. A missing or malformed file,
+    or one of another shape, is a :class:`ConfigError` naming the key."""
+    read = read_matrix if len(dims) == 2 else read_vector
     try:
-        return read(path)
+        M = read(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"'system.{key}': cannot read {path} ({exc})") from exc
+    for d, size in zip(dims, M.shape):
+        sizes.setdefault(d, size)
+    want = tuple(sizes[d] for d in dims)
+    if M.shape != want:
+        raise ConfigError(f"'system.{key}': {path} has shape {M.shape}, expected {want}")
+    return M
 
 
 def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     sysd = cfg.system
+    sizes = {}  # n, the rows of the first A, and m, the rows of the first C
     pairs = tuple(
         LtiPair(
-            _read_file(read_matrix, a, f"pairs[{i}].A"),
-            _read_file(read_matrix, c, f"pairs[{i}].C"),
+            _read_file(a, f"pairs[{i}].A", sizes, "n", "n"),
+            _read_file(c, f"pairs[{i}].C", sizes, "m", "n"),
         )
         for i, (a, c) in enumerate(sysd.pair_files)
     )
-    Q = _read_file(read_matrix, sysd.Q_file, "Q")
-    R = _read_file(read_matrix, sysd.R_file, "R")
-    x0 = _read_file(read_vector, sysd.x0_mean_file, "x0_mean") if sysd.x0_mean_file else None
-    P0 = _read_file(read_matrix, sysd.P0_file, "P0") if sysd.P0_file else None
+    Q = _read_file(sysd.Q_file, "Q", sizes, "n", "n")
+    R = _read_file(sysd.R_file, "R", sizes, "m", "m")
+    x0 = _read_file(sysd.x0_mean_file, "x0_mean", sizes, "n") if sysd.x0_mean_file else None
+    P0 = _read_file(sysd.P0_file, "P0", sizes, "n", "n") if sysd.P0_file else None
     period = _schedule_period(cfg.schedule.period, pairs[0].n)
     ts = TargetSet(pairs=pairs, period=period, key=config_schedule_key(cfg))
     return ts, NoiseModel(Q=Q, R=R, x0_mean=x0, P0=P0)
@@ -609,8 +619,7 @@ def _draw_inputs(seed, noise: NoiseModel, T: int, policy: AttackPolicy | None):
     ``y_k - C_k x_k = v_k + D d_k`` and the process noise ``w_k``, with the
     noise from :func:`draw_noise` and ``D d_k`` from :meth:`AttackSet.inject`.
     """
-    # spawning two keeps the simulation stream unchanged
-    ss_sim, _ = np.random.SeedSequence(seed).spawn(2)
+    ss_sim = np.random.SeedSequence(seed).spawn(1)[0]
     e0, v, w = draw_noise(noise, np.random.default_rng(ss_sim), T)
     if policy is None:
         return e0, v, w
@@ -727,11 +736,7 @@ def _summarize(r: RunReport) -> dict:
 
 @dataclass
 class MonteCarloReport:
-    config: ScenarioConfig
-    trials: int
     summaries: list[dict]
-    mean_err_central: np.ndarray
-    mean_err_fused: np.ndarray
     aggregate: dict
 
 
@@ -764,14 +769,13 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
 
     The trials are mapped over ``min(trials, usable CPUs)`` forked worker
     processes and collected in trial order. The workers inherit the plant
-    through ``fork``; only each trial's summary and error series come back.
-    The pool forks inside :func:`_one_blas_thread`, so every worker inherits
-    one BLAS thread and calls no thread setter; workers at default BLAS
-    threading would oversubscribe the cores and run slower than one
-    process. The trials run in this process instead when ``fork`` is
-    unavailable, one CPU or one trial is all there is, or the loaded BLAS
-    libraries cannot all be set to one thread. The outputs are the same
-    bytes either way. A trial's error is raised here with its own type, and
+    through ``fork``; only each trial's summary comes back. The pool forks
+    inside :func:`_one_blas_thread`, so every worker inherits one BLAS
+    thread and calls no thread setter; workers at default BLAS threading
+    would oversubscribe the cores and run slower than one process. The
+    trials run in this process instead when ``fork`` is unavailable, one CPU
+    or one trial is all there is, or the loaded BLAS libraries cannot all be
+    set to one thread. The outputs are the same bytes either way. A trial's error is raised here with its own type, and
     no worker outlives the call.
     """
     trials = trials if trials is not None else cfg.trials
@@ -781,7 +785,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     workers = _worker_count(trials)
     with _one_blas_thread() as pinned:
         if workers < 2 or not pinned:
-            results = [_trial(cfg, plant, i) for i in range(trials)]
+            summaries = [_trial(cfg, plant, i) for i in range(trials)]
         else:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -792,10 +796,7 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
                 initializer=_start_worker,
                 initargs=(cfg, plant),
             ) as pool:
-                results = list(pool.map(_worker_trial, range(trials)))
-    summaries = [summary for summary, _, _ in results]
-    mean_c = np.mean(np.stack([err_c for _, err_c, _ in results]), axis=0)
-    mean_f = np.mean(np.stack([err_f for _, _, err_f in results]), axis=0)
+                summaries = list(pool.map(_worker_trial, range(trials)))
 
     attacked = set(cfg.attack.sensors)
     removed_all, removed_clean = 0, 0
@@ -817,20 +818,12 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
         "trials_with_clean_removal": removed_clean,
         "first_detection_steps": [int(v) for v in detect_steps],
     }
-    return MonteCarloReport(
-        config=cfg,
-        trials=trials,
-        summaries=summaries,
-        mean_err_central=mean_c,
-        mean_err_fused=mean_f,
-        aggregate=aggregate,
-    )
+    return MonteCarloReport(summaries=summaries, aggregate=aggregate)
 
 
-def _trial(cfg: ScenarioConfig, plant: Plant, index: int):
-    """Trial ``index`` of the study: its summary and error series."""
-    r = run_scenario(trial_config(cfg, index), plant)
-    return r.summary, r.err_central, r.err_fused
+def _trial(cfg: ScenarioConfig, plant: Plant, index: int) -> dict:
+    """Trial ``index`` of the study: its summary."""
+    return run_scenario(trial_config(cfg, index), plant).summary
 
 
 def _worker_count(trials: int) -> int:

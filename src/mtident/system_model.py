@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AttackSetError, ModelError
-from .linalg import observable, psd_factor
+from .linalg import observable, psd_factor, sym
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -239,7 +239,7 @@ class NoiseModel:
         LQ = psd_factor(Q, name="Q")
         LP0 = psd_factor(P0, name="P0")
         try:
-            LR = np.linalg.cholesky(0.5 * (R + R.T))
+            LR = np.linalg.cholesky(sym(R))
         except np.linalg.LinAlgError as exc:
             raise ModelError("R must be symmetric positive definite") from exc
         object.__setattr__(self, "Q", _frozen(Q))

@@ -33,13 +33,12 @@ from mtident import (
     sample_schedule,
     schedule_key,
 )
-from mtident.errors import DecompositionError, FilterError, ModelError
+from mtident.errors import FilterError, ModelError
 from mtident.estimation import (
     FUSION_RANK_TOL,
     BankStep,
     CentralStep,
     FusionResult,
-    _common_nullspace_basis,
     dpotrf,
     dpotrs,
     dpstrf,
@@ -154,16 +153,6 @@ def chi2_test(residues, cfg: DetectorConfig) -> Chi2Result:
         raise ValueError(f"expected {cfg.window} residues, got {r.shape[0]}")
     stat = float(np.sum(r * r))
     return Chi2Result(statistic=stat, alarm=stat > cfg.gamma)
-
-
-def check_common_nullspace(ts: TargetSet, sensor: int) -> bool:
-    """True when every configuration gives the sensor the same unobservable
-    subspace."""
-    try:
-        _common_nullspace_basis(ts, sensor)
-    except DecompositionError:
-        return False
-    return True
 
 
 def observability_matrix(pair: LtiPair, sensors, steps: int) -> np.ndarray:

@@ -57,6 +57,11 @@ def test_gen_system_analyze_simulate_round_trip(tmp_path, capsys):
     assert (simdir / "events.csv").exists() and (simdir / "summary.json").exists()
 
 
+def test_analyze_audits_a_generated_config(tmp_path, capsys):
+    assert main(["analyze", "--config", str(_write_cfg(tmp_path / "cfg.json"))]) == 0
+    assert "configurations: 2, state dimension: 10, sensors: 10" in capsys.readouterr().out
+
+
 def test_gen_system_config_runs_under_the_generated_plants_default_key(tmp_path):
     """A `gen-system` design runs exactly as the generated config it came from."""
     assert main(
@@ -221,6 +226,33 @@ def test_configuration_problems_exit_with_2(tmp_path, capsys):
         assert main(cmd) == 2
         err = capsys.readouterr().err
         assert "'system.R'" in err and str(r_file) in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize(
+    "name, key, shape",
+    [
+        ("Q.txt", "Q", (4, 4)),
+        ("R.txt", "R", (3, 3)),
+        ("P0.txt", "P0", (4, 4)),
+        ("x0_mean.txt", "x0_mean", (4,)),
+        ("C_1.txt", "pairs[1].C", (10, 4)),
+    ],
+    ids=["Q", "R", "P0", "x0_mean", "C_1"],
+)
+def test_wrongly_sized_matrix_files_exit_with_2(tmp_path, capsys, command, name, key, shape):
+    # the design has n = 5 states and m = 10 sensors
+    sysdir = tmp_path / "sys"
+    assert main(["gen-system", "--seed", "3", "--n", "5", "--l", "2", "--out-dir", str(sysdir)]) == 0
+    path = sysdir / name
+    (write_vector if len(shape) == 1 else write_matrix)(path, np.ones(shape))
+    capsys.readouterr()
+    cmd = [command, "--config", str(sysdir / "config.json")]
+    if command == "simulate":
+        cmd += ["--out-dir", str(tmp_path / "o")]
+    assert main(cmd) == 2
+    err = capsys.readouterr().err
+    assert f"'system.{key}'" in err and str(path) in err
 
 
 def test_numerical_failures_exit_with_3(tmp_path, capsys):

@@ -13,7 +13,6 @@ from helpers import (
     ReferenceCentralKalmanFilter,
     ReferenceFusionEstimator,
     ReferenceLocalFilterBank,
-    check_common_nullspace,
     random_target_set,
     spd,
     standard_noise,
@@ -239,8 +238,22 @@ def test_decomposition_rejects_model_dependent_subspace():
         LtiPair(A, np.array([[0.0, 1.0]])),
     )
     ts = TargetSet(pairs=pairs, period=4, key=0)
-    assert not check_common_nullspace(ts, 0)
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match="unobservable subspace differs for configuration 1"):
+        kalman_decomposition(ts, 0)
+
+
+@pytest.mark.parametrize(
+    "C0, C1, message",
+    [
+        # sensor 0 sees one coordinate under model 0 and both under model 1
+        ([1.0, 0.0], [1.0, 1.0], "unobservable dimension differs for configuration 1"),
+        ([0.0, 0.0], [0.0, 0.0], "sensor 0 observes nothing"),
+    ],
+)
+def test_decomposition_rejects_sensors_without_reduced_filters(C0, C1, message):
+    A = np.diag([0.5, 0.8])
+    ts = TargetSet(pairs=(LtiPair(A, np.array([C0])), LtiPair(A, np.array([C1]))), period=4, key=0)
+    with pytest.raises(DecompositionError, match=message):
         kalman_decomposition(ts, 0)
 
 

@@ -574,8 +574,7 @@ def test_monte_carlo_aggregates_identification_outcomes():
         attack={"kind": "persistent_bias", "sensors": [2], "constant": 25.0},
     )
     mc = monte_carlo(config_from_dict(raw), trials=3)
-    assert mc.trials == 3 and len(mc.summaries) == 3
-    assert mc.mean_err_central.shape == (30,)
+    assert len(mc.summaries) == 3
     agg = mc.aggregate
     assert agg["trials"] == 3
     assert agg["all_attacked_removed_trials"] == 3
@@ -637,8 +636,6 @@ def _assert_same_trial(got, want):
 
 def _assert_same_study(got, want):
     assert got.summaries == want.summaries
-    assert got.mean_err_central.tobytes() == want.mean_err_central.tobytes()
-    assert got.mean_err_fused.tobytes() == want.mean_err_fused.tobytes()
     assert got.aggregate == want.aggregate
 
 
@@ -803,11 +800,11 @@ def _spied(functions):
 def _reporting_trial(cfg, plant, index):
     """A trial that also says which process ran it, on how many BLAS threads,
     and which setter calls that process made."""
-    summary, err_central, err_fused = _trial(cfg, plant, index)
+    summary = _trial(cfg, plant, index)
     pid = os.getpid()
     calls = [threads for caller, threads in _setter_calls if caller == pid]
     process = {"pid": pid, "blas_threads": _blas_threads(), "setter_calls": calls}
-    return dict(summary, process=process), err_central, err_fused
+    return dict(summary, process=process)
 
 
 @pytest.mark.skipif(
