@@ -39,6 +39,7 @@ from .scenario import (
     SystemSpec,
     build_target_set,
     check_example_size,
+    check_seed,
     example_key,
     generate_example_system,
     load_config,
@@ -96,12 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config)
     if args.seed_override is not None:
+        check_seed(args.seed_override, "--seed-override")
         cfg = dataclasses.replace(cfg, seed=args.seed_override)
     return cfg
 
 
 def _cmd_gen_system(args) -> int:
     check_example_size(args.n, args.l, "--")
+    check_seed(args.seed, "--seed")
     if args.period is not None and args.period < 1:
         raise ConfigError("'--period' must be >= 1")
     out = Path(args.out_dir)

@@ -47,4 +47,5 @@ class DecompositionError(MtidentError):
 
 
 class FilterError(MtidentError):
-    """A filtering or fusion step lost positive definiteness."""
+    """A filtering or fusion step lost positive definiteness, or a run's
+    outputs are not finite: the plant or the attack overflowed doubles."""

@@ -68,17 +68,17 @@ class CentralKalmanFilter:
 
     Update with the step-k pair, then predict with the same pair:
 
-        P_yy = C P C' + R = U' U,    K = P C' P_yy^{-1}
-        z    = U^{-T} (y - C xhat^-)
-        xhat = xhat^- + K (y - C xhat^-)
-        P^+  = P - K C P
+        P_yy = C P C' + R = U' U
+        z    = U^{-T} (y - C xhat^-),   W = U^{-T} C P
+        xhat = xhat^- + W' z
+        P^+  = P - W' W
         xhat^- <- A xhat,   P <- A P^+ A' + Q
 
     ``U`` is the upper Cholesky factor of ``P_yy``, so ``z`` is white with
-    ``|z|^2 = innov' P_yy^{-1} innov``; one factorization gives both the
-    gain and the residue. ``mean_offset`` shifts the initial predicted state
-    by a known amount (used by the scenario engine to run the filter in
-    error coordinates).
+    ``|z|^2 = innov' P_yy^{-1} innov``, and ``W' z = K innov`` and ``W' W =
+    K C P`` for the gain ``K = P C' P_yy^{-1}``, which is never formed.
+    ``mean_offset`` shifts the initial predicted state by a known amount
+    (used by the scenario engine to run the filter in error coordinates).
     """
 
     def __init__(self, noise: NoiseModel, mean_offset: np.ndarray | None = None):
@@ -112,24 +112,24 @@ class CentralKalmanFilter:
             y = y.take(self._idx)
             C = C.take(self._idx, axis=0)
         x, P = self.x_prior, self.P_prior
-        # each product below is new, so sums are formed in place; C P feeds
-        # both P_yy = (C P) C' + R and the gain solve
+        # sums on new products are formed in place; dpotrf reads one triangle
+        # of P_yy and numpy forms W' W by syrk, so only P_next needs sym
         CP = C @ P
         P_yy = CP @ C.T
         P_yy += self._R
-        U, info = dpotrf(sym(P_yy))
+        U, info = dpotrf(P_yy)
         if info or not np.isfinite(U).all():  # impossible with finite R > 0
             raise FilterError("innovation covariance lost positive definiteness")
-        K = dpotrs(U, CP)[0].T
-        P_post = K @ C @ P
+        z = dtrtrs(U, y - C @ x, trans=1)[0]
+        W = dtrtrs(U, CP, trans=1)[0]
+        x_post = x + W.T @ z
+        P_post = W.T @ W
         np.subtract(P, P_post, out=P_post)
-        P_next = pair.A @ sym(P_post) @ pair.A.T
+        P_next = pair.A @ P_post @ pair.A.T
         P_next += self.noise.Q
         self.P_prior = sym(P_next)
-        innov = y - C @ x
-        x_post = x + K @ innov
         self.x_prior = pair.A @ x_post
-        return CentralStep(residue=dtrtrs(U, innov, trans=1)[0], x_post=x_post, P_prior=P)
+        return CentralStep(residue=z, x_post=x_post, P_prior=P)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
         """Add a known offset to the current predicted state.
@@ -454,13 +454,13 @@ class FusionEstimator:
         active = tuple(active)
         if not active:
             raise DecompositionError("fusion needs at least one sensor")
-        self.n = bank.ts.n
-        rows = bank.rows(active)
-        self.H = bank.H[rows]
-        if numerical_rank(self.H) < self.n:
+        if not self.removal_keeps_observability(bank, active):
             raise DecompositionError(
                 "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
             )
+        self.n = bank.ts.n
+        rows = bank.rows(active)
+        self.H = bank.H[rows]
         self._HHt = self.H @ self.H.T
         self._eye = np.eye(self.n)
         for M in (self.H, self._HHt, self._eye):
@@ -476,8 +476,19 @@ class FusionEstimator:
 
     @classmethod
     def removal_keeps_observability(cls, bank: LocalFilterBank, remaining) -> bool:
-        """Would fusion over ``remaining`` sensors still pin down the state?"""
-        return numerical_rank(bank.H[bank.rows(remaining)]) == bank.ts.n
+        """Would fusion over ``remaining`` sensors still pin down the state:
+        does their stacked ``T_o'`` have ``sigma_min > 1e-8 sigma_max``?
+
+        The bases ``T_o`` come from SVDs, so entries that are zero in exact
+        arithmetic hold rounding noise; the default rank cutoff,
+        ``max(rows, cols) eps sigma_max``, lies below that noise and can count
+        a direction that no remaining sensor sees.
+        """
+        H = bank.H[bank.rows(remaining)]
+        if H.shape[0] < bank.ts.n:
+            return False
+        s = np.linalg.svd(H, compute_uv=False)
+        return bool(s[-1] > 1e-8 * s[0])
 
     def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray) -> FusionResult:
         """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.

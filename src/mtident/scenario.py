@@ -73,7 +73,7 @@ from .adversary import (
     dominant_unstable_direction,
 )
 from .detection import Chi2Detector, DetectorConfig, identify_and_remove
-from .errors import AttackSetError, ConditioningError, ConfigError, DecompositionError, DegenerateWitnessError
+from .errors import AttackSetError, ConditioningError, ConfigError, DecompositionError, DegenerateWitnessError, FilterError
 from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
@@ -184,7 +184,10 @@ class ScenarioConfig:
 
 def _coerce(value, hint, where: str):
     """``value`` as the annotation ``hint`` describes it: JSON lists become
-    tuples and integers become floats where ``hint`` asks for those."""
+    tuples and integers become floats where ``hint`` asks for those. A
+    boolean is no number, and a float must be finite: JSON's ``true`` is an
+    ``int`` to Python, and ``Infinity``, ``NaN`` and integers past a double's
+    range reach a float key as ``inf``, ``nan`` or an ``OverflowError``."""
     origin, args = get_origin(hint), get_args(hint)
     if origin is Literal:
         if value in args:
@@ -203,11 +206,25 @@ def _coerce(value, hint, where: str):
         if len(items) != len(value):
             raise ConfigError(f"'{where}' must hold {len(args)} values, got {len(value)}")
         return tuple(_coerce(v, t, where) for v, t in zip(value, items))
-    if hint is float and isinstance(value, int):
+    if isinstance(value, bool) and hint is not bool:
+        raise ConfigError(f"'{where}' has wrong type bool")
+    if hint is float and isinstance(value, (int, float)):
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # False for nan
+            raise ConfigError(f"'{where}' must be a finite number")
         return float(value)
     if origin is None and isinstance(value, hint):
         return value
     raise ConfigError(f"'{where}' has wrong type {type(value).__name__}")
+
+
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def check_seed(seed: int, name: str) -> None:
+    """Raise :class:`ConfigError`, naming ``name``, for a seed that numpy's
+    ``SeedSequence`` refuses: a negative one."""
+    if seed < 0:
+        raise ConfigError(f"'{name}' must be >= 0, got {seed}")
 
 
 def _resolve(paths, base: Path | None):
@@ -269,8 +286,13 @@ def config_from_dict(raw: dict, base_dir: str | os.PathLike | None = None) -> Sc
         raise ConfigError("explicit systems need system.pairs, system.Q, and system.R")
     if system.kind == "generated":
         check_example_size(system.n, system.l, "system.")
-    if not 0.0 <= system.noise_scale < np.inf:
-        raise ConfigError(f"'system.noise_scale' must be finite and >= 0, got {system.noise_scale}")
+    if system.noise_scale < 0.0:
+        raise ConfigError(f"'system.noise_scale' must be >= 0, got {system.noise_scale}")
+    low, high = system.spectral_radius
+    if not 0.0 < low <= high:
+        raise ConfigError(f"'system.spectral_radius' must satisfy 0 < low <= high, got {[low, high]}")
+    for name, seed in (("seed", cfg.seed), ("system.seed", system.seed), ("attack.seed", cfg.attack.seed)):
+        check_seed(seed, name)
     if cfg.schedule.period is not None and cfg.schedule.period < 1:
         raise ConfigError("schedule.period must be >= 1")
     if cfg.attack.kind != "none" and not cfg.attack.sensors:
@@ -582,6 +604,8 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     The run takes two passes over the horizon (see the module docstring):
     the inputs (:func:`_draw_inputs`), then the filter loop
     (:func:`_filter_loop`) on one BLAS thread (:func:`_one_blas_thread`).
+    A run whose metric series or residues are not all finite raises
+    :class:`FilterError` naming the first such step.
     """
     if plant is None:
         plant = build_system(cfg)
@@ -598,6 +622,10 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
         err_central, err_fused, trace_P, fused_trace, local_z, events = _filter_loop(
             plant, ts, schedule, y_err, w, offset, cfg.detector, alerts
         )
+    finite = np.isfinite(np.column_stack((err_central, err_fused, trace_P, fused_trace, local_z)))
+    if not finite.all():
+        step = int(np.argmin(finite.all(axis=1)))
+        raise FilterError(f"the run's outputs are not finite from step {step}: a value overflowed doubles")
     report = RunReport(
         config=cfg,
         schedule=schedule,

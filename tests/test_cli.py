@@ -283,6 +283,41 @@ def test_numerical_failures_exit_with_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_negative_seed_flags_exit_with_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path / "cfg.json")
+    for command in ("simulate", "montecarlo"):
+        argv = [command, "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "--seed-override", "-5"]
+        assert main(argv) == 2
+        assert "'--seed-override' must be >= 0" in capsys.readouterr().err
+    assert main(["gen-system", "--seed", "-1", "--out-dir", str(tmp_path / "g")]) == 2
+    assert "'--seed' must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "g").exists()
+
+
+def test_an_infinite_attack_exits_with_2(tmp_path, capsys):
+    # json reads both spellings as inf; the run used to write nan rows
+    for text in ("Infinity", "1e309"):
+        cfg = _write_cfg(tmp_path / "cfg.json", attack={"kind": "persistent_bias", "sensors": [1], "constant": 0})
+        cfg.write_text(cfg.read_text().replace('"constant": 0', f'"constant": {text}'))
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "'attack.constant' must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_run_whose_outputs_overflow_exits_with_3(tmp_path, capsys):
+    # the forked trial workers inherit this test's warning filter
+    example = json.loads((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text())
+    example.update(horizon=60, trials=2)
+    example["attack"]["x0_star_scale"] = 1e300
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(example))
+    for command in ("simulate", "montecarlo"):
+        assert main([command, "--config", str(cfg), "--out-dir", str(tmp_path / command)]) == 3
+        assert "outputs are not finite from step 0" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
 def test_analyze_audits_a_design_whose_sensors_do_not_decompose(tmp_path, capsys):
     # sensor 0 sees x1 under configuration 0 and x2 under configuration 1, so
     # its unobservable subspace moves: no per-sensor filter, but an audit

@@ -210,6 +210,44 @@ def test_config_rejects_invalid_values(raw, msg):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "section, key, value, reason",
+    [
+        # JSON's true is an int to Python, but no number here
+        (None, "horizon", True, "wrong type bool"),
+        ("schedule", "key", True, "wrong type bool"),
+        ("attack", "sensors", [True], "wrong type bool"),
+        ("system", "coupling", True, "wrong type bool"),
+        ("detector", "sensor_window", False, "wrong type bool"),
+        # float keys take finite values only; json reads Infinity, NaN and
+        # 1e309 as inf, nan and inf, and an integer past 2**1024 overflows
+        ("attack", "constant", float("inf"), "finite"),
+        ("attack", "ramp", float("nan"), "finite"),
+        ("system", "coupling", -float("inf"), "finite"),
+        ("system", "noise_scale", float("inf"), "finite"),
+        ("system", "spectral_radius", [1.05, float("inf")], "finite"),
+        pytest.param("attack", "x0_star_scale", 10**400, "finite", id="x0_star_scale-10**400"),
+        pytest.param("detector", "sensor_alpha", 2**1024, "finite", id="sensor_alpha-2**1024"),
+        # seeds feed numpy's SeedSequence, which refuses negative ones
+        (None, "seed", -1, ">= 0"),
+        ("system", "seed", -3, ">= 0"),
+        ("attack", "seed", -5, ">= 0"),
+        ("system", "spectral_radius", [0, 0], "0 < low <= high"),
+        ("system", "spectral_radius", [-1, 0.5], "0 < low <= high"),
+        ("system", "spectral_radius", [1.3, 1.05], "0 < low <= high"),
+    ],
+)
+def test_config_rejects_booleans_non_finite_numbers_and_negative_seeds(section, key, value, reason):
+    raw = {"horizon": 10, "seed": 1}
+    if section == "attack":
+        kind = "persistent_bias" if key in ("constant", "ramp") else "guessing"
+        raw["attack"] = {"kind": kind, "sensors": [0]}
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
+    where = key if section is None else f"{section}.{key}"
+    with pytest.raises(ConfigError, match=re.escape(f"'{where}'") + ".*" + re.escape(reason)):
+        config_from_dict(raw)
+
+
 def test_config_defaults_are_the_schema_defaults():
     spelled_out = {
         "horizon": 10,
@@ -522,6 +560,35 @@ def test_persistent_bias_is_identified_and_removed():
     # residues keep being logged for the removed sensor
     k_rm = s["removed"]["0"]
     assert np.all(np.isfinite(r.local_residues[k_rm:, 0]))
+
+
+def test_removals_keep_the_coordinates_that_no_other_sensor_sees():
+    # on this n = 5 plant sensors {0, 5, 9} see nothing of coordinate 2;
+    # removing 7 along with the others once left fusion without it, and
+    # err_fused reached 1.8e16
+    raw = {
+        "horizon": 60,
+        "seed": 1,
+        "system": {"kind": "generated", "seed": 8, "n": 5, "l": 3},
+        "schedule": {"period": 10},
+        "attack": {"kind": "persistent_bias", "sensors": [1, 2, 3, 4, 6, 7, 8, 9], "constant": 25.0},
+    }
+    r = run_scenario(config_from_dict(raw))
+    assert r.summary["removed"] == {str(s): 5 for s in (1, 2, 3, 4, 6, 8, 9)}
+    alerts = r.summary["operator_alerts"]
+    assert len(alerts) == 55 and all("sensor 7 met the removal policy" in a for a in alerts)
+    assert r.err_fused.max() < 1e3
+
+
+def test_a_run_whose_outputs_overflow_raises_a_filter_error(tmp_path):
+    # the attacker's target state 1e300 overflows the error-coordinate
+    # outputs at the first step; a run used to write nan rows and exit 0
+    example = json.loads((Path(__file__).resolve().parents[1] / "configs" / "example.json").read_text())
+    example["horizon"] = 60
+    example["attack"]["x0_star_scale"] = 1e300
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(FilterError, match="not finite from step 0"):
+            run_scenario(config_from_dict(example))
 
 
 def test_removal_can_be_disabled():
