@@ -465,9 +465,10 @@ class FusionEstimator:
         self._eye = np.eye(self.n)
         for M in (self.H, self._HHt, self._eye):
             M.setflags(write=False)
-        # [H | zeta]: each fuse writes its zeta into the last column
-        self._Hz = np.empty((rows.size, self.n + 1))
-        self._Hz[:, :-1] = self.H
+        # [H | zeta]', so that the rows fuse gathers form a Fortran-ordered
+        # right-hand side; each fuse writes its zeta into the last row
+        self._HzT = np.empty((self.n + 1, rows.size))
+        self._HzT[:-1] = self.H.T
         if active == tuple(range(bank.ts.m)):
             self._rows = None
         else:
@@ -502,18 +503,20 @@ class FusionEstimator:
         solve ``U_11' [B b] = [H[p] zeta[p]]`` gives ``G = B'B``, ``x* =
         G^{-1} B' b`` and ``cov = G^{-1} - I``.
         """
-        Hz = self._Hz
+        HzT = self._HzT
         if self._rows is None:
-            Hz[:, -1] = zeta_post
+            HzT[-1] = zeta_post
             T = P_post + self._HHt
         else:
-            Hz[:, -1] = zeta_post[self._rows]
+            HzT[-1] = zeta_post[self._rows]
             T = P_post[self._block]
             T += self._HHt
         if not np.isfinite(T).all():
             raise FilterError("fusion covariance is not finite")
-        U, piv, r, _ = dpstrf(T, tol=FUSION_RANK_TOL)
-        Bb = dtrtrs(U[:r, :r], Hz.take(piv[:r] - 1, axis=0), trans=1)[0]
+        # T is exactly symmetric (P_post is, and numpy forms H H' by syrk), so
+        # its transpose is T in the Fortran order LAPACK reads, factored in place
+        U, piv, r, _ = dpstrf(T.T, tol=FUSION_RANK_TOL, overwrite_a=1)
+        Bb = dtrtrs(U[:r, :r], HzT.take(piv[:r] - 1, axis=1).T, trans=1, overwrite_b=1)[0]
         B, b = Bb[:, :-1], Bb[:, -1]
         Gf, info = dpotrf(B.T @ B)
         if info:

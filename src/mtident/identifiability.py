@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DegenerateWitnessError
-from .linalg import EPS, nullspace, numerical_rank, observable
+from .linalg import EPS, numerical_rank, observable
 from .system_model import LtiPair, TargetSet, free_response, validate_design_recommendations
 
 STATUS_CONSISTENT = "consistent"
@@ -170,24 +170,17 @@ class GeneralizedEigenspace:
 
 
 def _cluster_complex(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Single-linkage clustering of complex numbers at distance ``tol``."""
-    k = values.size
-    parent = list(range(k))
+    """Single-linkage clustering of complex numbers at distance ``tol``.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [np.array(idx) for idx in groups.values()]
+    Values are linked when at most ``tol`` apart; squaring the link matrix
+    until it stops growing joins each value to every value it reaches.
+    Clusters list their indices in order and are ordered by their first
+    index."""
+    reach = np.abs(values[:, None] - values[None, :]) <= tol
+    while not np.array_equal(grown := reach @ reach, reach):
+        reach = grown
+    first = reach.argmax(axis=1)  # each value's cluster, named by its first index
+    clusters = [np.flatnonzero(reach[i]) for i in range(values.size) if first[i] == i]
     for idx in clusters:
         vals = values[idx]
         diam = float(np.max(np.abs(vals[:, None] - vals[None, :]))) if idx.size > 1 else 0.0
@@ -232,18 +225,20 @@ def jordan_chains(A) -> tuple[GeneralizedEigenspace, ...]:
             lam = lam.real
         mult = int(idx.size)
         B = A - lam * np.eye(n)
-        sB = float(np.linalg.norm(B, 2))
         nullities = [0]
         Bp = np.eye(n)
         while nullities[-1] < mult:
             p = len(nullities)
             Bp = Bp @ B
+            _, s, Vh = np.linalg.svd(Bp)
+            if p == 1:
+                sB = float(s[0])
             # a relative cutoff alone misreads numerically-zero powers (a
             # collapsed B^p is pure roundoff, so every singular value sits
             # "above" 1e-8 * smax); floor the cutoff at the roundoff scale
-            # accumulated while forming the product
-            floor = 32.0 * p * EPS * sB**p
-            basis = nullspace(Bp, tol=max(1e-8 * float(np.linalg.norm(Bp, 2)), floor))
+            # ||B||^p accumulated while forming the product
+            cutoff = max(1e-8 * float(s[0]), 32.0 * p * EPS * sB**p)
+            basis = Vh[int(np.sum(s > cutoff)):].conj().T
             nullities.append(basis.shape[1])
             if nullities[-1] > mult:
                 raise ConditioningError(

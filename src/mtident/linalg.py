@@ -1,8 +1,7 @@
 """Shared numerical linear-algebra helpers.
 
-Rank and null-space decisions are all SVD-based with the conventional
-tolerance ``max(rows, cols) * eps * sigma_max``; only :func:`nullspace`
-accepts an absolute cutoff instead.
+Rank and null-space decisions are all SVD-based, with one cutoff: the
+conventional ``max(rows, cols) * eps * sigma_max``.
 
 :func:`scipy_compiled` hands the engine scipy's compiled LAPACK and special
 functions without running scipy's package initialisation.
@@ -81,16 +80,14 @@ def numerical_rank(M: np.ndarray) -> int:
     return int(np.sum(s > _svd_tol(M, s)))
 
 
-def nullspace(M: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the right null space, one column per dimension;
-    singular values at or below ``tol`` (default cutoff when None) count as
-    zero."""
+    singular values at or below the module's cutoff count as zero."""
     M = np.atleast_2d(np.asarray(M))
     if M.size == 0:
         return np.eye(M.shape[1], dtype=M.dtype)
     _, s, Vh = np.linalg.svd(M)
-    cutoff = _svd_tol(M, s) if tol is None else float(tol)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > _svd_tol(M, s)))
     return Vh[rank:].conj().T
 
 

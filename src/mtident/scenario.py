@@ -828,16 +828,13 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
 
     attacked = set(cfg.attack.sensors)
     removed_all, removed_clean = 0, 0
-    detect_steps = []
     for s in summaries:
         rem = {int(k) for k in s["removed"]}
         if attacked and attacked <= rem:
             removed_all += 1
         if rem - attacked:
             removed_clean += 1
-        alarms = [v for k, v in s["first_alarm"].items() if int(k) in attacked]
-        if alarms:
-            detect_steps.append(min(alarms))
+    detect_steps = [d for s in summaries if (d := _first_detection(s)) is not None]
     aggregate = {
         "trials": trials,
         "mse_central_mean": float(np.mean([s["mse_central"] for s in summaries])),
@@ -847,6 +844,14 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
         "first_detection_steps": [int(v) for v in detect_steps],
     }
     return MonteCarloReport(summaries=summaries, aggregate=aggregate)
+
+
+def _first_detection(summary: dict) -> int | None:
+    """A run's detection step: the earliest first alarm of an attacked
+    sensor, or None when no attacked sensor alarmed. A clean sensor's false
+    alarm is no detection."""
+    attacked = summary["attacked_sensors"]
+    return min((k for s, k in summary["first_alarm"].items() if int(s) in attacked), default=None)
 
 
 def _trial(cfg: ScenarioConfig, plant: Plant, index: int) -> dict:
@@ -937,36 +942,28 @@ def _worker_trial(index: int):
 # output files
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 def metrics_rows(r: RunReport):
     m = r.local_residues.shape[1]
     header = ["step", "schedule_index", "err_central", "err_fused", "trace_P"] + [
         f"z_{s + 1}" for s in range(m)
     ]
     yield header
-    for k in range(r.err_central.size):
-        row = [
-            str(k),
-            str(int(r.schedule[k])),
-            _fmt(r.err_central[k]),
-            _fmt(r.err_fused[k]),
-            _fmt(r.trace_P[k]),
-        ] + [_fmt(v) for v in r.local_residues[k]]
-        yield row
+    series = (r.schedule, r.err_central, r.err_fused, r.trace_P, r.local_residues)
+    for k, (*values, residues) in enumerate(zip(*(x.tolist() for x in series))):
+        yield [k, *values, *residues]
 
 
 def events_rows(r: RunReport):
     yield ["step", "sensor", "event"]
     for step, sensor, kind in r.events:
-        yield [str(step), "" if sensor < 0 else str(sensor), kind]
+        yield [step, "" if sensor < 0 else sensor, kind]
 
 
 def _write_table(out: Path, name: str, schema: str, rows, fmt: str) -> Path:
     """Write ``rows``, header first, to ``<name>.csv`` below a ``# <schema>``
-    line, or to ``<name>.jsonl`` as one object per row keyed by the header."""
+    line, or to ``<name>.jsonl`` as one object per row keyed by the header.
+    Values are written as ``str`` gives them, floats at full precision, and
+    the JSON objects hold them as strings."""
     if fmt not in ("csv", "jsonl"):
         raise ConfigError(f"unknown output format '{fmt}'")
     p = out / f"{name}.{fmt}"
@@ -979,7 +976,7 @@ def _write_table(out: Path, name: str, schema: str, rows, fmt: str) -> Path:
         header = next(rows)
         with open(p, "w", encoding="ascii") as fh:
             for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+                fh.write(json.dumps(dict(zip(header, map(str, row))), sort_keys=True) + "\n")
     return p
 
 
@@ -1006,9 +1003,9 @@ def write_monte_carlo_outputs(
     out.mkdir(parents=True, exist_ok=True)
     rows = [["trial", "mse_central", "mse_fused", "n_removed", "first_detection"]]
     for i, s in enumerate(mc.summaries):
-        first = min((v for v in s["first_alarm"].values()), default="")
+        first = _first_detection(s)
         rows.append(
-            [str(i), _fmt(s["mse_central"]), _fmt(s["mse_fused"]), str(len(s["removed"])), str(first)]
+            [i, s["mse_central"], s["mse_fused"], len(s["removed"]), "" if first is None else first]
         )
     return [
         _write_table(out, "trials", TRIALS_SCHEMA, rows, fmt),

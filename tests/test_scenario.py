@@ -580,6 +580,35 @@ def test_removals_keep_the_coordinates_that_no_other_sensor_sees():
     assert r.err_fused.max() < 1e3
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(system=_PLANTS, data=st.data())
+def test_removals_never_lose_joint_observability(system, data):
+    """On drawn plants under a persistent bias, the sensors left active still
+    observe the state jointly, and every operator alert names a sensor whose
+    removal from the set active at that moment would have lost that."""
+    sensors = data.draw(st.lists(st.integers(0, 9), min_size=1, max_size=10, unique=True))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cfg = config_from_dict(_engine_raw("persistent_bias", sorted(sensors), seed, 30, True, 1, 3, 3, system))
+    try:
+        plant = build_system(cfg)
+    except ConditioningError:
+        assume(False)  # generation refused the draw
+    r = run_scenario(cfg, plant)
+
+    def observes(sensors):
+        return FusionEstimator.removal_keeps_observability(plant.bank, sensors)
+
+    removed_at = {int(s): k for s, k in r.summary["removed"].items()}
+    assert observes([s for s in range(plant.ts.m) if s not in removed_at])
+    for alert in r.alerts:
+        step, sensor = map(int, re.match(r"step (\d+): sensor (\d+) met", alert).groups())
+        # identify_and_remove takes the step's candidates in sorted order
+        gone = {s for s, k in removed_at.items() if k < step or (k == step and s < sensor)}
+        active = [s for s in range(plant.ts.m) if s not in gone]
+        assert sensor in active, alert
+        assert not observes([s for s in active if s != sensor]), alert
+
+
 def test_a_run_whose_outputs_overflow_raises_a_filter_error(tmp_path):
     # the attacker's target state 1e300 overflows the error-coordinate
     # outputs at the first step; a run used to write nan rows and exit 0
@@ -742,6 +771,23 @@ def test_monte_carlo_trials_are_independent_of_the_shared_plant(kind, tmp_path, 
     after = _plant_snapshot(plant)
     assert after[:2] == before[:2]
     assert all(np.array_equal(a, b) for a, b in zip(after[2], before[2], strict=True))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(system=_PLANTS, data=st.data())
+def test_monte_carlo_summaries_match_trials_run_in_any_order(system, data):
+    """A study's summaries equal its trials run one by one on one shared
+    plant, in a drawn order of the trial indices, on drawn plants."""
+    trials = 3
+    raw = _engine_raw("guessing", (1, 7), data.draw(st.integers(0, 2**32 - 1)), 20, True, 1, 3, 3, system)
+    cfg = config_from_dict(raw)
+    try:
+        plant = build_system(cfg)
+    except ConditioningError:
+        assume(False)  # generation refused the draw
+    mc = monte_carlo(cfg, trials=trials)
+    for i in data.draw(st.permutations(range(trials))):
+        assert run_scenario(trial_config(cfg, i), plant).summary == mc.summaries[i]
 
 
 def test_monte_carlo_builds_and_decomposes_the_plant_once(monkeypatch):
@@ -983,6 +1029,29 @@ def test_write_monte_carlo_outputs(tmp_path):
     assert lines[1].split(",")[0] == "trial"
     assert len(lines) == 2 + 2
     assert json.loads((tmp_path / "aggregate.json").read_text()) == mc.aggregate
+
+
+def test_a_clean_sensors_false_alarm_is_no_detection(tmp_path, monkeypatch):
+    """``trials.csv``'s first_detection and ``aggregate.json``'s
+    first_detection_steps both read the attacked sensors' first alarms only."""
+    summaries = [
+        # clean sensor 2 alarms at step 3, attacked sensor 5 at step 7
+        {"attacked_sensors": [5, 6], "first_alarm": {"2": 3, "5": 7}, "removed": {"5": 8}},
+        # only a clean sensor alarms
+        {"attacked_sensors": [5, 6], "first_alarm": {"0": 4}, "removed": {}},
+        {"attacked_sensors": [5, 6], "first_alarm": {"6": 9, "5": 12}, "removed": {}},
+    ]
+    for s in summaries:
+        s.update(mse_central=1.5, mse_fused=0.25)
+    monkeypatch.setattr(scenario, "_trial", lambda cfg, plant, i: summaries[i])
+    monkeypatch.setattr(scenario, "_worker_count", lambda trials: 1)
+    raw = _raw(horizon=10, attack={"kind": "persistent_bias", "sensors": [5, 6], "constant": 1.0})
+    mc = monte_carlo(config_from_dict(raw), trials=3)
+    assert mc.aggregate["first_detection_steps"] == [7, 9]
+    write_monte_carlo_outputs(mc, tmp_path)
+    rows = list(csv.DictReader((tmp_path / "trials.csv").read_text().splitlines()[1:]))
+    assert [row["first_detection"] for row in rows] == ["7", "", "9"]
+    assert [row["mse_fused"] for row in rows] == ["0.25"] * 3
 
 
 # ---------------------------------------------------------------------------
