@@ -91,13 +91,15 @@ class CentralKalmanFilter:
         self.P_prior = noise.P0.copy()
         self._idx = None  # the active sensors' row index; None while all are active
         self._R = noise.R
+        self._C = {}  # id(pair) -> (pair, its active rows of C); holding the pair pins its id
 
     def restrict(self, active) -> None:
         """Use only the ``active`` sensors' rows of every later measurement,
         in the order given; their row index and ``R`` block are formed here,
-        once."""
+        and each configuration's rows of ``C`` at its first step after."""
         self._idx = np.array(tuple(active), dtype=np.intp)
         self._R = self.noise.R[np.ix_(self._idx, self._idx)]
+        self._C = {}
 
     def step(self, pair: LtiPair, y) -> CentralStep:
         """Full measurement update + prediction with the step-k configuration.
@@ -110,7 +112,10 @@ class CentralKalmanFilter:
         C = pair.C
         if self._idx is not None:
             y = y.take(self._idx)
-            C = C.take(self._idx, axis=0)
+            hit = self._C.get(id(pair))
+            if hit is None:
+                hit = self._C[id(pair)] = (pair, C.take(self._idx, axis=0))
+            C = hit[1]
         x, P = self.x_prior, self.P_prior
         # sums on new products are formed in place; dpotrf reads one triangle
         # of P_yy and numpy forms W' W by syrk, so only P_next needs sym
@@ -308,6 +313,9 @@ class LocalFilterBank:
     ``decomps[s]`` is sensor ``s``'s decomposition. It owns the layout of
     the joint state: :meth:`rows` gives the rows of any sensors, and fusion
     and the removal test read theirs from it.
+
+    It also caches, per active set, what depends only on the plant and the
+    set (see :meth:`restarted`).
     """
 
     def __init__(self, ts: TargetSet, noise: NoiseModel, decomps: Sequence[SensorDecomposition]):
@@ -335,9 +343,13 @@ class LocalFilterBank:
         self._R_diag = noise.R.diagonal()
         self._x0_mean = noise.x0_mean
         self._P0 = sym(self.H @ noise.P0 @ self.H.T)  # kept exactly symmetric
-        # every bank restarted from this one shares these arrays
-        for M in (self.offsets, self.H, *self.A_blk, *self.C_blk, self._mask, self.Q_red, self._P0):
+        # a contiguous A' makes the prediction's second product cheaper, same bits
+        self._A_T = [np.ascontiguousarray(A.T) for A in self.A_blk]
+        # every bank restarted from this one shares these arrays and caches
+        for M in (self.offsets, self.H, *self.A_blk, *self._A_T, *self.C_blk, self._mask, self.Q_red, self._P0):
             M.setflags(write=False)
+        self._observes: dict[tuple, bool] = {}
+        self._fusion: dict[tuple, tuple] = {}
         self.zeta_prior = self.H @ noise.x0_mean
         self.P_prior = self._P0
 
@@ -356,7 +368,11 @@ class LocalFilterBank:
         ``H``, ``Q_red``, the gain mask and the prior covariance depend only
         on the plant. A study therefore builds one bank per plant and
         restarts it for every run. Stepping either bank rebinds its own
-        state; the shared arrays are read-only.
+        state; the shared arrays are read-only. It shares the per-active-set
+        cache too: each set's joint-observability verdict and fusion's
+        read-only operator arrays, formed at first use. So a study decides
+        and forms each set once per plant (per worker process, whose plant
+        is a forked copy); the cache lives and dies with the plant.
         """
         bank = copy.copy(self)
         x0 = self._x0_mean + np.asarray(mean_offset, dtype=float).reshape(self.ts.n)
@@ -395,7 +411,7 @@ class LocalFilterBank:
         P_post += IKC_P
         P_post = sym(P_post)
         self.zeta_prior = A @ zeta_post
-        P_next = A @ P_post @ A.T
+        P_next = A @ P_post @ self._A_T[j]
         P_next += self.Q_red
         self.P_prior = sym(P_next)
         np.sqrt(den, out=den)
@@ -446,34 +462,39 @@ class FusionEstimator:
     must jointly observe the state, i.e. ``H`` must have rank ``n``.
 
     The bank owns the layout of its joint state; ``active`` lists the fused
-    sensors in any order, and their rows are looked up in the bank once,
-    here.
+    sensors in any order. The rows, ``H``, ``H H'``, the identity and a
+    ``[H | zeta]'`` template depend only on the plant and ``active``: the
+    first estimator on the set forms them read-only in the bank's cache,
+    which lives and dies with the plant (:meth:`LocalFilterBank.restarted`).
+    Every estimator on the set reuses them and copies only the template.
     """
 
     def __init__(self, bank: LocalFilterBank, active):
         active = tuple(active)
-        if not active:
-            raise DecompositionError("fusion needs at least one sensor")
-        if not self.removal_keeps_observability(bank, active):
-            raise DecompositionError(
-                "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
-            )
+        ops = bank._fusion.get(active)
+        if ops is None:
+            if not active:
+                raise DecompositionError("fusion needs at least one sensor")
+            if not self.removal_keeps_observability(bank, active):
+                raise DecompositionError(
+                    "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
+                )
+            n = bank.ts.n
+            rows = bank.rows(active)
+            H = bank.H[rows]
+            # [H | zeta]', so that the rows fuse gathers form a Fortran-ordered
+            # right-hand side
+            HzT = np.empty((n + 1, rows.size))
+            HzT[:-1] = H.T
+            ops = (rows, H, H @ H.T, np.eye(n), HzT)
+            for M in ops:
+                M.setflags(write=False)
+            if active == tuple(range(bank.ts.m)):
+                ops = (None, *ops[1:])  # fuse gathers no rows
+            bank._fusion[active] = ops
         self.n = bank.ts.n
-        rows = bank.rows(active)
-        self.H = bank.H[rows]
-        self._HHt = self.H @ self.H.T
-        self._eye = np.eye(self.n)
-        for M in (self.H, self._HHt, self._eye):
-            M.setflags(write=False)
-        # [H | zeta]', so that the rows fuse gathers form a Fortran-ordered
-        # right-hand side; each fuse writes its zeta into the last row
-        self._HzT = np.empty((self.n + 1, rows.size))
-        self._HzT[:-1] = self.H.T
-        if active == tuple(range(bank.ts.m)):
-            self._rows = None
-        else:
-            self._rows = rows
-            self._block = np.ix_(rows, rows)
+        self._rows, self.H, self._HHt, self._eye, HzT = ops
+        self._HzT = HzT.copy()  # each fuse writes its zeta into the last row
 
     @classmethod
     def removal_keeps_observability(cls, bank: LocalFilterBank, remaining) -> bool:
@@ -483,13 +504,20 @@ class FusionEstimator:
         The bases ``T_o`` come from SVDs, so entries that are zero in exact
         arithmetic hold rounding noise; the default rank cutoff,
         ``max(rows, cols) eps sigma_max``, lies below that noise and can count
-        a direction that no remaining sensor sees.
+        a direction that no remaining sensor sees. The bank caches the
+        verdict of each set, in the order given: one SVD per set and plant.
         """
-        H = bank.H[bank.rows(remaining)]
-        if H.shape[0] < bank.ts.n:
-            return False
-        s = np.linalg.svd(H, compute_uv=False)
-        return bool(s[-1] > 1e-8 * s[0])
+        remaining = tuple(remaining)
+        verdict = bank._observes.get(remaining)
+        if verdict is None:
+            H = bank.H[bank.rows(remaining)]
+            if H.shape[0] < bank.ts.n:
+                verdict = False
+            else:
+                s = np.linalg.svd(H, compute_uv=False)
+                verdict = bool(s[-1] > 1e-8 * s[0])
+            bank._observes[remaining] = verdict
+        return verdict
 
     def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray) -> FusionResult:
         """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.
@@ -504,12 +532,14 @@ class FusionEstimator:
         G^{-1} B' b`` and ``cov = G^{-1} - I``.
         """
         HzT = self._HzT
-        if self._rows is None:
+        rows = self._rows
+        if rows is None:
             HzT[-1] = zeta_post
             T = P_post + self._HHt
         else:
-            HzT[-1] = zeta_post[self._rows]
-            T = P_post[self._block]
+            HzT[-1] = zeta_post.take(rows)
+            # the same bytes as P_post[np.ix_(rows, rows)], gathered faster
+            T = P_post.take(rows, 0).take(rows, 1)
             T += self._HHt
         if not np.isfinite(T).all():
             raise FilterError("fusion covariance is not finite")

@@ -333,7 +333,11 @@ class Plant:
     each run restarts at its own prior (:meth:`LocalFilterBank.restarted`).
 
     Nothing here depends on ``ts.key``, so trials run on one plant under
-    their own keys; nothing in a run writes to the plant.
+    their own keys; nothing in a run writes to the plant's arrays. The bank
+    caches each active set's joint-observability verdict and fusion's
+    read-only arrays (rows, ``H``, ``H H'``, the identity, the ``[H |
+    zeta]'`` template), so a study's trials decide and form each set once;
+    the cache lives and dies with the plant.
     """
 
     ts: TargetSet

@@ -405,7 +405,7 @@ class ReferenceFusionEstimator(FusionEstimator):
         """
         if self._rows is not None:
             zeta_post = zeta_post[self._rows]
-            P_post = P_post[self._block]
+            P_post = P_post[np.ix_(self._rows, self._rows)]
         T = P_post + self._HHt
         if not np.isfinite(T).all():
             raise FilterError("fusion covariance is not finite")

@@ -388,9 +388,9 @@ def test_a_restarted_bank_writes_to_none_of_its_templates_arrays():
     template = LocalFilterBank(ts, noise, decomps)
     fusion_template = FusionEstimator(template, range(1, ts.m))
     shared = [
-        template.offsets, template.H, *template.A_blk, *template.C_blk, template._mask,
+        template.offsets, template.H, *template.A_blk, *template._A_T, *template.C_blk, template._mask,
         template.Q_red, template._P0, template._R, template._R_diag,
-        fusion_template.H, fusion_template._HHt, fusion_template._eye,
+        fusion_template._rows, fusion_template.H, fusion_template._HHt, fusion_template._eye,
     ]
     before = [M.tobytes() for M in shared]
     bank = template.restarted(rng.standard_normal(ts.n))
@@ -405,6 +405,33 @@ def test_a_restarted_bank_writes_to_none_of_its_templates_arrays():
         assert M.tobytes() == data
         with pytest.raises(ValueError, match="read-only"):
             M[...] = 0
+
+
+def test_a_plant_decides_each_active_set_once_for_all_its_restarted_banks(monkeypatch):
+    # the observability verdict and fusion's operator arrays depend only on
+    # the plant and the active set: every bank restarted from one template
+    # reuses them, and only the [H | zeta]' buffer is each estimator's own
+    ts, noise, decomps = _bank_plant()
+    svd, svds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a[0].shape) or svd(*a, **kw))
+    active, blind = tuple(range(1, ts.m)), (1, 2, 3, 4)  # sensor 0 alone sees its block
+    for plant_svds in (2, 4):  # a second bank of the same plant is a second cache
+        template = LocalFilterBank(ts, noise, decomps)
+        first = FusionEstimator(template, active)
+        for bank in (template.restarted(np.zeros(ts.n)), template.restarted(np.ones(ts.n))):
+            for sensors in (active, blind, active):
+                assert FusionEstimator.removal_keeps_observability(bank, sensors) == (sensors == active)
+            with pytest.raises(DecompositionError, match="jointly observe"):
+                FusionEstimator(bank, blind)
+            second = FusionEstimator(bank, active)
+            for name in ("_rows", "H", "_HHt", "_eye"):
+                M = getattr(second, name)
+                assert M is getattr(first, name), name
+                with pytest.raises(ValueError, match="read-only"):
+                    M[...] = 0
+            assert second._HzT.flags.writeable and not np.shares_memory(second._HzT, first._HzT)
+            assert second._HzT[:-1].tobytes() == first._HzT[:-1].tobytes() == first.H.T.tobytes()
+        assert len(svds) == plant_svds
 
 
 @functools.lru_cache(maxsize=None)
@@ -431,6 +458,11 @@ def test_step_methods_match_the_reference_steps_bit_for_bit(data):
     sched = data.draw(st.lists(st.integers(0, ts.l - 1), min_size=T, max_size=T))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     offset, ys, ws = rng.standard_normal(ts.n), rng.standard_normal((T, ts.m)), rng.standard_normal((T, ts.n))
+    # a removal mid-run restricts both again, to a drawn subset that still
+    # observes the state; a stale restricted C or fusion entry shows there
+    kept = data.draw(st.permutations(sensors))
+    size = next(i for i in range(1, len(kept) + 1) if FusionEstimator.removal_keeps_observability(plant.bank, kept[:i]))
+    later, switch = tuple(kept[: data.draw(st.integers(size, len(kept)))]), data.draw(st.integers(1, T - 1))
     central = CentralKalmanFilter(noise, mean_offset=offset)
     if central_active is not None:
         central.restrict(central_active)
@@ -449,6 +481,10 @@ def test_step_methods_match_the_reference_steps_bit_for_bit(data):
                 b.residues, b.zeta_post, b.P_post, bank.zeta_prior, bank.P_prior, f.x_star, f.cov, f.rank)
 
     for k in range(T):
+        if k == switch:
+            central.restrict(later)
+            central_active = later
+            fusion, ref_fusion = FusionEstimator(bank, later), ReferenceFusionEstimator(ref_bank, later)
         got = outputs(central, bank, fusion, k)
         want = outputs(ref_central, ref_bank, ref_fusion, k, active=central_active)
         for i, (g, w) in enumerate(zip(got[:5], want[:5])):
