@@ -50,7 +50,6 @@ from .identifiability import (
     time_varying_observability,
 )
 from .adversary import (
-    AttackerInfo,
     AttackPolicy,
     CrossModelPolicy,
     GuessingPolicy,

@@ -3,11 +3,12 @@
 Admissible attackers know the configuration set and the schedule
 distribution (the period and that draws are uniform), their own past
 injections, and nothing else: no schedule key, no realized schedule, no
-plant states or outputs. :class:`AttackerInfo` is the whole attacker-facing
-view; policies are constructed from it plus their own random stream, so the
-information boundary is enforced by the interface. The omniscient policy is
-the one deliberate exception (it receives the realized schedule) and is
-marked non-admissible; it exists as a worst-case baseline.
+plant states or outputs. The :class:`~mtident.system_model.TargetSet`, which
+holds no key, is the whole attacker-facing view; policies are constructed
+from it plus their own random stream, so the information boundary is
+enforced by the interface. The omniscient policy is the one deliberate
+exception (it receives the realized schedule) and is marked
+non-admissible; it exists as a worst-case baseline.
 
 Policies emit one value per attacked sensor per step; the simulation maps
 them through the selection matrix ``D``, so injected vectors always lie in
@@ -16,34 +17,12 @@ the attacked sensors' span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in a run
 
 from .errors import DegenerateWitnessError
 from .identifiability import construct_cross_model_attack, cross_model_unidentifiability
 from .system_model import AttackSet, LtiPair, TargetSet, free_response
-
-
-@dataclass(frozen=True)
-class AttackerInfo:
-    """What an admissible attacker may know: configurations and schedule shape.
-
-    Deliberately excludes the schedule key, the realized schedule, and all
-    plant signals.
-    """
-
-    pairs: tuple[LtiPair, ...]
-    period: int
-
-    @classmethod
-    def from_target_set(cls, ts: TargetSet) -> "AttackerInfo":
-        return cls(pairs=ts.pairs, period=ts.period)
-
-    @property
-    def l(self) -> int:
-        return len(self.pairs)
 
 
 class AttackPolicy:
@@ -105,14 +84,14 @@ class GuessingPolicy(AttackPolicy):
 
     def __init__(
         self,
-        info: AttackerInfo,
+        ts: TargetSet,
         attack: AttackSet,
         x0_star,
         seed,
         restart_each_period: bool = False,
     ):
         super().__init__(attack)
-        self.info = info
+        self.ts = ts
         self.x0_star = np.asarray(x0_star, dtype=float).reshape(-1)
         self.seed = seed
         self.restart_each_period = restart_each_period
@@ -120,16 +99,16 @@ class GuessingPolicy(AttackPolicy):
     def guesses(self, horizon: int) -> np.ndarray:
         """The guessed configuration of steps ``0..horizon-1``: one draw per
         period from the attacker's seeded stream."""
-        period = self.info.period
-        draws = np.random.default_rng(self.seed).integers(self.info.l, size=-(-horizon // period))
+        period = self.ts.period
+        draws = np.random.default_rng(self.seed).integers(self.ts.l, size=-(-horizon // period))
         return np.repeat(draws, period)[:horizon]
 
     def _values(self, horizon: int) -> np.ndarray:
         # with restarts, each period's guesses replay from x0_star
-        period = self.info.period
+        period = self.ts.period
         starts = range(period, horizon, period) if self.restart_each_period else []
         return np.concatenate([
-            free_response(self.info.pairs, guesses, self.x0_star, list(self.sensors))
+            free_response(self.ts.pairs, guesses, self.x0_star, list(self.sensors))
             for guesses in np.split(self.guesses(horizon), starts)
         ])
 

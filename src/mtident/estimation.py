@@ -91,15 +91,13 @@ class CentralKalmanFilter:
         self.P_prior = noise.P0.copy()
         self._idx = None  # the active sensors' row index; None while all are active
         self._R = noise.R
-        self._C = {}  # id(pair) -> (pair, its active rows of C); holding the pair pins its id
 
     def restrict(self, active) -> None:
         """Use only the ``active`` sensors' rows of every later measurement,
         in the order given; their row index and ``R`` block are formed here,
-        and each configuration's rows of ``C`` at its first step after."""
+        and each step gathers its configuration's rows of ``C``."""
         self._idx = np.array(tuple(active), dtype=np.intp)
         self._R = self.noise.R[np.ix_(self._idx, self._idx)]
-        self._C = {}
 
     def step(self, pair: LtiPair, y) -> CentralStep:
         """Full measurement update + prediction with the step-k configuration.
@@ -112,10 +110,7 @@ class CentralKalmanFilter:
         C = pair.C
         if self._idx is not None:
             y = y.take(self._idx)
-            hit = self._C.get(id(pair))
-            if hit is None:
-                hit = self._C[id(pair)] = (pair, C.take(self._idx, axis=0))
-            C = hit[1]
+            C = C.take(self._idx, axis=0)
         x, P = self.x_prior, self.P_prior
         # sums on new products are formed in place; dpotrf reads one triangle
         # of P_yy and numpy forms W' W by syrk, so only P_next needs sym

@@ -32,7 +32,7 @@ filter bank over every sensor's Kalman decomposition. Generating the example
 plant already decomposes each sensor to validate the draw, and its bank
 keeps those decompositions; an explicit plant is decomposed once when it is
 built. Monte Carlo trials differ from their study only in seeds and schedule
-key, and no plant matrix depends on the key, so :func:`monte_carlo` builds
+key, and the plant holds no schedule key, so :func:`monte_carlo` builds
 the plant, with its filter bank's arrays, once and runs every trial on it
 under the trial's own key, in forked worker processes that inherit it and
 its single BLAS thread. A single run builds its own plant and then takes the
@@ -64,7 +64,6 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in a run
 
 from .adversary import (
-    AttackerInfo,
     AttackPolicy,
     CrossModelPolicy,
     GuessingPolicy,
@@ -332,7 +331,7 @@ class Plant:
     a filter bank over every sensor's decomposition (``bank.decomps``), which
     each run restarts at its own prior (:meth:`LocalFilterBank.restarted`).
 
-    Nothing here depends on ``ts.key``, so trials run on one plant under
+    The plant holds no schedule key, so trials run on one plant under
     their own keys; nothing in a run writes to the plant's arrays. The bank
     caches each active set's joint-observability verdict and fusion's
     read-only arrays (rows, ``H``, ``H H'``, the identity, the ``[H |
@@ -370,7 +369,6 @@ def generate_example_system(
     coupling: float = SystemSpec.coupling,
     noise_scale: float = SystemSpec.noise_scale,
     period: int | None = None,
-    key=None,
 ) -> Plant:
     """Random instance of the worked example: five coupled 3-dim blocks,
     two five-sensor banks, unstable block dynamics.
@@ -381,8 +379,8 @@ def generate_example_system(
     the per-sensor filter bank requires. Diagonal blocks are rescaled to a
     spectral radius drawn from ``radius`` (unstable by default). Draws are
     retried until every diagonal block can be rescaled, every pair is
-    observable and every sensor decomposes cleanly, at most 40 draws; the returned plant's bank keeps those
-    decompositions. No retry depends on ``key``.
+    observable and every sensor decomposes cleanly, at most 40 draws; the
+    returned plant's bank keeps those decompositions.
     """
     check_example_size(n, l, "")
     b = n // 5
@@ -418,11 +416,7 @@ def generate_example_system(
             Q = noise_scale * (MQ @ MQ.T)
             MR = rng.uniform(-1.0, 1.0, (m, m))
             R = noise_scale * (MR @ MR.T) + 1e-3 * np.eye(m)
-            ts = TargetSet(
-                pairs=tuple(pairs),
-                period=_schedule_period(period, n),
-                key=key if key is not None else schedule_key(example_key(seed)),
-            )
+            ts = TargetSet(pairs=tuple(pairs), period=_schedule_period(period, n))
             noise = NoiseModel(Q=Q, R=R)
             for p in pairs:
                 if not observable(p.A, p.C):
@@ -491,7 +485,7 @@ def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
     x0 = _read_file(sysd.x0_mean_file, "x0_mean", sizes, "n") if sysd.x0_mean_file else None
     P0 = _read_file(sysd.P0_file, "P0", sizes, "n", "n") if sysd.P0_file else None
     period = _schedule_period(cfg.schedule.period, pairs[0].n)
-    ts = TargetSet(pairs=pairs, period=period, key=config_schedule_key(cfg))
+    ts = TargetSet(pairs=pairs, period=period)
     return ts, NoiseModel(Q=Q, R=R, x0_mean=x0, P0=P0)
 
 
@@ -511,7 +505,6 @@ def build_system(cfg: ScenarioConfig) -> Plant:
             coupling=sysd.coupling,
             noise_scale=sysd.noise_scale,
             period=cfg.schedule.period,
-            key=config_schedule_key(cfg),
         )
     ts, noise = _read_system(cfg)
     decomps = [kalman_decomposition(ts, s) for s in range(ts.m)]
@@ -548,9 +541,8 @@ def _build_attack(cfg: ScenarioConfig, ts: TargetSet, schedule: np.ndarray) -> A
     if spec.kind == "omniscient":
         return OmniscientSchedulePolicy(ts, schedule, attack, _resolve_x0_star(spec, ts))
     if spec.kind == "guessing":
-        info = AttackerInfo.from_target_set(ts)
         return GuessingPolicy(
-            info,
+            ts,
             attack,
             _resolve_x0_star(spec, ts),
             seed=spec.seed,
@@ -613,10 +605,9 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     """
     if plant is None:
         plant = build_system(cfg)
-    ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
     T = cfg.horizon
-    schedule = sample_schedule(ts, T)
-    policy = _build_attack(cfg, ts, schedule)
+    schedule = sample_schedule(plant.ts, T, config_schedule_key(cfg))
+    policy = _build_attack(cfg, plant.ts, schedule)
 
     e0, y_err, w = _draw_inputs(cfg.seed, plant.noise, T, policy)
     # error-coordinate setup: priors become x0_mean + offset = -(x0 - x0_mean)
@@ -624,7 +615,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     alerts: list[str] = []
     with _one_blas_thread():
         err_central, err_fused, trace_P, fused_trace, local_z, events = _filter_loop(
-            plant, ts, schedule, y_err, w, offset, cfg.detector, alerts
+            plant, schedule, y_err, w, offset, cfg.detector, alerts
         )
     finite = np.isfinite(np.column_stack((err_central, err_fused, trace_P, fused_trace, local_z)))
     if not finite.all():
@@ -658,7 +649,7 @@ def _draw_inputs(seed, noise: NoiseModel, T: int, policy: AttackPolicy | None):
     return e0, v + policy.attack.inject(policy.values(T), T), w
 
 
-def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: DetectorSpec, alerts):
+def _filter_loop(plant: Plant, schedule, y_err, w, offset, det: DetectorSpec, alerts):
     """Pass 2: per step, the central filter and its detector, then the
     filter bank, fusion over the active set and the sensor tests; returns
     the four metric series, the local residues and the events.
@@ -683,10 +674,10 @@ def _filter_loop(plant: Plant, ts: TargetSet, schedule, y_err, w, offset, det: D
     streak = np.zeros(m, dtype=np.int64)
     events: list[tuple[int, int, str]] = []
     # norms as np.linalg.norm forms them for a vector: sqrt(x . x)
-    models, neg_w = schedule.tolist(), -w
+    pairs, models, neg_w = plant.ts.pairs, schedule.tolist(), -w
     for k in range(T):
         j = models[k]
-        cres = central.step(ts.pairs[j], y_err[k])
+        cres = central.step(pairs[j], y_err[k])
         x = cres.x_post
         err_central[k] = math.sqrt(x.dot(x))  # |-e_k| = |e_k|
         trace_P[k] = cres.P_prior.trace()
@@ -795,9 +786,9 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
 
     The plant is built once and every trial runs on it through
     :func:`run_scenario` under its own key; this equals building each
-    trial's plant afresh, because generation and its retries never depend
-    on the key. Per-trial seeding is index-based, so results are
-    exchangeable under permutation of trial indices.
+    trial's plant afresh, because the plant holds no schedule key.
+    Per-trial seeding is index-based, so results are exchangeable under
+    permutation of trial indices.
 
     The trials are mapped over ``min(trials, usable CPUs)`` forked worker
     processes and collected in trial order. The workers inherit the plant
@@ -807,8 +798,8 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     would oversubscribe the cores and run slower than one process. The
     trials run in this process instead when ``fork`` is unavailable, one CPU
     or one trial is all there is, or the loaded BLAS libraries cannot all be
-    set to one thread. The outputs are the same bytes either way. A trial's error is raised here with its own type, and
-    no worker outlives the call.
+    set to one thread. The outputs are the same bytes either way. A trial's
+    error is raised here with its own type, and no worker outlives the call.
     """
     trials = trials if trials is not None else cfg.trials
     if trials < 1:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,16 +82,15 @@ def schedule_key(seed) -> bytes:
 
 @dataclass(frozen=True)
 class TargetSet:
-    """The moving target: configuration list, switching period, and secret key.
+    """The moving target without its secret: the configuration list and the
+    switching period, which is what an admissible attacker may know.
 
-    The key never leaves this object except through :func:`sample_schedule`;
-    attacker-facing views (:class:`mtident.adversary.AttackerInfo`) carry the
-    configurations and period only.
+    The schedule key is not part of it; each run passes its own to
+    :func:`sample_schedule`.
     """
 
     pairs: tuple[LtiPair, ...]
     period: int
-    key: bytes = field(repr=False)
 
     def __post_init__(self):
         pairs = tuple(self.pairs)
@@ -104,7 +103,6 @@ class TargetSet:
         if not isinstance(self.period, int) or self.period < 1:
             raise ModelError("period must be a positive integer")
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "key", schedule_key(self.key))
 
     @property
     def n(self) -> int:
@@ -139,8 +137,9 @@ def _uniform_index(key: bytes, counter: int, l: int) -> int:
         word += 1
 
 
-def sample_schedule(ts: TargetSet, horizon: int) -> np.ndarray:
-    """Active-configuration index for steps ``0..horizon-1``.
+def sample_schedule(ts: TargetSet, horizon: int, key) -> np.ndarray:
+    """Active-configuration index for steps ``0..horizon-1`` under the
+    schedule ``key`` (any seed :func:`schedule_key` accepts).
 
     The index is constant within each period block and drawn uniformly over
     ``{0..l-1}`` per block from the keyed generator. Identical
@@ -148,10 +147,11 @@ def sample_schedule(ts: TargetSet, horizon: int) -> np.ndarray:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    key = schedule_key(key)
     blocks = math.ceil(horizon / ts.period)
     out = np.empty(horizon, dtype=np.int64)
     for b in range(blocks):
-        j = _uniform_index(ts.key, b, ts.l)
+        j = _uniform_index(key, b, ts.l)
         out[b * ts.period : (b + 1) * ts.period] = j
     return out
 

@@ -12,8 +12,6 @@ the ``reference_*`` free-response functions do the same for
 :func:`mtident.system_model.free_response`.
 """
 
-import dataclasses
-
 import numpy as np
 from scipy.linalg import block_diag
 
@@ -31,7 +29,6 @@ from mtident import (
     build_system,
     identify_and_remove,
     sample_schedule,
-    schedule_key,
 )
 from mtident.errors import FilterError, ModelError
 from mtident.estimation import (
@@ -126,9 +123,13 @@ def random_observable_pair(rng, n, m, rho=0.9, attempts=50):
     raise AssertionError("failed to draw an observable pair")
 
 
-def random_target_set(rng, n=3, m=2, l=2, rho=0.9, period=None, key="test-key"):
+# the schedule key under which tests sample their target sets' schedules
+TEST_KEY = "test-key"
+
+
+def random_target_set(rng, n=3, m=2, l=2, rho=0.9, period=None):
     pairs = tuple(random_observable_pair(rng, n, m, rho) for _ in range(l))
-    return TargetSet(pairs=pairs, period=period if period else 2 * n, key=schedule_key(key))
+    return TargetSet(pairs=pairs, period=period if period else 2 * n)
 
 
 def spd(rng, n, scale=1.0):
@@ -213,11 +214,11 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
     ``RemovalTracker``."""
     if plant is None:
         plant = build_system(cfg)
-    ts = dataclasses.replace(plant.ts, key=config_schedule_key(cfg))
+    ts = plant.ts
     noise = plant.noise
     n, m = ts.n, ts.m
     T = cfg.horizon
-    schedule = sample_schedule(ts, T)
+    schedule = sample_schedule(ts, T, config_schedule_key(cfg))
     policy = _build_attack(cfg, ts, schedule)
 
     ss_sim, _ = np.random.SeedSequence(cfg.seed).spawn(2)

@@ -45,6 +45,7 @@ from helpers import (
     brute_force_unidentifiability_oracle,
     chi2_test,
     matrix_with_jordan_structure,
+    TEST_KEY,
     random_target_set,
     standard_noise,
 )
@@ -145,7 +146,7 @@ def test_criterion_02_wrong_guess_detected_within_2n_minus_1():
         ts = random_target_set(rng, n=n, m=2, l=3, rho=0.85, period=window)
         if not validate_design_recommendations(ts).satisfied():
             continue
-        schedule = sample_schedule(ts, window)
+        schedule = sample_schedule(ts, window, TEST_KEY)
         guess = int(rng.choice([g for g in range(3) if g != int(schedule[0])]))
         sensor = int(rng.integers(2))
         # precondition: no undetectable nonzero attack exists for this guess
@@ -180,7 +181,7 @@ def test_criterion_03_omniscient_attack_stays_consistent():
     for _ in range(50):
         ts = random_target_set(rng, n=3, m=2, l=3, rho=0.85, period=6)
         horizon = 10 * ts.period
-        schedule = sample_schedule(ts, horizon)
+        schedule = sample_schedule(ts, horizon, TEST_KEY)
         sensor = int(rng.integers(2))
         attack = AttackSet((sensor,), 2)
         policy = OmniscientSchedulePolicy(ts, schedule, attack, rng.standard_normal(3))
@@ -244,7 +245,7 @@ def test_criterion_05_bias_recursion_matches_paired_runs():
     for _ in range(5):
         ts = random_target_set(rng, n=3, m=2, l=2, rho=0.8, period=6)
         noise = standard_noise(rng, 3, 2, 0.3)
-        schedule = sample_schedule(ts, horizon)
+        schedule = sample_schedule(ts, horizon, TEST_KEY)
         sensor = int(rng.integers(2))
         attack = AttackSet((sensor,), 2)
         d_seq = PersistentBiasPolicy(attack, constant=0.7, ramp=0.002).values(horizon)
@@ -323,7 +324,7 @@ def test_criterion_07_fusion_tracks_central_filter():
 
 def test_criterion_08_prior_covariance_stays_bounded(long_clean_run):
     report, _ = long_clean_run
-    plant = generate_example_system(seed=7, n=15, l=7, period=30, key="acceptance-calibration")
+    plant = generate_example_system(seed=7, n=15, l=7, period=30)
     ts, noise = plant.ts, plant.noise
     steady = [
         float(np.trace(solve_discrete_are(p.A.T, p.C.T, noise.Q, noise.R)))

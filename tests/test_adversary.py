@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtident import (
-    AttackerInfo,
     AttackPolicy,
     AttackSet,
     CrossModelPolicy,
@@ -19,6 +18,7 @@ from mtident import (
 )
 
 from helpers import (
+    TEST_KEY,
     random_target_set,
     reference_time_varying_observability,
     reference_trajectory_outputs,
@@ -37,13 +37,13 @@ def ts():
     return random_target_set(np.random.default_rng(70), n=3, m=2, l=3, period=4)
 
 
-def test_attacker_info_excludes_schedule_secrets(ts):
-    info = AttackerInfo.from_target_set(ts)
-    assert info.pairs == ts.pairs
-    assert info.period == ts.period
-    assert info.l == 3
+def test_guessing_policy_is_built_from_the_keyless_target_set(ts):
+    # the target set is the whole attacker-facing view: no schedule secret
     for secret in ("key", "schedule"):
-        assert not hasattr(info, secret)
+        assert not hasattr(ts, secret)
+    assert ts.l == 3
+    pol = GuessingPolicy(ts, AttackSet((0,), 2), [1.0, 0.0, 0.0], seed=5)
+    assert pol.values(2 * ts.period).shape == (2 * ts.period, 1)
 
 
 def _policies(horizon, seed):
@@ -52,13 +52,12 @@ def _policies(horizon, seed):
     ``horizon`` steps, the guessing ones draw from ``seed``."""
     ts = random_target_set(np.random.default_rng(70), n=3, m=2, l=3, period=4)
     attack = AttackSet((0, 1), 2)
-    info = AttackerInfo.from_target_set(ts)
     x0_star = np.array([0.4, -0.2, 0.1])
     pair1, pair2 = _shared_mode_pairs()
     return {
-        "omniscient": OmniscientSchedulePolicy(ts, sample_schedule(ts, horizon), attack, x0_star),
-        "guessing": GuessingPolicy(info, attack, x0_star, seed=seed),
-        "guessing_restart": GuessingPolicy(info, attack, x0_star, seed=seed, restart_each_period=True),
+        "omniscient": OmniscientSchedulePolicy(ts, sample_schedule(ts, horizon, TEST_KEY), attack, x0_star),
+        "guessing": GuessingPolicy(ts, attack, x0_star, seed=seed),
+        "guessing_restart": GuessingPolicy(ts, attack, x0_star, seed=seed, restart_each_period=True),
         "persistent_bias": PersistentBiasPolicy(attack, constant=1.5, ramp=0.25),
         "cross_model": CrossModelPolicy(pair1, pair2, AttackSet((0,), 2)),
     }
@@ -89,7 +88,7 @@ def test_persistent_bias_profile():
 
 def test_omniscient_policy_mimics_offset_initial_state(ts):
     attack = AttackSet((0,), 2)
-    schedule = sample_schedule(ts, 12)
+    schedule = sample_schedule(ts, 12, TEST_KEY)
     x0_star = np.array([0.3, -0.1, 0.2])
     pol = OmniscientSchedulePolicy(ts, schedule, attack, x0_star)
     assert pol.admissible is False
@@ -104,9 +103,8 @@ def test_omniscient_policy_mimics_offset_initial_state(ts):
 
 
 def test_guessing_policy_draws_one_guess_per_period(ts):
-    info = AttackerInfo.from_target_set(ts)
     attack = AttackSet((1,), 2)
-    pol = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5)
+    pol = GuessingPolicy(ts, attack, [1.0, 0.0, 0.0], seed=5)
     assert pol.admissible is True
     guesses = pol.guesses(10)  # period 4 -> periods 0..2
     assert guesses.shape == (10,)
@@ -117,20 +115,18 @@ def test_guessing_policy_draws_one_guess_per_period(ts):
 
 
 def test_guessing_policy_is_reproducible_and_seed_sensitive(ts):
-    info = AttackerInfo.from_target_set(ts)
     attack = AttackSet((0,), 2)
-    a = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).values(12)
-    b = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=5).values(12)
-    c = GuessingPolicy(info, attack, [1.0, 0.0, 0.0], seed=6).values(12)
+    a = GuessingPolicy(ts, attack, [1.0, 0.0, 0.0], seed=5).values(12)
+    b = GuessingPolicy(ts, attack, [1.0, 0.0, 0.0], seed=5).values(12)
+    c = GuessingPolicy(ts, attack, [1.0, 0.0, 0.0], seed=6).values(12)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_guessing_policy_matches_manual_recursion(ts):
-    info = AttackerInfo.from_target_set(ts)
     attack = AttackSet((0,), 2)
     x0_star = np.array([0.4, -0.2, 0.1])
-    pol = GuessingPolicy(info, attack, x0_star, seed=9)
+    pol = GuessingPolicy(ts, attack, x0_star, seed=9)
     seq = pol.values(8)
     rng = np.random.default_rng(9)
     x = x0_star.copy()
@@ -143,10 +139,9 @@ def test_guessing_policy_matches_manual_recursion(ts):
 
 
 def test_guessing_policy_period_restart(ts):
-    info = AttackerInfo.from_target_set(ts)
     attack = AttackSet((0,), 2)
     x0_star = np.array([0.4, -0.2, 0.1])
-    pol = GuessingPolicy(info, attack, x0_star, seed=9, restart_each_period=True)
+    pol = GuessingPolicy(ts, attack, x0_star, seed=9, restart_each_period=True)
     seq = pol.values(12)
     # at every period boundary the virtual trajectory restarts at x0_star
     for p, g in enumerate(pol.guesses(12)[::4]):
@@ -225,7 +220,7 @@ def test_free_response_replays_the_replaced_loops_bit_for_bit(n, m, l, period, h
     omniscient = OmniscientSchedulePolicy(ts, sched, attack, x0_star)
     want = reference_trajectory_outputs(sensors, ts.pairs, sched, x0_star)
     assert omniscient.values(horizon).tobytes() == want.tobytes()
-    guessing = GuessingPolicy(AttackerInfo.from_target_set(ts), attack, x0_star, seed, restart_each_period=restart)
+    guessing = GuessingPolicy(ts, attack, x0_star, seed, restart_each_period=restart)
     guesses = guessing.guesses(horizon)
     want = reference_trajectory_outputs(sensors, ts.pairs, guesses, x0_star, period if restart else 0)
     assert guessing.values(horizon).tobytes() == want.tobytes()

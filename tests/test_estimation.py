@@ -13,6 +13,7 @@ from helpers import (
     ReferenceCentralKalmanFilter,
     ReferenceFusionEstimator,
     ReferenceLocalFilterBank,
+    TEST_KEY,
     random_target_set,
     spd,
     standard_noise,
@@ -85,7 +86,7 @@ def test_central_filter_matches_textbook_implementation():
     rng = np.random.default_rng(41)
     ts = random_target_set(rng, n=4, m=3, l=2)
     nm = standard_noise(rng, 4, 3)
-    sched = sample_schedule(ts, 25)
+    sched = sample_schedule(ts, 25, TEST_KEY)
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(1))
     f = CentralKalmanFilter(nm)
     xs, zs = [], []
@@ -103,7 +104,7 @@ def test_central_filter_residues_are_white():
     rng = np.random.default_rng(42)
     ts = random_target_set(rng, n=3, m=2, l=3)
     nm = standard_noise(rng, 3, 2)
-    sched = sample_schedule(ts, 4000)
+    sched = sample_schedule(ts, 4000, TEST_KEY)
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(2))
     f = CentralKalmanFilter(nm)
     zs = np.array([f.step(ts.pairs[sched[k]], traj.outputs[k]).residue for k in range(4000)])
@@ -119,7 +120,7 @@ def test_central_filter_active_subset_matches_reduced_model():
     rng = np.random.default_rng(43)
     ts = random_target_set(rng, n=3, m=4, l=2)
     nm = standard_noise(rng, 3, 4)
-    sched = sample_schedule(ts, 15)
+    sched = sample_schedule(ts, 15, TEST_KEY)
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(3))
     keep = (0, 2)
     f_sub = CentralKalmanFilter(nm)
@@ -141,7 +142,7 @@ def test_central_filter_translation_equivalence():
     rng = np.random.default_rng(44)
     ts = random_target_set(rng, n=3, m=2, l=2)
     nm = standard_noise(rng, 3, 2)
-    sched = sample_schedule(ts, 20)
+    sched = sample_schedule(ts, 20, TEST_KEY)
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(4))
     t0 = rng.standard_normal(3)
     deltas = rng.standard_normal((20, 3))
@@ -168,7 +169,7 @@ def test_bias_recursion_equals_paired_filter_difference():
     rng = np.random.default_rng(45)
     ts = random_target_set(rng, n=4, m=3, l=2)
     nm = standard_noise(rng, 4, 3)
-    sched = sample_schedule(ts, 40)
+    sched = sample_schedule(ts, 40, TEST_KEY)
     atk = AttackSet([1, 2], ts.m)
     d = rng.standard_normal((40, 2)) * 2.0
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(5))
@@ -192,7 +193,7 @@ def test_bias_recursion_is_linear_in_the_attack():
     rng = np.random.default_rng(46)
     ts = random_target_set(rng, n=3, m=2, l=2)
     nm = standard_noise(rng, 3, 2)
-    sched = sample_schedule(ts, 30)
+    sched = sample_schedule(ts, 30, TEST_KEY)
     atk = AttackSet([0], ts.m)
     d1 = rng.standard_normal((30, 1))
     d2 = rng.standard_normal((30, 1))
@@ -206,7 +207,7 @@ def test_bias_recursion_is_linear_in_the_attack():
 def test_bias_recursion_rejects_wrong_shaped_attack_values():
     rng = np.random.default_rng(47)
     ts = random_target_set(rng, n=3, m=2, l=2)
-    sched = sample_schedule(ts, 10)
+    sched = sample_schedule(ts, 10, TEST_KEY)
     with pytest.raises(AttackSetError):
         bias_recursion(ts, sched, standard_noise(rng, 3, 2), AttackSet([0], ts.m), np.zeros((9, 1)))
 
@@ -237,7 +238,7 @@ def test_decomposition_rejects_model_dependent_subspace():
         LtiPair(A, np.array([[1.0, 0.0]])),
         LtiPair(A, np.array([[0.0, 1.0]])),
     )
-    ts = TargetSet(pairs=pairs, period=4, key=0)
+    ts = TargetSet(pairs=pairs, period=4)
     with pytest.raises(DecompositionError, match="unobservable subspace differs for configuration 1"):
         kalman_decomposition(ts, 0)
 
@@ -252,7 +253,7 @@ def test_decomposition_rejects_model_dependent_subspace():
 )
 def test_decomposition_rejects_sensors_without_reduced_filters(C0, C1, message):
     A = np.diag([0.5, 0.8])
-    ts = TargetSet(pairs=(LtiPair(A, np.array([C0])), LtiPair(A, np.array([C1]))), period=4, key=0)
+    ts = TargetSet(pairs=(LtiPair(A, np.array([C0])), LtiPair(A, np.array([C1]))), period=4)
     with pytest.raises(DecompositionError, match=message):
         kalman_decomposition(ts, 0)
 
@@ -321,6 +322,10 @@ class _BlockBank:
     def shift_prediction(self, delta):
         for s in self.sensors:
             self.zeta_prior[s] = self.zeta_prior[s] + self.decomps[s].T_o.T @ delta
+
+
+# the schedule key of the example plants generated from seed 11
+EXAMPLE_11_KEY = "mtident-example-11"
 
 
 @functools.lru_cache(maxsize=None)
@@ -582,7 +587,7 @@ def test_local_bank_matches_dense_joint_implementation():
     ts, noise, decomps = _bank_plant()
     sensors = tuple(range(ts.m))
     bank = LocalFilterBank(ts, noise, decomps)
-    sched = sample_schedule(ts, 8)
+    sched = sample_schedule(ts, 8, EXAMPLE_11_KEY)
     rng = np.random.default_rng(48)
     ys = rng.standard_normal((8, 10))
     offs, dense = _dense_joint_bank(decomps, sensors, ts, noise, sched, ys)
@@ -612,7 +617,7 @@ def test_local_bank_covariance_is_calibrated_empirically():
     ts, noise, decomps = _bank_plant()
     template = LocalFilterBank(ts, noise, decomps)
     rows = template.rows((3, 4))
-    sched = sample_schedule(ts, 4)
+    sched = sample_schedule(ts, 4, EXAMPLE_11_KEY)
     trials = 1200
     errs = []
     P_last = None
@@ -637,7 +642,7 @@ def test_local_bank_residues_are_standardized():
     # default unstable block dynamics
     plant = generate_example_system(seed=11, n=10, l=2, radius=(0.55, 0.9))
     ts, noise, bank = plant.ts, plant.noise, plant.bank
-    sched = sample_schedule(ts, 600)
+    sched = sample_schedule(ts, 600, EXAMPLE_11_KEY)
     traj = simulate_stochastic(ts, sched, noise, np.random.default_rng(49))
     zs = np.array([bank.step(int(sched[k]), traj.outputs[k]).residues for k in range(600)])
     assert abs(float(np.mean(zs))) < 0.05
@@ -677,7 +682,7 @@ def test_fusion_averages_independent_full_estimates():
     # two fully observing sensors with identity covariances and no cross
     # correlation: the fused estimate is the plain average
     n = 3
-    ts = TargetSet(pairs=(LtiPair(np.eye(n), np.ones((2, n))),), period=1, key="k")
+    ts = TargetSet(pairs=(LtiPair(np.eye(n), np.ones((2, n))),), period=1)
     noise = standard_noise(np.random.default_rng(0), n, 2)
     bank = LocalFilterBank(ts, noise, [_trivial_decomp(0, n), _trivial_decomp(1, n)])
     fus = FusionEstimator(bank, (0, 1))

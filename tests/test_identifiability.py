@@ -12,6 +12,7 @@ from helpers import (
     matrix_with_jordan_structure,
     observability_matrix,
     random_observable_pair,
+    TEST_KEY,
     random_target_set,
 )
 from mtident import (
@@ -55,7 +56,7 @@ def test_time_varying_observability_rows():
     A0 = np.array([[2.0, 0.0], [0.0, 3.0]])
     A1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     C = np.array([[1.0, 1.0]])
-    ts = TargetSet(pairs=(LtiPair(A0, C), LtiPair(A1, C)), period=1, key=0)
+    ts = TargetSet(pairs=(LtiPair(A0, C), LtiPair(A1, C)), period=1)
     stack = time_varying_observability(ts, [0, 1, 0], sensor=0, t=2)
     expected = np.vstack([C[0], C[0] @ A0, C[0] @ A1 @ A0])
     assert_allclose(stack, expected)
@@ -114,7 +115,7 @@ def test_sparse_margin_redundant_and_unobservable():
 def test_clean_record_is_consistent_and_witnessed():
     rng = np.random.default_rng(21)
     ts = random_target_set(rng, n=3, m=2, l=2, period=2)
-    sched = sample_schedule(ts, 12)
+    sched = sample_schedule(ts, 12, TEST_KEY)
     x0 = rng.standard_normal(3)
     traj = simulate_deterministic(ts, sched, x0)
     verdict = sensor_consistency_check(traj.outputs[:, 0], ts, sched, sensor=0)
@@ -127,7 +128,7 @@ def test_clean_record_is_consistent_and_witnessed():
 def test_garbage_attack_is_identified_quickly():
     rng = np.random.default_rng(22)
     ts = random_target_set(rng, n=3, m=2, l=2, period=2)
-    sched = sample_schedule(ts, 12)
+    sched = sample_schedule(ts, 12, TEST_KEY)
     atk = AttackSet([0], ts.m)
     d = rng.standard_normal((12, 1)) * 5.0
     traj = simulate_deterministic(ts, sched, rng.standard_normal(3), attack=atk, d=d)
@@ -144,7 +145,7 @@ def test_schedule_mimicking_attack_stays_consistent():
     # d_k = C_k[s] x~_k along the true schedule looks like a state offset
     rng = np.random.default_rng(23)
     ts = random_target_set(rng, n=3, m=2, l=3, period=2)
-    sched = sample_schedule(ts, 14)
+    sched = sample_schedule(ts, 14, TEST_KEY)
     x_virtual = rng.standard_normal(3)
     d = np.empty((14, 1))
     xv = x_virtual.copy()
@@ -163,7 +164,7 @@ def test_schedule_mimicking_attack_stays_consistent():
 def test_guess_feasibility_correct_guess_is_feasible():
     rng = np.random.default_rng(24)
     ts = random_target_set(rng, n=3, m=1, l=2, period=3)
-    sched = sample_schedule(ts, 2 * ts.n)
+    sched = sample_schedule(ts, 2 * ts.n, TEST_KEY)
     assert guess_attack_feasibility(ts, sched, sched, sensor=0, t=2 * ts.n - 1)
 
 
@@ -181,7 +182,6 @@ def test_guess_feasibility_shared_eigenvalue_models():
     ts = TargetSet(
         pairs=(LtiPair(np.diag([2.0, 0.5]), C), LtiPair(np.diag([2.0, 0.7]), C)),
         period=4,
-        key=0,
     )
     true_sched = np.zeros(8, dtype=int)
     guessed = np.ones(8, dtype=int)
@@ -446,7 +446,7 @@ def test_analyze_target_set_flags_vulnerable_pair():
     p1 = LtiPair(np.diag([2.0, 0.5]), c)
     p2 = LtiPair(np.diag([2.0, 0.7]), c)
     p3 = LtiPair(np.diag([-1.5, 0.3]), c)
-    ts = TargetSet(pairs=(p1, p2, p3), period=4, key=0)
+    ts = TargetSet(pairs=(p1, p2, p3), period=4)
     report = analyze_target_set(ts)
     assert (0, 1) in report.vulnerable_pairs
     assert report.vulnerable_pairs[(0, 1)] == (0, 1)  # both sensors see the mode
@@ -462,7 +462,7 @@ def test_analyze_target_set_records_each_refused_configuration_once(monkeypatch)
     c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]])
     p1 = LtiPair(np.diag([1.0, 1.0005, 0.3]), c)
     p2 = LtiPair(np.diag([2.0, 0.5, -0.4]), c)
-    report = analyze_target_set(TargetSet(pairs=(p1, p2), period=6, key=0))
+    report = analyze_target_set(TargetSet(pairs=(p1, p2), period=6))
     msg = "null-space growth stalled at dimension 0 below multiplicity 2 for eigenvalue 1.00025+0j"
     assert report.failures == {0: msg}
     assert report.vulnerable_pairs == {}

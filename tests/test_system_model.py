@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.stats import chi2
 
-from helpers import random_target_set, spd, standard_noise
+from helpers import TEST_KEY, random_target_set, spd, standard_noise
 from mtident import (
     AttackSet,
     AttackSetError,
@@ -50,17 +51,17 @@ def test_target_set_rejects_mixed_shapes_and_bad_period():
     p2 = LtiPair(np.eye(2), np.ones((1, 2)))
     p3 = LtiPair(np.eye(3), np.ones((1, 3)))
     with pytest.raises(ModelError):
-        TargetSet(pairs=(p2, p3), period=4, key=b"\x00" * 32)
+        TargetSet(pairs=(p2, p3), period=4)
     with pytest.raises(ModelError):
-        TargetSet(pairs=(p2,), period=0, key=b"\x00" * 32)
+        TargetSet(pairs=(p2,), period=0)
     with pytest.raises(ModelError):
-        TargetSet(pairs=(), period=4, key=b"\x00" * 32)
+        TargetSet(pairs=(), period=4)
 
 
-def test_target_set_hides_key_from_repr():
-    key = schedule_key("super-secret")
-    ts = TargetSet(pairs=(LtiPair(np.eye(2), np.ones((1, 2))),), period=4, key=key)
-    assert key.hex() not in repr(ts)
+def test_target_set_holds_only_pairs_and_period():
+    # the target set is what an admissible attacker may know: no schedule secret
+    ts = TargetSet(pairs=(LtiPair(np.eye(2), np.ones((1, 2))),), period=4)
+    assert [f.name for f in dataclasses.fields(ts)] == ["pairs", "period"]
     assert "key" not in repr(ts)
 
 
@@ -96,8 +97,8 @@ def _oracle_index(key: bytes, counter: int, l: int) -> int:
 
 def test_schedule_matches_keyed_counter_construction():
     rng = np.random.default_rng(0)
-    ts = random_target_set(rng, n=2, m=1, l=7, period=3, key=12345)
-    sched = sample_schedule(ts, 36)
+    ts = random_target_set(rng, n=2, m=1, l=7, period=3)
+    sched = sample_schedule(ts, 36, 12345)
     expected_blocks = [_oracle_index(schedule_key(12345), b, 7) for b in range(12)]
     assert list(sched.reshape(12, 3)[:, 0]) == expected_blocks
     # constant within each period block
@@ -107,27 +108,28 @@ def test_schedule_matches_keyed_counter_construction():
 def test_schedule_frozen_values():
     # pinned outputs of the construction; any change to it must fail here
     rng = np.random.default_rng(0)
-    ts = random_target_set(rng, n=2, m=1, l=7, period=1, key=12345)
-    assert list(sample_schedule(ts, 12)) == [3, 4, 5, 3, 6, 6, 4, 2, 3, 3, 6, 6]
-    ts3 = random_target_set(rng, n=2, m=1, l=3, period=1, key="gof-key")
-    assert list(sample_schedule(ts3, 12)) == [0, 0, 2, 2, 2, 0, 1, 0, 0, 0, 0, 2]
+    ts = random_target_set(rng, n=2, m=1, l=7, period=1)
+    assert list(sample_schedule(ts, 12, 12345)) == [3, 4, 5, 3, 6, 6, 4, 2, 3, 3, 6, 6]
+    ts3 = random_target_set(rng, n=2, m=1, l=3, period=1)
+    assert list(sample_schedule(ts3, 12, "gof-key")) == [0, 0, 2, 2, 2, 0, 1, 0, 0, 0, 0, 2]
 
 
 def test_schedule_reproducible_and_key_sensitive():
     rng = np.random.default_rng(1)
-    ts = random_target_set(rng, n=2, m=1, l=4, period=5, key="key-a")
-    assert np.array_equal(sample_schedule(ts, 100), sample_schedule(ts, 100))
-    ts_b = TargetSet(pairs=ts.pairs, period=ts.period, key=schedule_key("key-b"))
-    assert not np.array_equal(sample_schedule(ts, 100), sample_schedule(ts_b, 100))
+    ts = random_target_set(rng, n=2, m=1, l=4, period=5)
+    assert np.array_equal(sample_schedule(ts, 100, "key-a"), sample_schedule(ts, 100, "key-a"))
+    assert not np.array_equal(sample_schedule(ts, 100, "key-a"), sample_schedule(ts, 100, "key-b"))
+    # key material is normalized as schedule_key normalizes it
+    assert np.array_equal(sample_schedule(ts, 100, "key-a"), sample_schedule(ts, 100, schedule_key("key-a")))
     # a longer horizon extends, never rewrites, earlier blocks
-    assert np.array_equal(sample_schedule(ts, 100), sample_schedule(ts, 200)[:100])
+    assert np.array_equal(sample_schedule(ts, 100, "key-a"), sample_schedule(ts, 200, "key-a")[:100])
 
 
 def test_schedule_uniformity_chi_square():
     rng = np.random.default_rng(2)
     l = 7
-    ts = random_target_set(rng, n=2, m=1, l=l, period=1, key="gof-uniformity")
-    draws = sample_schedule(ts, 7000)
+    ts = random_target_set(rng, n=2, m=1, l=l, period=1)
+    draws = sample_schedule(ts, 7000, "gof-uniformity")
     counts = np.bincount(draws, minlength=l)
     expected = draws.size / l
     stat = float(np.sum((counts - expected) ** 2 / expected))
@@ -181,7 +183,7 @@ def test_attack_set_inject_rejects_wrong_shapes(shape):
 def test_simulation_rejects_wrong_shaped_attack_values():
     rng = np.random.default_rng(5)
     ts = random_target_set(rng, n=3, m=3, l=2)
-    sched = sample_schedule(ts, 5)
+    sched = sample_schedule(ts, 5, TEST_KEY)
     atk = AttackSet((1, 2), 3)
     with pytest.raises(AttackSetError):
         simulate_deterministic(ts, sched, np.ones(3), attack=atk, d=np.zeros((5, 1)))
@@ -218,7 +220,7 @@ def test_deterministic_simulation_hand_unrolled():
     A0 = np.array([[1.0, 1.0], [0.0, 1.0]])
     A1 = np.array([[0.5, 0.0], [0.0, 2.0]])
     C = np.array([[1.0, 0.0], [0.0, 1.0]])
-    ts = TargetSet(pairs=(LtiPair(A0, C), LtiPair(A1, C)), period=1, key=0)
+    ts = TargetSet(pairs=(LtiPair(A0, C), LtiPair(A1, C)), period=1)
     x0 = np.array([1.0, 2.0])
     traj = simulate_deterministic(ts, [0, 1, 0], x0)
     assert_allclose(traj.states[0], x0)
@@ -233,7 +235,7 @@ def test_deterministic_attack_enters_selected_rows_only():
     ts = random_target_set(rng, n=3, m=3, l=2)
     atk = AttackSet([1], m=3)
     d = rng.standard_normal((5, 1))
-    sched = sample_schedule(ts, 5)
+    sched = sample_schedule(ts, 5, TEST_KEY)
     clean = simulate_deterministic(ts, sched, np.ones(3))
     hit = simulate_deterministic(ts, sched, np.ones(3), attack=atk, d=d)
     assert_allclose(hit.outputs[:, [0, 2]], clean.outputs[:, [0, 2]])
@@ -245,7 +247,7 @@ def test_stochastic_simulation_reproducible():
     rng = np.random.default_rng(6)
     ts = random_target_set(rng, n=3, m=2, l=2)
     nm = NoiseModel(Q=spd(rng, 3), R=spd(rng, 2))
-    sched = sample_schedule(ts, 20)
+    sched = sample_schedule(ts, 20, TEST_KEY)
     t1 = simulate_stochastic(ts, sched, nm, np.random.default_rng(42))
     t2 = simulate_stochastic(ts, sched, nm, np.random.default_rng(42))
     assert np.array_equal(t1.states, t2.states)
@@ -258,7 +260,7 @@ def test_stochastic_simulation_draw_order(n, m):
     rng = np.random.default_rng(100 + n)
     ts = random_target_set(rng, n=n, m=m, l=2)
     nm = NoiseModel(Q=spd(rng, n), R=spd(rng, m), x0_mean=rng.standard_normal(n), P0=spd(rng, n))
-    sched = sample_schedule(ts, 50)
+    sched = sample_schedule(ts, 50, TEST_KEY)
     atk = AttackSet([0], m=m)
     d = rng.standard_normal((50, 1))
     traj = simulate_stochastic(ts, sched, nm, np.random.default_rng(9), attack=atk, d=d)
@@ -277,7 +279,7 @@ def test_stochastic_scalar_stationary_variance():
     # x_{k+1} = a x_k + w: stationary variance q / (1 - a^2)
     a, q = 0.8, 1.0
     pair = LtiPair(np.array([[a]]), np.array([[1.0]]))
-    ts = TargetSet(pairs=(pair,), period=1, key=0)
+    ts = TargetSet(pairs=(pair,), period=1)
     nm = NoiseModel(
         Q=np.array([[q]]),
         R=np.array([[1e-12]]),
@@ -303,7 +305,7 @@ def test_stochastic_rejects_mismatched_noise():
 
 def test_recommendations_satisfied_for_good_design():
     rng = np.random.default_rng(9)
-    ts = random_target_set(rng, n=3, m=2, l=3, period=6, key="good")
+    ts = random_target_set(rng, n=3, m=2, l=3, period=6)
     rep = validate_design_recommendations(ts)
     assert rep.satisfied()
     assert rep.problems() == []
@@ -315,7 +317,7 @@ def test_recommendations_flag_shared_spectrum_and_short_period():
     A = np.diag([0.5, 1.5, -0.7])
     C = rng.standard_normal((2, 3))
     C2 = rng.standard_normal((2, 3))
-    ts = TargetSet(pairs=(LtiPair(A, C), LtiPair(A, C2)), period=2, key=0)
+    ts = TargetSet(pairs=(LtiPair(A, C), LtiPair(A, C2)), period=2)
     rep = validate_design_recommendations(ts)
     assert not rep.disjoint_spectra
     assert not rep.period_at_least_2n
@@ -332,7 +334,6 @@ def test_recommendations_flag_zero_eigenvalue_and_unobservable():
             LtiPair(np.diag([0.6, 0.9]), np.array([[1.0, 0.0]])),  # unobservable
         ),
         period=4,
-        key=0,
     )
     rep = validate_design_recommendations(ts)
     assert not rep.spectra_exclude_zero
@@ -341,7 +342,7 @@ def test_recommendations_flag_zero_eigenvalue_and_unobservable():
 
 
 def test_recommendations_single_pair_is_degenerate():
-    ts = TargetSet(pairs=(LtiPair(np.eye(2) * 0.5, np.eye(2)),), period=4, key=0)
+    ts = TargetSet(pairs=(LtiPair(np.eye(2) * 0.5, np.eye(2)),), period=4)
     rep = validate_design_recommendations(ts)
     assert rep.disjoint_spectra  # vacuous
     assert not rep.schedule_nondegenerate
