@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -206,7 +207,11 @@ def jordan_chains(A) -> tuple[GeneralizedEigenspace, ...]:
     ``(A - mean I)^p`` are well separated at the relative SVD cutoff
     ``1e-8``. The power ``p`` grows until the null space reaches the cluster
     size; a null space that outgrows the cluster or stops growing first
-    raises :class:`ConditioningError`.
+    raises :class:`ConditioningError`. One stall is not a failure: when the
+    mean of two or more distinct eigenvalues has no null space at all, they
+    are distinct eigenvalues closer than the tolerance (the mean of one
+    defective eigenvalue's estimates is accurate), so they are clustered
+    again at a tenth of the tolerance and each sub-cluster is extracted.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -216,7 +221,8 @@ def jordan_chains(A) -> tuple[GeneralizedEigenspace, ...]:
     tol = 1e-3 * (1.0 + float(np.max(np.abs(eigs), initial=0.0)))
 
     spaces = []
-    for idx in _cluster_complex(eigs, tol):
+    clusters = [(idx, tol) for idx in _cluster_complex(eigs, tol)]
+    for idx, tol in clusters:  # a split appends its sub-clusters
         lam = complex(np.mean(eigs[idx]))
         # A is real: a cluster with a member within tol/2 of the real axis
         # holds that member's conjugate, hence all its conjugates, and its
@@ -246,15 +252,19 @@ def jordan_chains(A) -> tuple[GeneralizedEigenspace, ...]:
                     f"{nullities[-1]} > algebraic multiplicity {mult}; the rank "
                     "tolerance or eigenvalue clustering is too loose"
                 )
+            if nullities == [0, 0] and np.unique(eigs[idx]).size > 1:
+                clusters += [(idx[sub], 0.1 * tol) for sub in _cluster_complex(eigs[idx], 0.1 * tol)]
+                break
             if nullities[-1] <= nullities[-2]:
                 raise ConditioningError(
                     f"null-space growth stalled at dimension {nullities[-1]} below "
                     f"multiplicity {mult} for eigenvalue {complex(lam):.6g}"
                 )
-        # growth[p - 1] counts the chains of length >= p
-        growth = np.diff(nullities)
-        lengths = tuple(int(np.sum(growth >= j)) for j in range(1, growth[0] + 1))
-        spaces.append(GeneralizedEigenspace(eigenvalue=lam, basis=basis, chain_lengths=lengths))
+        else:  # the null space reached the cluster size
+            # growth[p - 1] counts the chains of length >= p
+            growth = np.diff(nullities)
+            lengths = tuple(int(np.sum(growth >= j)) for j in range(1, growth[0] + 1))
+            spaces.append(GeneralizedEigenspace(eigenvalue=lam, basis=basis, chain_lengths=lengths))
 
     spaces.sort(key=lambda e: (round(e.eigenvalue.real, 9), round(e.eigenvalue.imag, 9)))
     return tuple(spaces)
@@ -262,26 +272,6 @@ def jordan_chains(A) -> tuple[GeneralizedEigenspace, ...]:
 
 # ---------------------------------------------------------------------------
 # cross-model unidentifiability (constant schedules)
-
-
-def _eigenspace_stack(
-    A: np.ndarray, c_row: np.ndarray, space: GeneralizedEigenspace, rows: int
-) -> np.ndarray:
-    """Rows ``c (A - lam I)^q G`` for ``q < rows``, with ``G`` the eigenspace basis.
-
-    For ``x = G z`` the output expands as
-    ``c A^k x = sum_q C(k, q) lam^(k-q) (V z)_q``; the terms with ``q`` at
-    or beyond the chain length vanish. Two models sharing ``lam`` thus give
-    the same output for all ``k`` exactly when their stacks, taken to the
-    longer chain length of the two, map to the same vector.
-    """
-    B = A - space.eigenvalue * np.eye(A.shape[0])
-    W = space.basis
-    V = np.empty((rows, W.shape[1]), dtype=W.dtype)
-    for q in range(rows):
-        V[q] = c_row @ W
-        W = B @ W
-    return V
 
 
 @dataclass(frozen=True)
@@ -310,9 +300,13 @@ def cross_model_unidentifiability(
 ) -> CrossModelResult:
     """Does a nonzero attack exist that is consistent with both fixed models?
 
-    For each eigenvalue shared by the two state matrices (within
-    ``1e-8 * (1 + max |eigenvalue|)``), the per-model stacks ``V1``/``V2`` of
-    :func:`_eigenspace_stack` are built; unidentifiability is equivalent to
+    For each eigenvalue ``lam`` shared by the two state matrices (within
+    ``1e-8 * (1 + max |eigenvalue|)``), each model gives the stack ``V`` of
+    rows ``c (A - lam I)^q G``, the free response of the shifted pair
+    ``(A - lam I, C)`` from the eigenspace basis ``G``. For ``x = G z`` the
+    output expands as ``c A^k x = sum_q C(k, q) lam^(k-q) (V z)_q``, whose
+    terms at or beyond the chain length vanish, so stacks ``V1``/``V2`` taken
+    to the longer chain decide the test: unidentifiability is equivalent to
     their images intersecting nontrivially:
 
         rank([V1 -V2]) < rank(V1) + rank(V2),
@@ -341,9 +335,11 @@ def cross_model_unidentifiability(
     shared_vals = tuple(0.5 * (e1.eigenvalue + e2.eigenvalue) for e1, e2 in shared)
 
     for (e1, e2), lam in zip(shared, shared_vals):
-        rows = max(e1.chain_lengths[0], e2.chain_lengths[0])
-        V1 = _eigenspace_stack(pair1.A, pair1.C[sensor], e1, rows)
-        V2 = _eigenspace_stack(pair2.A, pair2.C[sensor], e2, rows)
+        steps = [0] * max(e1.chain_lengths[0], e2.chain_lengths[0])
+        V1, V2 = (
+            free_response([SimpleNamespace(A=p.A - e.eigenvalue * np.eye(p.n), C=p.C)], steps, e.basis, sensor)
+            for p, e in ((pair1, e1), (pair2, e2))
+        )
         _, s, Vh = np.linalg.svd(np.hstack([V1, -V2]))
         cutoff = 1e-8 * s[0]
         rank_both = int(np.sum(s > cutoff))

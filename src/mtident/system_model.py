@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,13 +213,17 @@ class NoiseModel:
     ``R`` must be symmetric positive definite; ``Q`` and ``P0`` positive
     semidefinite (eigenvalues within ``-1e-10 * ||.||`` are clamped to zero).
     ``x0_mean``/``P0`` describe the estimator's prior on the initial state;
-    they default to zero and the identity.
+    they default to zero and the identity. The ``*_factor`` fields hold
+    square-root factors ``L`` with ``L @ L.T`` equal to ``Q``, ``R``, ``P0``.
     """
 
     Q: np.ndarray
     R: np.ndarray
     x0_mean: np.ndarray | None = None
     P0: np.ndarray | None = None
+    Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    R_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    P0_factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = _as_matrix(self.Q, "Q")
@@ -246,9 +250,9 @@ class NoiseModel:
         object.__setattr__(self, "R", _frozen(R))
         object.__setattr__(self, "x0_mean", _frozen(x0))
         object.__setattr__(self, "P0", _frozen(P0))
-        object.__setattr__(self, "_LQ", _frozen(LQ))
-        object.__setattr__(self, "_LR", _frozen(LR))
-        object.__setattr__(self, "_LP0", _frozen(LP0))
+        object.__setattr__(self, "Q_factor", _frozen(LQ))
+        object.__setattr__(self, "R_factor", _frozen(LR))
+        object.__setattr__(self, "P0_factor", _frozen(LP0))
 
     @property
     def n(self) -> int:
@@ -257,19 +261,6 @@ class NoiseModel:
     @property
     def m(self) -> int:
         return self.R.shape[0]
-
-    @property
-    def Q_factor(self) -> np.ndarray:
-        """L with L @ L.T == Q (PSD square root factor)."""
-        return self._LQ
-
-    @property
-    def R_factor(self) -> np.ndarray:
-        return self._LR
-
-    @property
-    def P0_factor(self) -> np.ndarray:
-        return self._LP0
 
 
 @dataclass(frozen=True)
@@ -316,7 +307,8 @@ def free_response(pairs, configs, x, rows) -> np.ndarray:
 
     ``x`` is a state vector or a matrix of them (the identity gives the
     observability rows), real or complex; ``rows`` is one sensor index or a
-    list of them.
+    list of them. Of each configuration it reads only ``A`` and ``C``, so any
+    record holding them serves, such as a shifted pair ``(A - lam I, C)``.
     """
     out = []
     for j in configs:

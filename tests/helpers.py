@@ -8,7 +8,8 @@ tests call them. :func:`reference_run_scenario` is the scenario engine as
 one per-step loop with per-sensor detector objects. The ``Reference*``
 filter classes keep the step methods as first written, one numpy
 expression per formula, as bit-for-bit oracles for the engine's lean ones;
-the ``reference_*`` free-response functions do the same for
+the ``reference_*`` free-response functions (among them the eigenspace
+output stacks of the cross-model test) do the same for
 :func:`mtident.system_model.free_response`.
 """
 
@@ -41,6 +42,7 @@ from mtident.estimation import (
     dpstrf,
     dtrtrs,
 )
+from mtident.identifiability import GeneralizedEigenspace
 from mtident.linalg import numerical_rank, observability_stack, spectral_radius
 from mtident.scenario import _build_attack, _summarize, config_schedule_key
 
@@ -451,6 +453,26 @@ def reference_witness_sequences(witness, pair1: LtiPair, pair2: LtiPair, sensor:
             x = pair.A @ x
         seqs.append(d)
     return seqs
+
+
+def reference_eigenspace_stack(
+    A: np.ndarray, c_row: np.ndarray, space: GeneralizedEigenspace, rows: int
+) -> np.ndarray:
+    """Rows ``c (A - lam I)^q G`` for ``q < rows``, with ``G`` the eigenspace basis.
+
+    For ``x = G z`` the output expands as
+    ``c A^k x = sum_q C(k, q) lam^(k-q) (V z)_q``; the terms with ``q`` at
+    or beyond the chain length vanish. Two models sharing ``lam`` thus give
+    the same output for all ``k`` exactly when their stacks, taken to the
+    longer chain length of the two, map to the same vector.
+    """
+    B = A - space.eigenvalue * np.eye(A.shape[0])
+    W = space.basis
+    V = np.empty((rows, W.shape[1]), dtype=W.dtype)
+    for q in range(rows):
+        V[q] = c_row @ W
+        W = B @ W
+    return V
 
 
 def reference_trajectory_outputs(sensors, pairs, configs, x0_star, restart_every: int = 0) -> np.ndarray:

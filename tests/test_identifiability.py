@@ -1,5 +1,6 @@
 import itertools
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     random_observable_pair,
     TEST_KEY,
     random_target_set,
+    reference_eigenspace_stack,
 )
 from mtident import (
     AttackSet,
@@ -36,8 +38,9 @@ from mtident import (
     time_varying_observability,
 )
 from mtident import identifiability
-from mtident.identifiability import _cluster_complex, _eigenspace_stack
+from mtident.identifiability import _cluster_complex
 from mtident.linalg import numerical_rank
+from mtident.system_model import free_response
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +258,27 @@ def test_jordan_chains_tolerates_defective_perturbation():
     assert e.chain_lengths[0] == 3
 
 
+def test_jordan_chains_splits_distinct_eigenvalues_closer_than_the_tolerance():
+    # 1.0 and 1.0005 fall into one eigenvalue cluster, but A is diagonal:
+    # (A - 1.00025 I) has no null space, so the cluster is split at a tenth
+    # of the tolerance and each eigenvalue gets its own eigenspace
+    A = np.diag([1.0, 1.0005, 0.3])
+    spaces = jordan_chains(A)
+    assert [e.eigenvalue for e in spaces] == [0.3, 1.0, 1.0005]
+    for e in spaces:
+        _assert_eigenspace(A, e, 1, atol=1e-12)
+    # a conjugate pair 5e-4 apart: the sub-clusters are off the real axis by
+    # more than half the sub-tolerance, so their eigenvalues stay complex
+    A = np.array([[1.0, -2.5e-4], [2.5e-4, 1.0]])
+    spaces = jordan_chains(A)
+    assert_allclose([e.eigenvalue for e in spaces], [1.0 - 2.5e-4j, 1.0 + 2.5e-4j], rtol=1e-15)
+    for e in spaces:
+        _assert_eigenspace(A, e, 1, atol=1e-12)
+    # the example plants of these seeds hold such close pairs
+    for seed in (2, 123):
+        assert analyze_target_set(generate_example_system(seed=seed, n=15, l=7).ts).failures == {}
+
+
 def test_jordan_cluster_chain_raises_on_ambiguous_diameter():
     # eigenvalues chained 0.9 tol apart: single linkage merges a cluster of
     # diameter 3.6 tol, which is too wide to trust
@@ -269,6 +293,12 @@ def test_jordan_cluster_chain_raises_on_ambiguous_diameter():
 # eigenspace output stacks
 
 
+def _shifted(A, C, space):
+    """The pair ``(A - lam I, C)`` whose free response from the eigenspace
+    basis gives the output stack ``c (A - lam I)^q G``."""
+    return SimpleNamespace(A=A - space.eigenvalue * np.eye(A.shape[0]), C=C)
+
+
 def test_v_stack_matches_output_derivative_expansion():
     # y_k = c A^k x0 with x0 = G z expands in binomials:
     # y_k = sum_q C(k, q) lam^(k-q) beta_q with beta = V z
@@ -277,7 +307,7 @@ def test_v_stack_matches_output_derivative_expansion():
     A, _ = matrix_with_jordan_structure(rng, spec)
     c = rng.standard_normal(5)
     space = _nearest(jordan_chains(A), 3.0)
-    V = _eigenspace_stack(A, c, space, space.chain_lengths[0])
+    V = free_response([_shifted(A, c[None], space)], [0] * space.chain_lengths[0], space.basis, 0)
     assert V.shape == (2, 3)  # one row per power below the longest chain, 3 basis columns
     z = rng.standard_normal(3)
     beta = V @ z
@@ -288,15 +318,40 @@ def test_v_stack_matches_output_derivative_expansion():
         y = A @ y
 
 
+_STACK_MODES = (2.0, -0.5, 0.5, 0.5 + 1.0j, -1.0 + 0.5j)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(
+    spec=st.lists(st.tuples(st.sampled_from(_STACK_MODES), st.integers(1, 3)), min_size=1, max_size=3),
+    jordan=st.booleans(),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_free_response_replays_the_eigenspace_stack_bit_for_bit(spec, jordan, n, seed):
+    """Each eigenspace's output stack, up to one row past its longest chain,
+    keeps the bytes of the loop the cross-model test used to write out."""
+    rng = np.random.default_rng(seed)
+    A = matrix_with_jordan_structure(rng, spec, max_entry=6)[0] if jordan else rng.standard_normal((n, n))
+    C = rng.standard_normal((2, A.shape[0]))
+    for space in jordan_chains(A):
+        for rows in range(1, space.chain_lengths[0] + 2):
+            for sensor in range(2):
+                got = free_response([_shifted(A, C, space)], [0] * rows, space.basis, sensor)
+                want = reference_eigenspace_stack(A, C[sensor], space, rows)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+
+
 def test_v_stack_pads_to_common_chain_length():
     rng = np.random.default_rng(30)
     A1, _ = matrix_with_jordan_structure(rng, [(2.0, 3), (5.0, 1)])
     A2, _ = matrix_with_jordan_structure(rng, [(2.0, 1), (7.0, 3)])
     c = rng.standard_normal(4)
     e1, e2 = _nearest(jordan_chains(A1), 2.0), _nearest(jordan_chains(A2), 2.0)
-    rows = max(e1.chain_lengths[0], e2.chain_lengths[0])
-    V1 = _eigenspace_stack(A1, c, e1, rows)
-    V2 = _eigenspace_stack(A2, c, e2, rows)
+    steps = [0] * max(e1.chain_lengths[0], e2.chain_lengths[0])
+    V1 = free_response([_shifted(A1, c[None], e1)], steps, e1.basis, 0)
+    V2 = free_response([_shifted(A2, c[None], e2)], steps, e2.basis, 0)
     assert V1.shape == (3, 3) and V2.shape == (3, 1)  # r = max(p1, p2) = 3 rows
     assert np.linalg.matrix_rank(V1) == 3
     # beyond its chain length, a model's rows vanish
@@ -457,19 +512,6 @@ def test_analyze_target_set_flags_vulnerable_pair():
 
 
 def test_analyze_target_set_records_each_refused_configuration_once(monkeypatch):
-    # 1.0 and 1.0005 fall into one eigenvalue cluster, but A is diagonal:
-    # (A - 1.00025 I) has no null space, so the eigenspace cannot grow to 2
-    c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]])
-    p1 = LtiPair(np.diag([1.0, 1.0005, 0.3]), c)
-    p2 = LtiPair(np.diag([2.0, 0.5, -0.4]), c)
-    report = analyze_target_set(TargetSet(pairs=(p1, p2), period=6))
-    msg = "null-space growth stalled at dimension 0 below multiplicity 2 for eigenvalue 1.00025+0j"
-    assert report.failures == {0: msg}
-    assert report.vulnerable_pairs == {}
-    assert report.findings()[-1] == f"configuration 0: analysis failed ({msg})"
-
-    # configuration 0 of the seed-2 example plant is refused: each of the 7
-    # configurations is extracted once, and the refusal is reported once
     calls = []
 
     def counting(A):
@@ -477,13 +519,34 @@ def test_analyze_target_set_records_each_refused_configuration_once(monkeypatch)
         return jordan_chains(A)
 
     monkeypatch.setattr(identifiability, "jordan_chains", counting)
+    # five eigenvalues chained 0.9 tol apart, tol = 1e-3 (1 + max |eigenvalue|),
+    # form one cluster of diameter 3.6 tol, which is refused
+    tol = 2e-3 / (1.0 - 3.6e-3)
+    c = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 2.0, 0.5, -2.0, 1.5]])
+    p1 = LtiPair(np.diag(np.append(1.0 + tol * np.array([0.0, 0.9, 1.8, 2.7, 3.6]), 0.3)), c)
+    p2 = LtiPair(np.diag([2.0, 0.5, -0.4, 0.1, -0.7, 0.8]), c)
+    p3 = LtiPair(np.diag([-1.5, 0.25, 0.6, -0.2, 0.9, 0.05]), c)
+    report = analyze_target_set(TargetSet(pairs=(p1, p2, p3), period=6))
+    assert len(calls) == 3
+    assert list(report.failures) == [0]
+    assert "exceeds 3x the clustering tolerance" in report.failures[0]
+    assert [line for line in report.findings() if "analysis failed" in line] == [
+        f"configuration 0: analysis failed ({report.failures[0]})"
+    ]
+
+    # distinct eigenvalues closer than the tolerance are analysed: a
+    # diagonal pair 5e-4 apart and configuration 0 of the seed-2 plant
+    c = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]])
+    p1 = LtiPair(np.diag([1.0, 1.0005, 0.3]), c)
+    p2 = LtiPair(np.diag([2.0, 0.5, -0.4]), c)
+    report = analyze_target_set(TargetSet(pairs=(p1, p2), period=6))
+    assert report.failures == {}
+    assert report.vulnerable_pairs == {}
+    calls.clear()
     report = analyze_target_set(generate_example_system(seed=2, n=15, l=7).ts)
     assert len(calls) == 7
-    assert list(report.failures) == [0]
-    assert [line for line in report.findings() if "analysis failed" in line] == [
-        "configuration 0: analysis failed (null-space growth stalled at dimension 0 "
-        "below multiplicity 2 for eigenvalue 1.07583+0j)"
-    ]
+    assert report.failures == {}
+    assert not any("analysis failed" in line for line in report.findings())
 
 
 def test_analyze_target_set_clean_design():
