@@ -3,11 +3,13 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import multiprocessing
 import os
 import pickle
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,7 @@ from mtident import (
     FilterError,
     FusionEstimator,
     LocalFilterBank,
+    ModelError,
     SystemSpec,
     build_system,
     config_from_dict,
@@ -980,6 +983,265 @@ def test_monte_carlo_workers_run_on_one_blas_thread(monkeypatch):
     _assert_same_study(pooled, want)
     _assert_same_study(in_parent, want)
 
+
+
+# ---------------------------------------------------------------------------
+# the bank pass in a helper process
+
+_HELPER_RUNS = pytest.mark.skipif(
+    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
+    reason="runs step their bank in line here",
+)
+_FROM = scenario.HELPER_MIN_HORIZON
+# a clean run, guessing attackers removed at steps 3 and 17, and a sensor
+# whose removal is refused on 162 steps
+_HELPER_CASES = (("none", ()), ("guessing", (1, 7)), ("persistent_bias", (0, 5)))
+
+
+def _recorded_forks(mp) -> list[int]:
+    """Patch ``os.fork`` to record, in this process, each child's pid."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    mp.setattr(os, "fork", recorded)
+    return pids
+
+
+def _no_fork():
+    pytest.fail("os.fork was called")
+
+
+def _process_resources():
+    """This process's descriptors and shared mappings; it must have no child."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+        shared = [line for line in fh if line.split()[1].endswith("s")]
+    return sorted(os.listdir("/proc/self/fd")), shared
+
+
+def _helped_and_in_line(cfg, plant):
+    """Run ``cfg`` on ``plant`` with its bank in a forked helper and in
+    line, require the same bytes, and return the helped run."""
+    with pytest.MonkeyPatch.context() as mp:
+        pids = _recorded_forks(mp)
+        helped = run_scenario(cfg, plant)
+        assert len(pids) == 1
+        mp.setattr(scenario, "HELPER_MIN_HORIZON", cfg.horizon + 1)
+        in_line = run_scenario(cfg, plant)
+        assert len(pids) == 1
+    _assert_bitwise_same_run(helped, in_line)
+    return helped
+
+
+@_HELPER_RUNS
+def test_a_helper_steps_the_bank_to_the_in_line_bytes():
+    """The same bytes on a clean run, with removals, and with refused
+    removals."""
+    cfgs = [config_from_dict(_engine_raw(k, s, 1, _FROM, True, 2, 3, 3)) for k, s in _HELPER_CASES]
+    clean, guessed, refused = (_helped_and_in_line(cfg, build_system(cfg)).summary for cfg in cfgs)
+    assert clean["removed"] == {} and clean["operator_alerts"] == []
+    assert sorted(guessed["removed"].values()) == [3, 17]
+    assert refused["removed"] == {"0": 14} and len(refused["operator_alerts"]) == 162
+
+
+@_HELPER_RUNS
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(_HELPER_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(_FROM, _FROM + 50),
+    system=st.fixed_dictionaries(
+        {"kind": st.just("generated"), "seed": st.integers(0, 2**32 - 1), "n": st.sampled_from([5, 10]), "l": st.just(3)}
+    ),
+)
+def test_a_helper_steps_the_bank_to_the_in_line_bytes_on_drawn_plants(case, seed, horizon, system):
+    cfg = config_from_dict(_engine_raw(*case, seed, horizon, True, 2, 3, 3, system))
+    try:
+        plant = build_system(cfg)
+    except ConditioningError:
+        assume(False)  # generation refused the draw
+    _helped_and_in_line(cfg, plant)
+
+
+def _failing_after(calls: int, fail):
+    """A stand-in for a method that calls ``fail()`` on its call ``calls``
+    (counted from 0, in the process that calls it) and otherwise calls the
+    method."""
+
+    def patch(method):
+        count = itertools.count()
+
+        def failing(*args):
+            if next(count) == calls:
+                fail()
+            return method(*args)
+
+        return failing
+
+    return patch
+
+
+def _raise(exc):
+    def fail():
+        raise exc
+
+    return fail
+
+
+def _overflow():
+    np.float64(1e308) * 10.0  # a RuntimeWarning, an error under Tier-1's filterwarnings
+
+
+_FAILURES = {
+    "bank_error": (LocalFilterBank, "step", 250, _raise(ModelError("the bank failed at step 250"))),
+    "bank_warning": (LocalFilterBank, "step", 250, _overflow),
+    "fusion_error": (FusionEstimator, "fuse", 100, _raise(FilterError("fusion failed at step 100"))),
+    "interrupt": (FusionEstimator, "fuse", 100, _raise(KeyboardInterrupt("interrupted at step 100"))),
+}
+
+
+def _failed_run(cfg, plant, failure: str, helper: bool):
+    """Run ``cfg`` with ``failure`` patched in: (the error, the steps fused
+    before it, the forks)."""
+    cls, name, calls, fail = _FAILURES[failure]
+    fused = []
+    fuse = FusionEstimator.fuse
+
+    def counted(self, *args):
+        result = fuse(self, *args)
+        fused.append(1)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        pids = _recorded_forks(mp)
+        if not helper:
+            mp.setattr(scenario, "HELPER_MIN_HORIZON", cfg.horizon + 1)
+        mp.setattr(FusionEstimator, "fuse", counted)
+        mp.setattr(cls, name, _failing_after(calls, fail)(getattr(cls, name)))
+        with pytest.raises(BaseException) as raised:
+            run_scenario(cfg, plant)
+    return raised.value, len(fused), pids
+
+
+@_HELPER_RUNS
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_a_failing_run_raises_its_error_at_its_step_and_leaves_nothing(failure):
+    """A helper's error reaches the caller with its type and message when the
+    loop reaches its step, as in line; an error or interrupt in the loop
+    ends the helper. Either way no child, descriptor or shared mapping
+    outlives the run."""
+    cfg = config_from_dict(_engine_raw("none", (), 5, 300, False, 1, 3, 3))
+    plant = build_system(cfg)
+    before = _process_resources()
+    helped, helped_fuses, pids = _failed_run(cfg, plant, failure, helper=True)
+    assert len(pids) == 1
+    assert _process_resources() == before
+    in_line, in_line_fuses, no_pids = _failed_run(cfg, plant, failure, helper=False)
+    assert no_pids == []
+    assert _process_resources() == before
+    assert (type(helped), helped.args) == (type(in_line), in_line.args)
+    assert helped_fuses == in_line_fuses == _FAILURES[failure][2]  # the failing step
+
+
+@_HELPER_RUNS
+def test_a_helper_that_dies_fails_the_run_at_its_step():
+    cfg = config_from_dict(_engine_raw("none", (), 5, 300, False, 1, 3, 3))
+    plant = build_system(cfg)
+    before = _process_resources()
+    with pytest.MonkeyPatch.context() as mp:
+        pids = _recorded_forks(mp)
+        mp.setattr(LocalFilterBank, "step", _failing_after(250, lambda: os._exit(1))(LocalFilterBank.step))
+        with pytest.raises(RuntimeError, match="helper process ended before step 250"):
+            run_scenario(cfg, plant)
+    assert len(pids) == 1
+    assert _process_resources() == before
+
+
+def _second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    return stop, thread
+
+
+_IN_LINE = {
+    "worker": lambda mp, cfg, plant: mp.setattr(scenario, "_worker_study", (cfg, plant)),
+    "one_cpu": lambda mp, cfg, plant: mp.setattr(os, "sched_getaffinity", lambda pid: {0}),
+    "unpinned": lambda mp, cfg, plant: mp.setattr(scenario, "_blas_thread_functions", lambda: None),
+    "thread": lambda mp, cfg, plant: _second_thread(),
+    "short": lambda mp, cfg, plant: mp.setattr(scenario, "HELPER_MIN_HORIZON", cfg.horizon + 1),
+}
+
+
+@pytest.fixture(scope="module")
+def guessed_run():
+    """The guessing case of ``_HELPER_CASES`` at the helper's shortest
+    horizon: its config, its plant and its run."""
+    cfg = config_from_dict(_engine_raw(*_HELPER_CASES[1], 1, _FROM, True, 2, 3, 3))
+    plant = build_system(cfg)
+    return cfg, plant, run_scenario(cfg, plant)
+
+
+@pytest.mark.parametrize("case", sorted(_IN_LINE))
+def test_a_run_steps_its_bank_in_line_where_no_helper_may_run(case, guessed_run):
+    cfg, plant, want = guessed_run
+    with pytest.MonkeyPatch.context() as mp:
+        started = _IN_LINE[case](mp, cfg, plant)
+        mp.setattr(os, "fork", _no_fork)
+        try:
+            got = run_scenario(cfg, plant)
+        finally:
+            if case == "thread":
+                stop, thread = started
+                stop.set()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+    _assert_bitwise_same_run(got, want)
+
+
+@_HELPER_RUNS
+def test_a_run_whose_fork_fails_steps_its_bank_in_line(monkeypatch, guessed_run):
+    cfg, plant, want = guessed_run
+    before = _process_resources()
+    forks = []
+
+    def failing_fork():
+        forks.append(1)
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    got = run_scenario(cfg, plant)
+    assert forks == [1]
+    assert _process_resources() == before
+    _assert_bitwise_same_run(got, want)
+
+
+def _trial_without_fork(cfg, plant, index):
+    """A trial in which ``os.fork`` fails the test."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", _no_fork)
+        return _trial(cfg, plant, index)
+
+
+@_HELPER_RUNS
+def test_monte_carlo_workers_step_their_banks_in_line(monkeypatch):
+    """Workers never fork a helper; the same trials run alone use one, to
+    the same bytes."""
+    cfg = config_from_dict(_engine_raw(*_HELPER_CASES[1], 1, _FROM, True, 2, 3, 3))
+    monkeypatch.setattr(scenario, "_trial", _trial_without_fork)  # before the workers fork
+    pooled = monte_carlo(cfg, trials=2)
+    monkeypatch.undo()
+    plant = build_system(cfg)
+    pids = _recorded_forks(monkeypatch)
+    for i in range(2):
+        assert run_scenario(trial_config(cfg, i), plant).summary == pooled.summaries[i]
+    assert len(pids) == 2
 
 def test_keyless_explicit_studies_derive_keys_from_their_seed(tmp_path):
     raw = _explicit_raw(tmp_path, key=None)
