@@ -19,11 +19,9 @@ all inputs at once. The second, the filter loop, steps the central filter
 and its detector, then takes the filter bank's step, fuses over the active
 sensors and runs the sensor tests (:func:`_filter_loop`). Its result is bit
 for bit that of one loop with a detector object per sensor. The bank depends
-on nothing the loop decides, so on runs of at least
-:data:`HELPER_MIN_HORIZON` steps it steps in a forked helper process beside
-the loop, on the second CPU, and the loop reads each step from shared
-memory; elsewhere, as in Monte Carlo workers or on one CPU, it steps in
-line. The outputs are the same bytes either way (:func:`_bank_pass`).
+on nothing the loop decides, so a long run may step it in a forked helper
+process beside the loop, which reads each step from shared memory
+(:func:`_bank_pass`).
 
 The filter loop runs on one BLAS thread (:func:`_one_blas_thread`). It
 alternates numpy products with scipy's LAPACK calls, each on its own
@@ -39,9 +37,11 @@ keeps those decompositions; an explicit plant is decomposed once when it is
 built. Monte Carlo trials differ from their study only in seeds and schedule
 key, and the plant holds no schedule key, so :func:`monte_carlo` builds
 the plant, with its filter bank's arrays, once and runs every trial on it
-under the trial's own key, in forked worker processes that inherit it and
-its single BLAS thread. A single run builds its own plant and then takes the
-same path.
+under the trial's own key, possibly in forked worker processes that inherit
+it. A single run builds its own plant and then takes the same path.
+
+When a process forks a helper or workers (:func:`_forked`), and how their
+errors reach the caller, is set out once in the README's "Parallel runs".
 
 Reproducibility: every random quantity derives from config seeds (simulation
 noise from ``seed``, the schedule from the schedule key, attacker guesses
@@ -65,7 +65,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import UnionType
-from typing import Literal, NoReturn, Union, get_args, get_origin, get_type_hints
+from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it here, not in a run
@@ -607,13 +607,8 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
 
     The run takes two passes over the horizon (see the module docstring):
     the inputs (:func:`_draw_inputs`), then the filter loop
-    (:func:`_filter_loop`) on one BLAS thread (:func:`_one_blas_thread`).
-    The loop's bank steps in a forked helper process when the horizon is at
-    least :data:`HELPER_MIN_HORIZON`, the BLAS threads could be pinned, two
-    CPUs are usable and this process runs no other thread and is no Monte
-    Carlo worker; otherwise in line (:func:`_bank_pass`). The outputs are
-    the same bytes either way, an error in the helper is raised here with
-    its type and message, and no helper outlives the call.
+    (:func:`_filter_loop`) on one BLAS thread (:func:`_one_blas_thread`),
+    its bank stepped in line or in a helper process (:func:`_bank_pass`).
     A run whose metric series or residues are not all finite raises
     :class:`FilterError` naming the first such step.
     """
@@ -767,101 +762,55 @@ def _bank_steps(bank: LocalFilterBank, models, y_err, neg_w):
 @contextlib.contextmanager
 def _bank_pass(bank: LocalFilterBank, models, y_err, neg_w, pinned: bool):
     """The filter loop's bank pass: yields an iterator of each step's
-    :class:`BankStep`, from a forked helper process or in line.
-
-    The helper runs when the loop's BLAS is on one thread (``pinned``), the
-    horizon is at least :data:`HELPER_MIN_HORIZON`, and this process is no
-    Monte Carlo worker (the workers fill the CPUs already), runs no other
-    thread (whose locks the fork would copy held) and can fork onto two
-    usable CPUs; if ``os.fork`` fails, the bank steps in line. The helper
-    runs the in-line pass (:func:`_helper`) and the loop copies each step
-    out of shared memory (:func:`_ring_steps`), so the outputs are the same
-    bytes. On exit, whether the loop ended, raised or was interrupted, the
-    helper is killed if still running and reaped, and the pipes and the ring
-    are closed.
-    """
+    :class:`BankStep`, from a forked helper process (:func:`_helper`) when
+    the horizon is at least :data:`HELPER_MIN_HORIZON` and :func:`_may_fork`
+    allows, otherwise, or if the fork fails, in line. The loop copies each
+    of the helper's steps out of shared memory (:func:`_ring_steps`), so the
+    outputs are the same bytes."""
     T = len(models)
-    if not (
-        pinned
-        and T >= HELPER_MIN_HORIZON
-        and _worker_study is None
-        and threading.active_count() == 1
-        and _worker_count(2) == 2
-    ):
+    if T < HELPER_MIN_HORIZON or not _may_fork(pinned):
         yield _bank_steps(bank, models, y_err, neg_w)
         return
     import mmap
-    import signal
 
     N, m = bank.H.shape[0], bank.ts.m
     size = N * N + N + m  # a slot: P_post, zeta_post, residues
     ring = mmap.mmap(-1, _RING_SLOTS * size * 8)
-    fds, pid = [], None
+    free_r, free = os.pipe()  # b"." per slot copied out; the loop keeps ``free_r``, so its writes never fail
     try:
-        fds += os.pipe()  # ready: helper to loop, b"." per step or b"!" and an error
-        fds += os.pipe()  # free: loop to helper, b"." per slot copied out
-        ready, ready_w, free_r, free = fds
-        try:
-            pid = os.fork()
-        except OSError:  # no helper: the bank steps in line
-            pass
-        if pid == 0:
-            _helper(bank, models, y_err, neg_w, ring, size, fds)
-        # The loop holds no write end of ``ready``, so a helper that dies
-        # gives it EOF; it keeps ``free_r`` open, so its writes never fail.
-        fds.remove(ready_w)
-        os.close(ready_w)
-        yield _ring_steps(ring, size, N, ready, free, T) if pid else _bank_steps(bank, models, y_err, neg_w)
+        with _forked(functools.partial(_helper, bank, models, y_err, neg_w, ring, size, free_r, free)) as ready:
+            yield _ring_steps(ring, size, N, ready, free, T) if ready else _bank_steps(bank, models, y_err, neg_w)
     finally:
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+        os.close(free_r)
+        os.close(free)
         ring.close()
 
 
-def _ring_steps(ring, size: int, N: int, ready: int, free: int, T: int):
+def _ring_steps(ring, size: int, N: int, ready, free: int, T: int):
     """The helper's steps in the loop: step ``k`` waits for the helper's
-    byte, copies ring slot ``k % _RING_SLOTS`` into one buffer and frees the
-    slot, so nothing outside this call views the ring. A helper's error
+    record, copies ring slot ``k % _RING_SLOTS`` into one buffer and frees
+    the slot, so nothing outside this call views the ring. A helper's error
     is raised here at its step."""
     buf = np.empty(size)
     bres = BankStep(residues=buf[N * N + N :], zeta_post=buf[N * N : N * N + N], P_post=buf[: N * N].reshape(N, N))
     for k in range(T):
-        flag = os.read(ready, 1)
-        if flag == b"!":
-            with open(ready, "rb", closefd=False) as fh:
-                raise pickle.loads(fh.read())
-        if flag != b".":
-            raise RuntimeError(f"the filter bank's helper process ended before step {k}")
+        _next_record(ready, "the filter bank's helper process ended before step", k)
         np.copyto(buf, np.frombuffer(ring, count=size, offset=k % _RING_SLOTS * size * 8))
         os.write(free, b".")
         yield bres
 
 
-def _helper(bank: LocalFilterBank, models, y_err, neg_w, ring, size: int, fds) -> NoReturn:
-    """The forked helper's life: the in-line bank pass, each step written to
-    ring slot ``k % _RING_SLOTS`` once the loop has freed it, then one byte
-    to the loop. An error is sent as b"!" and its pickle, and the loop
-    raises it when it reaches that step. The helper leaves by ``os._exit``
-    once done, failed or orphaned: nothing of the parent's, such as its
-    stdio buffers or exit handlers, runs here."""
-    ready, ready_w, free_r, free = fds
-    try:
-        os.close(ready)
-        os.close(free)  # so that a loop that has gone gives EOF
-        slots = np.frombuffer(ring).reshape(_RING_SLOTS, size)
-        for k, bres in enumerate(_bank_steps(bank, models, y_err, neg_w)):
-            if k >= _RING_SLOTS and not os.read(free_r, 1):
-                break
-            np.concatenate((bres.P_post, bres.zeta_post, bres.residues), axis=None, out=slots[k % _RING_SLOTS])
-            os.write(ready_w, b".")
-    except BaseException as exc:  # every error, interrupts too, goes to the loop
-        with open(ready_w, "wb") as fh:
-            fh.write(b"!" + pickle.dumps(exc))
-    finally:
-        os._exit(0)
+def _helper(bank: LocalFilterBank, models, y_err, neg_w, ring, size: int, free_r: int, free: int, out) -> None:
+    """The helper's work: the in-line bank pass, each step written to ring
+    slot ``k % _RING_SLOTS`` once the loop has freed it, then a record to
+    the loop. It stops if the loop has gone."""
+    os.close(free)  # so that a loop that has gone gives EOF
+    slots = np.frombuffer(ring).reshape(_RING_SLOTS, size)
+    for k, bres in enumerate(_bank_steps(bank, models, y_err, neg_w)):
+        if k >= _RING_SLOTS and not os.read(free_r, 1):
+            return
+        np.concatenate((bres.P_post, bres.zeta_post, bres.residues), axis=None, out=slots[k % _RING_SLOTS])
+        out.write(b".")
 
 
 def _summarize(r: RunReport) -> dict:
@@ -927,36 +876,30 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     Per-trial seeding is index-based, so results are exchangeable under
     permutation of trial indices.
 
-    The trials are mapped over ``min(trials, usable CPUs)`` forked worker
-    processes and collected in trial order. The workers inherit the plant
-    through ``fork``; only each trial's summary comes back. The pool forks
-    inside :func:`_one_blas_thread`, so every worker inherits one BLAS
-    thread and calls no thread setter; workers at default BLAS threading
-    would oversubscribe the cores and run slower than one process. The
-    trials run in this process instead when ``fork`` is unavailable, one CPU
-    or one trial is all there is, or the loaded BLAS libraries cannot all be
-    set to one thread. The outputs are the same bytes either way. A trial's
-    error is raised here with its own type, and no worker outlives the call.
+    Where :func:`_may_fork` allows, ``W = min(trials, usable CPUs)``
+    forked workers run the trials, worker ``w`` trials ``w, w + W, …``
+    (:func:`_worker`), and their summaries are collected in trial order;
+    otherwise, and for a worker whose fork fails, the trials run here. The
+    outputs are the same bytes either way.
     """
     trials = trials if trials is not None else cfg.trials
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     plant = build_system(cfg)
-    workers = _worker_count(trials)
-    with _one_blas_thread() as pinned:
-        if workers < 2 or not pinned:
-            summaries = [_trial(cfg, plant, i) for i in range(trials)]
-        else:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker,
-                initargs=(cfg, plant),
-            ) as pool:
-                summaries = list(pool.map(_worker_trial, range(trials)))
+    with _one_blas_thread() as pinned, contextlib.ExitStack() as children:
+        W = _worker_count(trials) if _may_fork(pinned) else 1
+        workers = [None] if W == 1 else [
+            children.enter_context(_forked(functools.partial(_worker, cfg, plant, range(w, trials, W))))
+            for w in range(W)
+        ]
+        summaries = []
+        for i in range(trials):
+            records = workers[i % W]
+            if records is None:
+                summaries.append(_trial(cfg, plant, i))
+            else:
+                _next_record(records, "a Monte Carlo worker process ended before trial", i)
+                summaries.append(pickle.load(records))
 
     attacked = set(cfg.attack.sensors)
     removed_all, removed_clean = 0, 0
@@ -989,6 +932,13 @@ def _first_detection(summary: dict) -> int | None:
 def _trial(cfg: ScenarioConfig, plant: Plant, index: int) -> dict:
     """Trial ``index`` of the study: its summary."""
     return run_scenario(trial_config(cfg, index), plant).summary
+
+
+def _worker(cfg: ScenarioConfig, plant: Plant, indices: range, out) -> None:
+    """A Monte Carlo worker's work: each trial of ``indices``, sent as a
+    record of b"." and its pickled summary."""
+    for i in indices:
+        out.write(b"." + pickle.dumps(_trial(cfg, plant, i)))
 
 
 def _worker_count(trials: int) -> int:
@@ -1055,17 +1005,64 @@ def _one_blas_thread():
             setter(count)
 
 
-_worker_study: tuple[ScenarioConfig, Plant] | None = None  # set in forked workers only
+# ---------------------------------------------------------------------------
+# forked children
 
 
-def _start_worker(cfg: ScenarioConfig, plant: Plant) -> None:
-    """Pool initializer: the study the fork inherited."""
-    global _worker_study
-    _worker_study = (cfg, plant)
+_in_child = False  # set in forked children, which fork nothing
 
 
-def _worker_trial(index: int):
-    return _trial(*_worker_study, index)
+def _may_fork(pinned: bool) -> bool:
+    """The fork rule (README, "Parallel runs"): whether this process may
+    fork a child. It must be no forked child, run no other thread, be able
+    to use two CPUs and have its BLAS on one thread (``pinned``)."""
+    return pinned and not _in_child and threading.active_count() == 1 and _worker_count(2) == 2
+
+
+@contextlib.contextmanager
+def _forked(work):
+    """A forked child that runs ``work(out)``; yields the parent's end of
+    its records, a binary file, or ``None`` if ``os.fork`` fails. The child
+    writes each record to the unbuffered binary file ``out`` as b"." and any
+    payload, and an error it raises, interrupts too, as b"!" and its pickle
+    (see :func:`_next_record`). It leaves by ``os._exit``, so it never runs
+    the parent's exit handlers or flushes its stdio. On exit the child is
+    killed if it still runs and reaped, and the pipe is closed."""
+    import signal
+
+    r, w = os.pipe()
+    with open(r, "rb") as records, open(w, "wb", buffering=0) as out:
+        try:
+            pid = os.fork()
+        except OSError:
+            yield None
+            return
+        if pid == 0:
+            global _in_child
+            _in_child = True
+            try:
+                work(out)
+            except BaseException as exc:  # every error, interrupts too, goes to the parent
+                out.write(b"!" + pickle.dumps(exc))
+            finally:
+                os._exit(0)
+        out.close()  # so that a child that has gone gives EOF
+        try:
+            yield records
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _next_record(records, ended: str, item: int) -> None:
+    """Wait for a child's next record: return at b".", raise the child's
+    error at b"!", and raise ``RuntimeError(f"{ended} {item}")`` if the
+    child has gone."""
+    flag = records.read(1)
+    if flag == b"!":
+        raise pickle.load(records)
+    if flag != b".":
+        raise RuntimeError(f"{ended} {item}")
 
 
 # ---------------------------------------------------------------------------

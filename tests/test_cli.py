@@ -141,6 +141,19 @@ print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy'
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_a_study_imports_neither_multiprocessing_nor_concurrent_futures(tmp_path):
+    """A study forks its workers with ``os.fork`` itself, so no process-pool
+    module is imported in its timed work."""
+    cfg = _write_cfg(tmp_path / "cfg.json", horizon=40)
+    code = f"""
+import sys, mtident.cli
+assert mtident.cli.main(['montecarlo', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / "out")!r}, '--trials', '2']) == 0
+print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_simulate_jsonl_format(tmp_path):
     cfg = _write_cfg(tmp_path / "cfg.json")
     out = tmp_path / "out"

@@ -5,7 +5,6 @@ import hashlib
 import inspect
 import itertools
 import json
-import multiprocessing
 import os
 import pickle
 import re
@@ -848,8 +847,9 @@ def test_monte_carlo_builds_and_decomposes_the_plant_once(monkeypatch):
 def test_a_failing_trial_raises_its_error_and_leaves_no_worker(tmp_path, monkeypatch):
     raw = _raw(horizon=10)
     cfg = config_from_dict(raw)
+    before = _process_resources()
     monte_carlo(cfg, trials=4)
-    assert multiprocessing.active_children() == []
+    assert _process_resources() == before
 
     def failing(trial_cfg, plant=None):
         if trial_cfg == trial_config(cfg, 2):
@@ -859,11 +859,11 @@ def test_a_failing_trial_raises_its_error_and_leaves_no_worker(tmp_path, monkeyp
     monkeypatch.setattr(scenario, "run_scenario", failing)  # before the workers fork
     with pytest.raises(FilterError, match="trial 2"):
         monte_carlo(cfg, trials=4)
-    assert multiprocessing.active_children() == []
+    assert _process_resources() == before
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main(["montecarlo", "--config", str(path), "--out-dir", str(tmp_path / "mc"), "--trials", "4"]) == 3
-    assert multiprocessing.active_children() == []
+    assert _process_resources() == before
 
 
 def _blas_threads() -> list[int]:
@@ -1171,7 +1171,7 @@ def _second_thread():
 
 
 _IN_LINE = {
-    "worker": lambda mp, cfg, plant: mp.setattr(scenario, "_worker_study", (cfg, plant)),
+    "worker": lambda mp, cfg, plant: mp.setattr(scenario, "_in_child", True),
     "one_cpu": lambda mp, cfg, plant: mp.setattr(os, "sched_getaffinity", lambda pid: {0}),
     "unpinned": lambda mp, cfg, plant: mp.setattr(scenario, "_blas_thread_functions", lambda: None),
     "thread": lambda mp, cfg, plant: _second_thread(),
@@ -1242,6 +1242,121 @@ def test_monte_carlo_workers_step_their_banks_in_line(monkeypatch):
     for i in range(2):
         assert run_scenario(trial_config(cfg, i), plant).summary == pooled.summaries[i]
     assert len(pids) == 2
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo workers
+
+_WORKERS_RUN = pytest.mark.skipif(
+    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
+    reason="studies run their trials in this process here",
+)
+
+
+def _failing_trial(failure: str):
+    """A stand-in for ``_trial`` whose trial 2 meets ``failure`` (see
+    ``_FAILURES``), counting calls from that trial's start."""
+    cls, name, calls, fail = _FAILURES[failure]
+
+    def trial(cfg, plant, index):
+        with pytest.MonkeyPatch.context() as mp:
+            if index == 2:
+                mp.setattr(cls, name, _failing_after(calls, fail)(getattr(cls, name)))
+            return _trial(cfg, plant, index)
+
+    return trial
+
+
+def _failed_study(cfg, trial, workers: bool):
+    """A four-trial study of ``cfg`` with ``trial`` for ``_trial``, in
+    workers or in this process: (the error, the forks)."""
+    with pytest.MonkeyPatch.context() as mp:
+        pids = _recorded_forks(mp)
+        if not workers:
+            mp.setattr(scenario, "_worker_count", lambda trials: 1)
+        mp.setattr(scenario, "_trial", trial)  # before the workers fork
+        with pytest.raises(BaseException) as raised:
+            monte_carlo(cfg, trials=4)
+    return raised.value, pids
+
+
+@_WORKERS_RUN
+@pytest.mark.parametrize("failure", sorted(_FAILURES))
+def test_a_failing_trial_raises_its_error_as_in_this_process_and_leaves_nothing(failure):
+    """A worker's error in trial 2 reaches the caller with its type and
+    message, as when the study runs in this process; no child, descriptor or
+    shared mapping outlives the study."""
+    cfg = config_from_dict(_engine_raw("none", (), 5, 300, False, 1, 3, 3))
+    before = _process_resources()
+    pooled, pids = _failed_study(cfg, _failing_trial(failure), workers=True)
+    assert len(pids) == 2
+    assert _process_resources() == before
+    alone, no_pids = _failed_study(cfg, _failing_trial(failure), workers=False)
+    assert no_pids == []
+    assert _process_resources() == before
+    assert (type(pooled), pooled.args) == (type(alone), alone.args)
+
+
+def _dying_trial(cfg, plant, index):
+    if index == 2:
+        os._exit(1)
+    return _trial(cfg, plant, index)
+
+
+@_WORKERS_RUN
+def test_a_worker_that_dies_fails_the_study_at_its_trial():
+    cfg = config_from_dict(_raw(horizon=10))
+    before = _process_resources()
+    error, pids = _failed_study(cfg, _dying_trial, workers=True)
+    assert (type(error), error.args) == (RuntimeError, ("a Monte Carlo worker process ended before trial 2",))
+    assert len(pids) == 2
+    assert _process_resources() == before
+
+
+@_WORKERS_RUN
+@pytest.mark.parametrize("failing", [(1,), (0, 1)])
+def test_a_study_runs_here_the_trials_of_a_worker_whose_fork_fails(failing, monkeypatch):
+    """The second fork fails, or both do: those workers' trials run in
+    this process, to the same bytes."""
+    cfg = config_from_dict(_guessing_raw())
+    monkeypatch.setattr(scenario, "_worker_count", lambda trials: 1)
+    want = monte_carlo(cfg, trials=4)
+    monkeypatch.undo()
+    before = _process_resources()
+    forks, fork = [], os.fork
+
+    def flaky():
+        forks.append(len(forks))
+        if forks[-1] in failing:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", flaky)
+    got = monte_carlo(cfg, trials=4)
+    assert forks == [0, 1]
+    assert _process_resources() == before
+    _assert_same_study(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(set(_IN_LINE) - {"short"}))
+def test_a_study_forks_no_worker_where_no_child_may_fork(case, tmp_path):
+    """With a second thread, in a forked child, on one CPU or with its BLAS
+    unpinned, a study runs its trials in this process, to the same bytes."""
+    cfg = config_from_dict(_guessing_raw())
+    want = write_monte_carlo_outputs(monte_carlo(cfg, trials=3), tmp_path / "want")
+    with pytest.MonkeyPatch.context() as mp:
+        started = _IN_LINE[case](mp, cfg, None)
+        mp.setattr(os, "fork", _no_fork)
+        try:
+            got = write_monte_carlo_outputs(monte_carlo(cfg, trials=3), tmp_path / "got")
+        finally:
+            if case == "thread":
+                stop, thread = started
+                stop.set()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
 
 def test_keyless_explicit_studies_derive_keys_from_their_seed(tmp_path):
     raw = _explicit_raw(tmp_path, key=None)
