@@ -68,7 +68,6 @@ from types import UnionType
 from typing import Literal, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
-import numpy.random  # numpy loads it lazily; load it here, not in a run
 
 from .adversary import (
     AttackPolicy,
@@ -623,10 +622,7 @@ def run_scenario(cfg: ScenarioConfig, plant: Plant | None = None) -> RunReport:
     offset = -(plant.noise.x0_mean + e0)
     alerts: list[str] = []
     models, neg_w = schedule.tolist(), -w
-    with (
-        _one_blas_thread() as pinned,
-        _bank_pass(plant.bank.restarted(offset), models, y_err, neg_w, pinned) as bank_steps,
-    ):
+    with _one_blas_thread(), _bank_pass(plant.bank.restarted(offset), models, y_err, neg_w) as bank_steps:
         err_central, err_fused, trace_P, fused_trace, local_z, events = _filter_loop(
             plant, models, y_err, neg_w, offset, bank_steps, cfg.detector, alerts
         )
@@ -760,15 +756,15 @@ def _bank_steps(bank: LocalFilterBank, models, y_err, neg_w):
 
 
 @contextlib.contextmanager
-def _bank_pass(bank: LocalFilterBank, models, y_err, neg_w, pinned: bool):
+def _bank_pass(bank: LocalFilterBank, models, y_err, neg_w):
     """The filter loop's bank pass: yields an iterator of each step's
     :class:`BankStep`, from a forked helper process (:func:`_helper`) when
-    the horizon is at least :data:`HELPER_MIN_HORIZON` and :func:`_may_fork`
-    allows, otherwise, or if the fork fails, in line. The loop copies each
-    of the helper's steps out of shared memory (:func:`_ring_steps`), so the
-    outputs are the same bytes."""
+    the horizon is at least :data:`HELPER_MIN_HORIZON` and :func:`_forked`
+    gives one, otherwise in line. The loop copies each of the helper's steps
+    out of shared memory (:func:`_ring_steps`), so the outputs are the same
+    bytes."""
     T = len(models)
-    if T < HELPER_MIN_HORIZON or not _may_fork(pinned):
+    if T < HELPER_MIN_HORIZON:
         yield _bank_steps(bank, models, y_err, neg_w)
         return
     import mmap
@@ -876,18 +872,18 @@ def monte_carlo(cfg: ScenarioConfig, trials: int | None = None) -> MonteCarloRep
     Per-trial seeding is index-based, so results are exchangeable under
     permutation of trial indices.
 
-    Where :func:`_may_fork` allows, ``W = min(trials, usable CPUs)``
-    forked workers run the trials, worker ``w`` trials ``w, w + W, …``
-    (:func:`_worker`), and their summaries are collected in trial order;
-    otherwise, and for a worker whose fork fails, the trials run here. The
-    outputs are the same bytes either way.
+    ``W = min(trials, usable CPUs)`` forked workers (:func:`_forked`) run
+    the trials, worker ``w`` trials ``w, w + W, …`` (:func:`_worker`), and
+    their summaries are collected in trial order; the trials of a worker
+    that :func:`_forked` does not give run here. The outputs are the same
+    bytes either way.
     """
     trials = trials if trials is not None else cfg.trials
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     plant = build_system(cfg)
-    with _one_blas_thread() as pinned, contextlib.ExitStack() as children:
-        W = _worker_count(trials) if _may_fork(pinned) else 1
+    with _one_blas_thread(), contextlib.ExitStack() as children:
+        W = _worker_count(trials)
         workers = [None] if W == 1 else [
             children.enter_context(_forked(functools.partial(_worker, cfg, plant, range(w, trials, W))))
             for w in range(W)
@@ -988,18 +984,16 @@ def _blas_thread_functions() -> tuple | None:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Every loaded BLAS library on one thread for the duration; yields
-    whether all could be set. Only libraries not already on one thread are
-    set, and exactly those are restored on exit. Skipping the others keeps a
-    forked worker, which inherits one thread, from restarting its thread
-    pools: after a fork, any OpenBLAS setter call, even one to a single
-    thread, starts them anew."""
-    functions = _blas_thread_functions()
-    changed = [(setter, count) for setter, getter in functions or () if (count := getter()) != 1]
+    """Every loaded BLAS library on one thread for the duration. Only
+    libraries not already on one thread are set, and exactly those are
+    restored on exit. Skipping the others keeps a forked worker, which
+    inherits one thread, from restarting its thread pools: after a fork, any
+    OpenBLAS setter call, even one to a single thread, starts them anew."""
+    changed = [(setter, count) for setter, getter in _blas_thread_functions() or () if (count := getter()) != 1]
     for setter, _ in changed:
         setter(1)
     try:
-        yield functions is not None
+        yield
     finally:
         for setter, count in changed:
             setter(count)
@@ -1012,17 +1006,22 @@ def _one_blas_thread():
 _in_child = False  # set in forked children, which fork nothing
 
 
-def _may_fork(pinned: bool) -> bool:
+def _may_fork() -> bool:
     """The fork rule (README, "Parallel runs"): whether this process may
     fork a child. It must be no forked child, run no other thread, be able
-    to use two CPUs and have its BLAS on one thread (``pinned``)."""
-    return pinned and not _in_child and threading.active_count() == 1 and _worker_count(2) == 2
+    to use two CPUs and find every loaded BLAS library's getter reading one
+    thread."""
+    if _in_child or threading.active_count() != 1 or _worker_count(2) != 2:
+        return False
+    functions = _blas_thread_functions()
+    return functions is not None and all(getter() == 1 for _, getter in functions)
 
 
 @contextlib.contextmanager
 def _forked(work):
     """A forked child that runs ``work(out)``; yields the parent's end of
-    its records, a binary file, or ``None`` if ``os.fork`` fails. The child
+    its records, a binary file, or ``None`` if :func:`_may_fork` refuses or
+    ``os.fork`` fails, and the caller then does the work itself. The child
     writes each record to the unbuffered binary file ``out`` as b"." and any
     payload, and an error it raises, interrupts too, as b"!" and its pickle
     (see :func:`_next_record`). It leaves by ``os._exit``, so it never runs
@@ -1030,6 +1029,9 @@ def _forked(work):
     killed if it still runs and reaped, and the pipe is closed."""
     import signal
 
+    if not _may_fork():
+        yield None
+        return
     r, w = os.pipe()
     with open(r, "rb") as records, open(w, "wb", buffering=0) as out:
         try:

@@ -393,13 +393,7 @@ class RecommendationReport:
     unobservable_pairs: tuple[int, ...]
 
     def satisfied(self) -> bool:
-        return (
-            self.disjoint_spectra
-            and self.period_at_least_2n
-            and self.schedule_nondegenerate
-            and self.all_pairs_observable
-            and self.spectra_exclude_zero
-        )
+        return not self.problems()
 
     def problems(self) -> list[str]:
         """Human-readable list of violated design recommendations."""

@@ -13,9 +13,14 @@ output stacks of the cross-model test) do the same for
 :func:`mtident.system_model.free_response`.
 """
 
+import itertools
+import os
+from pathlib import Path
+
 import numpy as np
 from scipy.linalg import block_diag
 
+import mtident
 from mtident import (
     CentralKalmanFilter,
     Chi2Detector,
@@ -180,6 +185,25 @@ def brute_force_unidentifiability_oracle(pair1: LtiPair, pair2: LtiPair, sensor:
     O1 = observability_stack(pair1.A, pair1.C[[sensor]], t + 1)
     O2 = observability_stack(pair2.A, pair2.C[[sensor]], t + 1)
     return numerical_rank(np.hstack([O1, O2])) < numerical_rank(O1) + numerical_rank(O2)
+
+
+def pbh_sparse_observable(pair: LtiPair, r: int) -> bool:
+    """The Hautus (PBH) test of ``r``-sparse observability: with any ``r``
+    sensors removed, ``rank [lam I - A; C_kept] = n`` at every eigenvalue
+    ``lam`` of ``A``. Independent of the stacked-matrix rank route."""
+    n = pair.n
+    for removed in itertools.combinations(range(pair.m), r):
+        kept = [s for s in range(pair.m) if s not in removed]
+        for lam in np.linalg.eigvals(pair.A):
+            if numerical_rank(np.vstack([lam * np.eye(n) - pair.A, pair.C[kept]])) < n:
+                return False
+    return True
+
+
+def subprocess_env(**extra) -> dict:
+    """This environment, with ``extra`` set and this package importable."""
+    src = str(Path(mtident.__file__).parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ PASS/FAIL line per criterion (see ``conftest.py``). Statistical gates use
 fixed seeds, so outcomes are deterministic run to run.
 """
 
-import itertools
 import json
 import time
 
@@ -39,12 +38,12 @@ from mtident import (
     validate_design_recommendations,
     write_run_outputs,
 )
-from mtident.linalg import numerical_rank
 
 from helpers import (
     brute_force_unidentifiability_oracle,
     chi2_test,
     matrix_with_jordan_structure,
+    pbh_sparse_observable,
     TEST_KEY,
     random_target_set,
     standard_noise,
@@ -197,24 +196,6 @@ def test_criterion_03_omniscient_attack_stays_consistent():
 # criterion 4: sparse observability agrees with exhaustive subset enumeration
 
 
-def _hautus_observable(A, C_kept, n):
-    # eigenvalue (PBH) test: independent of the stacked-matrix rank route
-    for lam in np.linalg.eigvals(A):
-        M = np.vstack([A - lam * np.eye(n), C_kept])
-        if numerical_rank(M) < n:
-            return False
-    return True
-
-
-def _subset_oracle(A, C, r):
-    n, m = A.shape[0], C.shape[0]
-    for removed in itertools.combinations(range(m), r):
-        kept = [i for i in range(m) if i not in removed]
-        if not _hautus_observable(A, C[kept], n):
-            return False
-    return True
-
-
 def test_criterion_04_sparse_observability_matches_subset_enumeration():
     rng = np.random.default_rng(404)
     checked = agree = 0
@@ -230,7 +211,7 @@ def test_criterion_04_sparse_observability_matches_subset_enumeration():
         pair = LtiPair(A, C)
         for r in range(m):
             checked += 1
-            agree += int(is_sparse_observable(pair, r) == _subset_oracle(A, C, r))
+            agree += int(is_sparse_observable(pair, r) == pbh_sparse_observable(pair, r))
     assert agree == checked, f"{agree}/{checked} (A, C, r) cases agree"
 
 

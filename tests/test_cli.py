@@ -1,6 +1,5 @@
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +10,8 @@ import pytest
 import mtident
 from mtident import schedule_key, write_matrix, write_vector
 from mtident.cli import main
+
+from helpers import subprocess_env
 
 
 def _write_cfg(path, **over):
@@ -94,12 +95,6 @@ def test_simulate_is_reproducible_and_seed_override_changes_output(tmp_path):
     assert (tmp_path / "a" / "metrics.csv").read_bytes() != (tmp_path / "c" / "metrics.csv").read_bytes()
 
 
-def _subprocess_env(**extra):
-    """This environment, with ``extra`` set and this package importable."""
-    src = str(Path(mtident.__file__).parents[1])
-    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-
 def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
     """Plant generation runs at the process's BLAS threading and the filter
     loop on one thread; an n = 30 plant is large enough for OpenBLAS to
@@ -115,7 +110,7 @@ def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
         out = tmp_path / threads
         subprocess.run(
             [sys.executable, "-m", "mtident.cli", "simulate", "--config", str(cfg), "--out-dir", str(out)],
-            env=_subprocess_env(OPENBLAS_NUM_THREADS=threads),
+            env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
             check=True,
             capture_output=True,
         )
@@ -125,33 +120,23 @@ def test_simulate_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
     assert list(json.loads(outputs[0]["summary.json"])["removed"]) == ["3"]
 
 
-def test_a_run_after_importing_the_cli_imports_no_numpy_or_scipy_module(tmp_path):
+def test_runs_after_importing_the_cli_import_no_numpy_scipy_or_process_pool_module(tmp_path):
     """numpy loads ``numpy.random`` lazily; the CLI loads it at import, so a
-    run's timed work does not."""
+    run's timed work does not. A study forks its workers with ``os.fork``
+    itself, so no process-pool module is imported either."""
     raw = json.loads((Path(__file__).parents[1] / "configs" / "example.json").read_text())
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(dict(raw, horizon=40)))
     code = f"""
 import sys, mtident.cli
 before = set(sys.modules)
-assert mtident.cli.main(['simulate', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / "out")!r}]) == 0
+assert mtident.cli.main(['simulate', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / "run")!r}]) == 0
+assert mtident.cli.main(['montecarlo', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / "mc")!r}, '--trials', '2']) == 0
 print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('numpy', 'scipy')))
-"""
-    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
-
-
-def test_a_study_imports_neither_multiprocessing_nor_concurrent_futures(tmp_path):
-    """A study forks its workers with ``os.fork`` itself, so no process-pool
-    module is imported in its timed work."""
-    cfg = _write_cfg(tmp_path / "cfg.json", horizon=40)
-    code = f"""
-import sys, mtident.cli
-assert mtident.cli.main(['montecarlo', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / "out")!r}, '--trials', '2']) == 0
 print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))
 """
-    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def test_simulate_jsonl_format(tmp_path):

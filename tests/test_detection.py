@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from mpmath import mp
 from scipy.stats import chi2
 
-from helpers import RemovalTracker, chi2_test
+from helpers import RemovalTracker, chi2_test, subprocess_env
 from mtident import (
     Chi2Detector,
     DetectorConfig,
@@ -73,21 +72,7 @@ def test_threshold_equals_scipy_stats_chi2_ppf_bit_for_bit():
     assert not mismatches, mismatches[:5]
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    import mtident
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mtident.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mtident.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_the_cli_starts_without_scipy_packages_and_holds_scipy_own_functions():
-    import mtident
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mtident.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = """
 import sys, mtident.cli
 print(sorted({'scipy', 'scipy.linalg', 'scipy.special', 'scipy.stats'} & set(sys.modules)))
@@ -96,7 +81,7 @@ from mtident import detection, estimation
 print([getattr(estimation, f) is getattr(scipy.linalg.lapack, f) for f in ('dpotrf', 'dpotrs', 'dpstrf', 'dtrtrs')])
 print(detection.gammaincinv is scipy.special.gammaincinv)
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=subprocess_env(), capture_output=True, text=True, check=True)
     assert out.stdout.split("\n")[:3] == ["[]", "[True, True, True, True]", "True"]
 
 

@@ -1,4 +1,3 @@
-import itertools
 from math import comb
 from types import SimpleNamespace
 
@@ -12,6 +11,7 @@ from helpers import (
     brute_force_unidentifiability_oracle,
     matrix_with_jordan_structure,
     observability_matrix,
+    pbh_sparse_observable,
     random_observable_pair,
     TEST_KEY,
     random_target_set,
@@ -39,7 +39,6 @@ from mtident import (
 )
 from mtident import identifiability
 from mtident.identifiability import _cluster_complex
-from mtident.linalg import numerical_rank
 from mtident.system_model import free_response
 
 
@@ -67,24 +66,6 @@ def test_time_varying_observability_rows():
         time_varying_observability(ts, [0, 1], sensor=0, t=2)
 
 
-def _pbh_observable(A, C_keep):
-    # Hautus test: rank [lam I - A; C] = n at every eigenvalue
-    n = A.shape[0]
-    for lam in np.linalg.eigvals(A):
-        M = np.vstack([lam * np.eye(n) - A, C_keep.astype(complex)])
-        if numerical_rank(M) < n:
-            return False
-    return True
-
-
-def _pbh_sparse_observable(pair, r):
-    for removed in itertools.combinations(range(pair.m), r):
-        keep = [s for s in range(pair.m) if s not in removed]
-        if not _pbh_observable(pair.A, pair.C[keep]):
-            return False
-    return True
-
-
 def test_sparse_observability_matches_hautus_oracle():
     rng = np.random.default_rng(20)
     for _ in range(25):
@@ -97,7 +78,7 @@ def test_sparse_observability_matches_hautus_oracle():
                 C[s] = 0.0
         pair = LtiPair(A, C)
         for r in range(min(m, 3)):
-            assert is_sparse_observable(pair, r) == _pbh_sparse_observable(pair, r)
+            assert is_sparse_observable(pair, r) == pbh_sparse_observable(pair, r)
 
 
 def test_sparse_margin_redundant_and_unobservable():

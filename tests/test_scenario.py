@@ -1,15 +1,20 @@
+import contextlib
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
 import json
+import math
 import os
 import pickle
 import re
+import signal
 import threading
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -43,7 +48,7 @@ from mtident import (
     write_vector,
 )
 
-from mtident.cli import build_parser, main
+from mtident.cli import build_parser
 
 from helpers import random_target_set, reference_run_scenario, spd
 
@@ -844,68 +849,48 @@ def test_monte_carlo_builds_and_decomposes_the_plant_once(monkeypatch):
     assert calls == {name: 2 * c for name, c in once.items()}
 
 
-def test_a_failing_trial_raises_its_error_and_leaves_no_worker(tmp_path, monkeypatch):
-    raw = _raw(horizon=10)
-    cfg = config_from_dict(raw)
-    before = _process_resources()
-    monte_carlo(cfg, trials=4)
-    assert _process_resources() == before
-
-    def failing(trial_cfg, plant=None):
-        if trial_cfg == trial_config(cfg, 2):
-            raise FilterError("trial 2 lost positive definiteness")
-        return run_scenario(trial_cfg, plant)
-
-    monkeypatch.setattr(scenario, "run_scenario", failing)  # before the workers fork
-    with pytest.raises(FilterError, match="trial 2"):
-        monte_carlo(cfg, trials=4)
-    assert _process_resources() == before
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
-    assert main(["montecarlo", "--config", str(path), "--out-dir", str(tmp_path / "mc"), "--trials", "4"]) == 3
-    assert _process_resources() == before
-
-
 def _blas_threads() -> list[int]:
     """The thread count of each loaded BLAS library."""
     return [get() for _, get in scenario._blas_thread_functions() or ()]
 
 
 class _FakeBlas:
-    """A BLAS library's thread count with its ``(set, get)`` functions."""
+    """A BLAS library's thread count with its ``(set, get)`` functions; the
+    setter of a ``stuck`` one leaves the count as it is."""
 
-    def __init__(self, threads):
-        self.threads, self.set_calls = threads, []
+    def __init__(self, threads, stuck=False):
+        self.threads, self.stuck, self.set_calls = threads, stuck, []
         self.functions = (self.set, self.get)
 
     def set(self, threads):
         self.set_calls.append(threads)
-        self.threads = threads
+        if not self.stuck:
+            self.threads = threads
 
     def get(self):
         return self.threads
 
 
 def test_one_blas_thread_sets_and_restores_only_the_libraries_it_changes(monkeypatch):
-    single, double, quad = _FakeBlas(1), _FakeBlas(2), _FakeBlas(4)
+    single, double, quad, stuck = _FakeBlas(1), _FakeBlas(2), _FakeBlas(4), _FakeBlas(2, stuck=True)
     monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: (single.functions,))
-    with scenario._one_blas_thread() as pinned:
-        assert pinned
+    with scenario._one_blas_thread():
+        assert single.threads == 1
     assert single.set_calls == []  # a library already on one thread is left alone
 
-    fakes = (single.functions, double.functions, quad.functions)
-    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: fakes)
+    fakes = (single, double, quad, stuck)
+    monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: tuple(f.functions for f in fakes))
     with pytest.raises(FilterError):
-        with scenario._one_blas_thread() as pinned:
-            assert pinned
-            assert [single.threads, double.threads, quad.threads] == [1, 1, 1]
+        with scenario._one_blas_thread():
+            assert [f.threads for f in fakes] == [1, 1, 1, 2]
+            assert [f.set_calls for f in fakes] == [[], [1], [1], [1]]
             raise FilterError("the counts are restored on the way out")
-    assert [single.threads, double.threads, quad.threads] == [1, 2, 4]
-    assert [single.set_calls, double.set_calls, quad.set_calls] == [[], [1, 2], [1, 4]]
+    assert [f.threads for f in fakes] == [1, 2, 4, 2]
+    assert [f.set_calls for f in fakes] == [[], [1, 2], [1, 4], [1, 2]]
 
     monkeypatch.setattr(scenario, "_blas_thread_functions", lambda: None)
-    with scenario._one_blas_thread() as pinned:
-        assert not pinned
+    with scenario._one_blas_thread():  # no library found: nothing to set
+        assert [f.set_calls for f in fakes] == [[], [1, 2], [1, 4], [1, 2]]
 
 
 @pytest.mark.skipif(scenario._blas_thread_functions() is None, reason="no BLAS thread functions found")
@@ -924,6 +909,13 @@ def test_a_run_reads_one_blas_thread_and_leaves_the_previous_count(monkeypatch):
     assert _blas_threads() == before
 
 
+# ---------------------------------------------------------------------------
+# forked children: a run's bank helper and a study's workers
+
+_CHILDREN = pytest.mark.skipif(
+    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
+    reason="no child may be forked here",
+)
 _trial = scenario._trial
 _setter_calls: list[tuple[int, int]] = []  # (pid, count) of each spied setter call
 
@@ -951,10 +943,7 @@ def _reporting_trial(cfg, plant, index):
     return dict(summary, process=process)
 
 
-@pytest.mark.skipif(
-    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
-    reason="trials run in this process here",
-)
+@_CHILDREN
 def test_monte_carlo_workers_run_on_one_blas_thread(monkeypatch):
     _setter_calls.clear()
     cfg = config_from_dict(_guessing_raw())
@@ -984,14 +973,6 @@ def test_monte_carlo_workers_run_on_one_blas_thread(monkeypatch):
     _assert_same_study(in_parent, want)
 
 
-
-# ---------------------------------------------------------------------------
-# the bank pass in a helper process
-
-_HELPER_RUNS = pytest.mark.skipif(
-    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
-    reason="runs step their bank in line here",
-)
 _FROM = scenario.HELPER_MIN_HORIZON
 # a clean run, guessing attackers removed at steps 3 and 17, and a sensor
 # whose removal is refused on 162 steps
@@ -1010,10 +991,6 @@ def _recorded_forks(mp) -> list[int]:
 
     mp.setattr(os, "fork", recorded)
     return pids
-
-
-def _no_fork():
-    pytest.fail("os.fork was called")
 
 
 def _process_resources():
@@ -1039,7 +1016,7 @@ def _helped_and_in_line(cfg, plant):
     return helped
 
 
-@_HELPER_RUNS
+@_CHILDREN
 def test_a_helper_steps_the_bank_to_the_in_line_bytes():
     """The same bytes on a clean run, with removals, and with refused
     removals."""
@@ -1050,7 +1027,7 @@ def test_a_helper_steps_the_bank_to_the_in_line_bytes():
     assert refused["removed"] == {"0": 14} and len(refused["operator_alerts"]) == 162
 
 
-@_HELPER_RUNS
+@_CHILDREN
 @settings(max_examples=3, deadline=None, derandomize=True)
 @given(
     case=st.sampled_from(_HELPER_CASES),
@@ -1067,6 +1044,32 @@ def test_a_helper_steps_the_bank_to_the_in_line_bytes_on_drawn_plants(case, seed
     except ConditioningError:
         assume(False)  # generation refused the draw
     _helped_and_in_line(cfg, plant)
+
+
+def _trial_without_fork(cfg, plant, index):
+    """A trial in which ``os.fork`` fails the test."""
+
+    def no_fork():
+        pytest.fail("os.fork was called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", no_fork)
+        return _trial(cfg, plant, index)
+
+
+@_CHILDREN
+def test_monte_carlo_workers_step_their_banks_in_line(monkeypatch):
+    """Workers never fork a helper; the same trials run alone use one, to
+    the same bytes."""
+    cfg = config_from_dict(_engine_raw(*_HELPER_CASES[1], 1, _FROM, True, 2, 3, 3))
+    monkeypatch.setattr(scenario, "_trial", _trial_without_fork)  # before the workers fork
+    pooled = monte_carlo(cfg, trials=2)
+    monkeypatch.undo()
+    plant = build_system(cfg)
+    pids = _recorded_forks(monkeypatch)
+    for i in range(2):
+        assert run_scenario(trial_config(cfg, i), plant).summary == pooled.summaries[i]
+    assert len(pids) == 2
 
 
 def _failing_after(calls: int, fail):
@@ -1098,264 +1101,215 @@ def _overflow():
     np.float64(1e308) * 10.0  # a RuntimeWarning, an error under Tier-1's filterwarnings
 
 
+# (class, method, call, fail): ``fail()`` on the method's call ``call``
 _FAILURES = {
     "bank_error": (LocalFilterBank, "step", 250, _raise(ModelError("the bank failed at step 250"))),
     "bank_warning": (LocalFilterBank, "step", 250, _overflow),
     "fusion_error": (FusionEstimator, "fuse", 100, _raise(FilterError("fusion failed at step 100"))),
     "interrupt": (FusionEstimator, "fuse", 100, _raise(KeyboardInterrupt("interrupted at step 100"))),
 }
+# the ways a child dies at its bank's step 250: it exits, or a signal kills
+# it, as the kernel's out-of-memory killer does
+_DEATHS = {
+    "exits": (LocalFilterBank, "step", 250, lambda: os._exit(1)),
+    "killed": (LocalFilterBank, "step", 250, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+}
+_FAILING_TRIAL = 2
 
 
-def _failed_run(cfg, plant, failure: str, helper: bool):
-    """Run ``cfg`` with ``failure`` patched in: (the error, the steps fused
-    before it, the forks)."""
-    cls, name, calls, fail = _FAILURES[failure]
-    fused = []
-    fuse = FusionEstimator.fuse
+def _fail_in_run(mp, failure):
+    """Patch ``failure`` into every run."""
+    cls, name, calls, fail = failure
+    mp.setattr(cls, name, _failing_after(calls, fail)(getattr(cls, name)))
 
-    def counted(self, *args):
-        result = fuse(self, *args)
-        fused.append(1)
-        return result
+
+def _fail_in_trial(mp, failure):
+    """Patch ``failure`` into trial ``_FAILING_TRIAL`` of a study, counting
+    calls from that trial's start."""
+
+    def trial(cfg, plant, index):
+        with pytest.MonkeyPatch.context() as trial_mp:
+            if index == _FAILING_TRIAL:
+                _fail_in_run(trial_mp, failure)
+            return _trial(cfg, plant, index)
+
+    mp.setattr(scenario, "_trial", trial)  # before the workers fork
+
+
+class _Caller(NamedTuple):
+    """One caller of ``scenario._forked``, as the tests below drive it."""
+
+    work: Callable  # (cfg): the caller's work
+    in_process: Callable  # (mp): patch the caller to do its work in this process
+    forks: int  # how many children its work forks
+    fail: Callable  # (mp, failure): patch a ``_FAILURES`` entry into its work
+    item: Callable  # (failure): the step or trial that ``failure`` fails
+    done: tuple  # (owner, name) of the functions whose returns in this process count its finished items
+    ended: str  # its error's message, before the item, when a child has gone
+    raw: dict  # the config of its work without children
+    same: Callable  # (got, want): assert two results of its work are the same bytes
+
+
+_STUDY_TRIALS = 4
+_CALLERS = {
+    "run": _Caller(
+        work=run_scenario,
+        in_process=lambda mp: mp.setattr(scenario, "HELPER_MIN_HORIZON", math.inf),
+        forks=1,
+        fail=_fail_in_run,
+        item=lambda failure: failure[2],
+        done=((FusionEstimator, "fuse"),),
+        ended="the filter bank's helper process ended before step",
+        raw=_engine_raw(*_HELPER_CASES[1], 1, _FROM, True, 2, 3, 3),
+        same=_assert_bitwise_same_run,
+    ),
+    "study": _Caller(
+        work=lambda cfg: monte_carlo(cfg, trials=_STUDY_TRIALS),
+        in_process=lambda mp: mp.setattr(scenario, "_worker_count", lambda trials: 1),
+        forks=scenario._worker_count(_STUDY_TRIALS),
+        fail=_fail_in_trial,
+        item=lambda failure: _FAILING_TRIAL,
+        done=((scenario, "_next_record"), (scenario, "_trial")),
+        ended="a Monte Carlo worker process ended before trial",
+        raw=_guessing_raw(),
+        same=_assert_same_study,
+    ),
+}
+# a clean run long enough for a helper and for every failure
+_FAILING_RAW = _engine_raw("none", (), 5, 300, False, 1, 3, 3)
+
+
+def _failed(caller: _Caller, failure, children: bool):
+    """Do ``caller``'s work on ``_FAILING_RAW`` with ``failure`` patched in,
+    with children or in this process: (the error, the items finished in this
+    process, the forks)."""
+    cfg = config_from_dict(_FAILING_RAW)
+    done = []
+
+    def counted(fn):
+        def counting(*args):
+            result = fn(*args)
+            done.append(1)
+            return result
+
+        return counting
 
     with pytest.MonkeyPatch.context() as mp:
         pids = _recorded_forks(mp)
-        if not helper:
-            mp.setattr(scenario, "HELPER_MIN_HORIZON", cfg.horizon + 1)
-        mp.setattr(FusionEstimator, "fuse", counted)
-        mp.setattr(cls, name, _failing_after(calls, fail)(getattr(cls, name)))
+        if not children:
+            caller.in_process(mp)
+        caller.fail(mp, failure)
+        for owner, name in caller.done:
+            mp.setattr(owner, name, counted(getattr(owner, name)))
         with pytest.raises(BaseException) as raised:
-            run_scenario(cfg, plant)
-    return raised.value, len(fused), pids
+            caller.work(cfg)
+    return raised.value, len(done), pids
 
 
-@_HELPER_RUNS
+@_CHILDREN
 @pytest.mark.parametrize("failure", sorted(_FAILURES))
-def test_a_failing_run_raises_its_error_at_its_step_and_leaves_nothing(failure):
-    """A helper's error reaches the caller with its type and message when the
-    loop reaches its step, as in line; an error or interrupt in the loop
-    ends the helper. Either way no child, descriptor or shared mapping
-    outlives the run."""
-    cfg = config_from_dict(_engine_raw("none", (), 5, 300, False, 1, 3, 3))
-    plant = build_system(cfg)
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+def test_an_error_in_a_child_reaches_the_caller_as_in_process_and_leaves_nothing(caller, failure):
+    """A child's error reaches the caller with its type and arguments when
+    the caller reaches the step or trial that failed, as in this process; an
+    error or interrupt in the caller ends its children. Either way no child,
+    descriptor or shared mapping outlives the work."""
+    c, failure = _CALLERS[caller], _FAILURES[failure]
     before = _process_resources()
-    helped, helped_fuses, pids = _failed_run(cfg, plant, failure, helper=True)
-    assert len(pids) == 1
+    forked, forked_done, pids = _failed(c, failure, children=True)
+    assert len(pids) == c.forks
     assert _process_resources() == before
-    in_line, in_line_fuses, no_pids = _failed_run(cfg, plant, failure, helper=False)
+    here, here_done, no_pids = _failed(c, failure, children=False)
     assert no_pids == []
     assert _process_resources() == before
-    assert (type(helped), helped.args) == (type(in_line), in_line.args)
-    assert helped_fuses == in_line_fuses == _FAILURES[failure][2]  # the failing step
+    assert (type(forked), forked.args) == (type(here), here.args)
+    assert forked_done == here_done == c.item(failure)
 
 
-@_HELPER_RUNS
-def test_a_helper_that_dies_fails_the_run_at_its_step():
-    cfg = config_from_dict(_engine_raw("none", (), 5, 300, False, 1, 3, 3))
-    plant = build_system(cfg)
+@_CHILDREN
+@pytest.mark.parametrize("death", sorted(_DEATHS))
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+def test_a_child_that_dies_fails_the_caller_at_its_step_or_trial(caller, death):
+    c, death = _CALLERS[caller], _DEATHS[death]
     before = _process_resources()
-    with pytest.MonkeyPatch.context() as mp:
-        pids = _recorded_forks(mp)
-        mp.setattr(LocalFilterBank, "step", _failing_after(250, lambda: os._exit(1))(LocalFilterBank.step))
-        with pytest.raises(RuntimeError, match="helper process ended before step 250"):
-            run_scenario(cfg, plant)
-    assert len(pids) == 1
+    error, done, pids = _failed(c, death, children=True)
+    assert (type(error), error.args) == (RuntimeError, (f"{c.ended} {c.item(death)}",))
+    assert done == c.item(death)
+    assert len(pids) == c.forks
     assert _process_resources() == before
 
 
-def _second_thread():
+def _stuck_blas(mp, stack, caller):
+    """Add a BLAS library whose setter leaves its getter reading two threads."""
+    functions = (scenario._blas_thread_functions() or ()) + (_FakeBlas(2, stuck=True).functions,)
+    mp.setattr(scenario, "_blas_thread_functions", lambda: functions)
+
+
+def _second_thread(mp, stack, caller):
+    """Start a second thread, which runs until ``stack`` closes."""
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
-    return stop, thread
+    stack.callback(thread.join)
+    stack.callback(stop.set)
 
 
-_IN_LINE = {
-    "worker": lambda mp, cfg, plant: mp.setattr(scenario, "_in_child", True),
-    "one_cpu": lambda mp, cfg, plant: mp.setattr(os, "sched_getaffinity", lambda pid: {0}),
-    "unpinned": lambda mp, cfg, plant: mp.setattr(scenario, "_blas_thread_functions", lambda: None),
-    "thread": lambda mp, cfg, plant: _second_thread(),
-    "short": lambda mp, cfg, plant: mp.setattr(scenario, "HELPER_MIN_HORIZON", cfg.horizon + 1),
+# (mp, stack, caller): the ways a child may not be forked; os.fork is never called
+_MAY_NOT_FORK = {
+    "in_process": lambda mp, stack, caller: caller.in_process(mp),
+    "worker": lambda mp, stack, caller: mp.setattr(scenario, "_in_child", True),
+    "one_cpu": lambda mp, stack, caller: mp.setattr(os, "sched_getaffinity", lambda pid: {0}),
+    "unpinned": lambda mp, stack, caller: mp.setattr(scenario, "_blas_thread_functions", lambda: None),
+    "two_threads": _stuck_blas,
+    "thread": _second_thread,
 }
+# (fork number, from 0): whether that fork fails; every fork is tried
+_FAILING_FORKS = {"fork_fails": lambda k: True, "second_fork_fails": lambda k: k == 1}
 
 
-@pytest.fixture(scope="module")
-def guessed_run():
-    """The guessing case of ``_HELPER_CASES`` at the helper's shortest
-    horizon: its config, its plant and its run."""
-    cfg = config_from_dict(_engine_raw(*_HELPER_CASES[1], 1, _FROM, True, 2, 3, 3))
-    plant = build_system(cfg)
-    return cfg, plant, run_scenario(cfg, plant)
+@functools.cache
+def _with_children(caller: str):
+    """``caller``'s config and its work done as usual, with children where
+    they may be forked."""
+    c = _CALLERS[caller]
+    cfg = config_from_dict(c.raw)
+    return cfg, c.work(cfg)
 
 
-@pytest.mark.parametrize("case", sorted(_IN_LINE))
-def test_a_run_steps_its_bank_in_line_where_no_helper_may_run(case, guessed_run):
-    cfg, plant, want = guessed_run
-    with pytest.MonkeyPatch.context() as mp:
-        started = _IN_LINE[case](mp, cfg, plant)
-        mp.setattr(os, "fork", _no_fork)
-        try:
-            got = run_scenario(cfg, plant)
-        finally:
-            if case == "thread":
-                stop, thread = started
-                stop.set()
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-    _assert_bitwise_same_run(got, want)
-
-
-@_HELPER_RUNS
-def test_a_run_whose_fork_fails_steps_its_bank_in_line(monkeypatch, guessed_run):
-    cfg, plant, want = guessed_run
-    before = _process_resources()
-    forks = []
-
-    def failing_fork():
-        forks.append(1)
-        raise OSError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", failing_fork)
-    got = run_scenario(cfg, plant)
-    assert forks == [1]
-    assert _process_resources() == before
-    _assert_bitwise_same_run(got, want)
-
-
-def _trial_without_fork(cfg, plant, index):
-    """A trial in which ``os.fork`` fails the test."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(os, "fork", _no_fork)
-        return _trial(cfg, plant, index)
-
-
-@_HELPER_RUNS
-def test_monte_carlo_workers_step_their_banks_in_line(monkeypatch):
-    """Workers never fork a helper; the same trials run alone use one, to
-    the same bytes."""
-    cfg = config_from_dict(_engine_raw(*_HELPER_CASES[1], 1, _FROM, True, 2, 3, 3))
-    monkeypatch.setattr(scenario, "_trial", _trial_without_fork)  # before the workers fork
-    pooled = monte_carlo(cfg, trials=2)
-    monkeypatch.undo()
-    plant = build_system(cfg)
-    pids = _recorded_forks(monkeypatch)
-    for i in range(2):
-        assert run_scenario(trial_config(cfg, i), plant).summary == pooled.summaries[i]
-    assert len(pids) == 2
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo workers
-
-_WORKERS_RUN = pytest.mark.skipif(
-    scenario._worker_count(2) < 2 or scenario._blas_thread_functions() is None,
-    reason="studies run their trials in this process here",
+@pytest.mark.parametrize(
+    "caller, case",
+    [(caller, case) for caller in sorted(_CALLERS) for case in sorted(_MAY_NOT_FORK)]
+    + [
+        pytest.param(caller, case, marks=_CHILDREN)
+        for caller in sorted(_CALLERS)
+        for case in sorted(_FAILING_FORKS)
+        if case != "second_fork_fails" or _CALLERS[caller].forks > 1
+    ],
 )
-
-
-def _failing_trial(failure: str):
-    """A stand-in for ``_trial`` whose trial 2 meets ``failure`` (see
-    ``_FAILURES``), counting calls from that trial's start."""
-    cls, name, calls, fail = _FAILURES[failure]
-
-    def trial(cfg, plant, index):
-        with pytest.MonkeyPatch.context() as mp:
-            if index == 2:
-                mp.setattr(cls, name, _failing_after(calls, fail)(getattr(cls, name)))
-            return _trial(cfg, plant, index)
-
-    return trial
-
-
-def _failed_study(cfg, trial, workers: bool):
-    """A four-trial study of ``cfg`` with ``trial`` for ``_trial``, in
-    workers or in this process: (the error, the forks)."""
-    with pytest.MonkeyPatch.context() as mp:
-        pids = _recorded_forks(mp)
-        if not workers:
-            mp.setattr(scenario, "_worker_count", lambda trials: 1)
-        mp.setattr(scenario, "_trial", trial)  # before the workers fork
-        with pytest.raises(BaseException) as raised:
-            monte_carlo(cfg, trials=4)
-    return raised.value, pids
-
-
-@_WORKERS_RUN
-@pytest.mark.parametrize("failure", sorted(_FAILURES))
-def test_a_failing_trial_raises_its_error_as_in_this_process_and_leaves_nothing(failure):
-    """A worker's error in trial 2 reaches the caller with its type and
-    message, as when the study runs in this process; no child, descriptor or
-    shared mapping outlives the study."""
-    cfg = config_from_dict(_engine_raw("none", (), 5, 300, False, 1, 3, 3))
+def test_without_a_child_the_work_runs_here_to_the_same_bytes(caller, case):
+    """Where a child may not be forked, or its fork fails, the caller does
+    that child's work in this process, to the same bytes, and leaves
+    nothing behind."""
+    c = _CALLERS[caller]
+    cfg, want = _with_children(caller)
     before = _process_resources()
-    pooled, pids = _failed_study(cfg, _failing_trial(failure), workers=True)
-    assert len(pids) == 2
-    assert _process_resources() == before
-    alone, no_pids = _failed_study(cfg, _failing_trial(failure), workers=False)
-    assert no_pids == []
-    assert _process_resources() == before
-    assert (type(pooled), pooled.args) == (type(alone), alone.args)
-
-
-def _dying_trial(cfg, plant, index):
-    if index == 2:
-        os._exit(1)
-    return _trial(cfg, plant, index)
-
-
-@_WORKERS_RUN
-def test_a_worker_that_dies_fails_the_study_at_its_trial():
-    cfg = config_from_dict(_raw(horizon=10))
-    before = _process_resources()
-    error, pids = _failed_study(cfg, _dying_trial, workers=True)
-    assert (type(error), error.args) == (RuntimeError, ("a Monte Carlo worker process ended before trial 2",))
-    assert len(pids) == 2
-    assert _process_resources() == before
-
-
-@_WORKERS_RUN
-@pytest.mark.parametrize("failing", [(1,), (0, 1)])
-def test_a_study_runs_here_the_trials_of_a_worker_whose_fork_fails(failing, monkeypatch):
-    """The second fork fails, or both do: those workers' trials run in
-    this process, to the same bytes."""
-    cfg = config_from_dict(_guessing_raw())
-    monkeypatch.setattr(scenario, "_worker_count", lambda trials: 1)
-    want = monte_carlo(cfg, trials=4)
-    monkeypatch.undo()
-    before = _process_resources()
-    forks, fork = [], os.fork
+    fails, tried, fork = _FAILING_FORKS.get(case, lambda k: True), [], os.fork
 
     def flaky():
-        forks.append(len(forks))
-        if forks[-1] in failing:
+        tried.append(len(tried))
+        if fails(tried[-1]):
             raise OSError(11, "Resource temporarily unavailable")
         return fork()
 
-    monkeypatch.setattr(os, "fork", flaky)
-    got = monte_carlo(cfg, trials=4)
-    assert forks == [0, 1]
+    with contextlib.ExitStack() as stack:
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        if case in _MAY_NOT_FORK:
+            _MAY_NOT_FORK[case](mp, stack, c)
+        mp.setattr(os, "fork", flaky)
+        got = c.work(cfg)
+    assert tried == ([] if case in _MAY_NOT_FORK else list(range(c.forks)))
     assert _process_resources() == before
-    _assert_same_study(got, want)
-
-
-@pytest.mark.parametrize("case", sorted(set(_IN_LINE) - {"short"}))
-def test_a_study_forks_no_worker_where_no_child_may_fork(case, tmp_path):
-    """With a second thread, in a forked child, on one CPU or with its BLAS
-    unpinned, a study runs its trials in this process, to the same bytes."""
-    cfg = config_from_dict(_guessing_raw())
-    want = write_monte_carlo_outputs(monte_carlo(cfg, trials=3), tmp_path / "want")
-    with pytest.MonkeyPatch.context() as mp:
-        started = _IN_LINE[case](mp, cfg, None)
-        mp.setattr(os, "fork", _no_fork)
-        try:
-            got = write_monte_carlo_outputs(monte_carlo(cfg, trials=3), tmp_path / "got")
-        finally:
-            if case == "thread":
-                stop, thread = started
-                stop.set()
-                thread.join(timeout=10)
-                assert not thread.is_alive()
-    assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+    c.same(got, want)
 
 
 def test_keyless_explicit_studies_derive_keys_from_their_seed(tmp_path):
@@ -1414,14 +1368,6 @@ def test_write_run_outputs_jsonl(tmp_path):
     assert float(recs[3]["err_central"]) == r.err_central[3]
     with pytest.raises(ConfigError, match="format"):
         write_run_outputs(r, tmp_path, fmt="xml")
-
-
-def test_outputs_are_byte_identical_across_fresh_runs(tmp_path):
-    cfg = config_from_dict(_raw(horizon=10))
-    write_run_outputs(run_scenario(cfg), tmp_path / "a")
-    write_run_outputs(run_scenario(cfg), tmp_path / "b")
-    for name in ("metrics.csv", "events.csv", "summary.json"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_write_monte_carlo_outputs(tmp_path):
