@@ -25,7 +25,6 @@ Three layers:
 from __future__ import annotations
 
 import copy
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +76,9 @@ class CentralKalmanFilter:
     ``U`` is the upper Cholesky factor of ``P_yy``, so ``z`` is white with
     ``|z|^2 = innov' P_yy^{-1} innov``, and ``W' z = K innov`` and ``W' W =
     K C P`` for the gain ``K = P C' P_yy^{-1}``, which is never formed.
-    ``mean_offset`` shifts the initial predicted state by a known amount
-    (used by the scenario engine to run the filter in error coordinates).
+    ``mean_offset`` shifts the initial predicted state by a known amount, and
+    a step's ``shift`` is a known input added to the new prediction (the
+    scenario engine runs the filter in error coordinates with both).
     """
 
     def __init__(self, noise: NoiseModel, mean_offset: np.ndarray | None = None):
@@ -99,8 +99,9 @@ class CentralKalmanFilter:
         self._idx = np.array(tuple(active), dtype=np.intp)
         self._R = self.noise.R[np.ix_(self._idx, self._idx)]
 
-    def step(self, pair: LtiPair, y) -> CentralStep:
-        """Full measurement update + prediction with the step-k configuration.
+    def step(self, pair: LtiPair, y, shift=None) -> CentralStep:
+        """Full measurement update + prediction with the step-k configuration,
+        then the known input ``shift``, if given, added to the prediction.
 
         ``y`` is the full m-vector; only the active sensors' rows are used.
         """
@@ -129,15 +130,13 @@ class CentralKalmanFilter:
         P_next += self.noise.Q
         self.P_prior = sym(P_next)
         self.x_prior = pair.A @ x_post
+        if shift is not None:
+            self.shift_prediction(shift)
         return CentralStep(residue=z, x_post=x_post, P_prior=P)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
-        """Add a known offset to the current predicted state.
-
-        Models a known additive input between steps; the scenario engine uses
-        it to feed process noise into an error-coordinate run.
-        """
-        self.x_prior = self.x_prior + np.asarray(delta, dtype=float).reshape(self.n)
+        """Add the known input ``delta`` in place to the prediction (:meth:`step`'s ``shift``)."""
+        self.x_prior += np.asarray(delta, dtype=float).reshape(self.n)
 
 
 @dataclass(frozen=True)
@@ -304,22 +303,19 @@ class LocalFilterBank:
     with ``H`` stacking the ``T_o,s'``. Because ``K`` is not the joint
     optimal gain, the covariance update keeps the Joseph form.
 
-    The bank runs all ``m`` sensors of the plant in sensor order, so
-    ``decomps[s]`` is sensor ``s``'s decomposition. It owns the layout of
-    the joint state: :meth:`rows` gives the rows of any sensors, and fusion
-    and the removal test read theirs from it.
-
-    It also caches, per active set, what depends only on the plant and the
-    set (see :meth:`restarted`).
+    The bank decomposes all ``m`` sensors of the plant in sensor order
+    (:func:`kalman_decomposition`), so ``decomps[s]`` is sensor ``s``'s
+    decomposition. It owns the layout of the joint state (:meth:`rows`) and
+    decides, per active set, whether the set observes the state
+    (:meth:`observes`) and what fusion over it reads
+    (:meth:`fusion_operators`); both are cached (see :meth:`restarted`).
     """
 
-    def __init__(self, ts: TargetSet, noise: NoiseModel, decomps: Sequence[SensorDecomposition]):
+    def __init__(self, ts: TargetSet, noise: NoiseModel):
         if (noise.n, noise.m) != (ts.n, ts.m):
             raise ModelError("noise model dimensions do not match the target set")
-        if [d.sensor for d in decomps] != list(range(ts.m)):
-            raise ModelError("the bank needs every sensor's decomposition, in sensor order")
         self.ts = ts
-        decs = self.decomps = tuple(decomps)
+        decs = self.decomps = tuple(kalman_decomposition(ts, s) for s in range(ts.m))
         dims = [d.n_obs for d in decs]
         self.offsets = np.concatenate([[0], np.cumsum(dims)])
         self.H = np.vstack([d.T_o.T for d in decs])
@@ -375,8 +371,10 @@ class LocalFilterBank:
         bank.P_prior = self._P0
         return bank
 
-    def step(self, model_index: int, y) -> BankStep:
-        """Update every sensor filter with its own row of ``y``, then predict.
+    def step(self, model_index: int, y, shift=None) -> BankStep:
+        """Update every sensor filter with its own row of ``y``, predict,
+        then add the known full-state input ``shift``, if given, to every
+        sensor's prediction.
 
         ``y`` is the full m-vector; sensor ``s`` consumes ``y[s]`` only.
         """
@@ -409,14 +407,66 @@ class LocalFilterBank:
         P_next = A @ P_post @ self._A_T[j]
         P_next += self.Q_red
         self.P_prior = sym(P_next)
+        if shift is not None:
+            self.shift_prediction(shift)
         np.sqrt(den, out=den)
         nu /= den
         return BankStep(residues=nu, zeta_post=zeta_post, P_post=P_post)
 
     def shift_prediction(self, delta: np.ndarray) -> None:
-        """Add a known full-state offset to every sensor's predicted state."""
-        delta = np.asarray(delta, dtype=float).reshape(self.ts.n)
-        self.zeta_prior = self.zeta_prior + self.H @ delta
+        """Add the known full-state input ``delta`` in place to every
+        sensor's prediction (:meth:`step`'s ``shift``)."""
+        self.zeta_prior += self.H @ delta
+
+    def observes(self, sensors) -> bool:
+        """Would fusion over ``sensors`` pin down the state: does their
+        stacked ``T_o'`` have ``sigma_min > 1e-8 sigma_max``?
+
+        The bases ``T_o`` come from SVDs, so entries that are zero in exact
+        arithmetic hold rounding noise; the default rank cutoff,
+        ``max(rows, cols) eps sigma_max``, lies below that noise and can count
+        a direction that no sensor of the set sees. The verdict of each set,
+        in the order given, is cached: one SVD per set and plant.
+        """
+        sensors = tuple(sensors)
+        verdict = self._observes.get(sensors)
+        if verdict is None:
+            H = self.H[self.rows(sensors)]
+            if H.shape[0] < self.ts.n:
+                verdict = False
+            else:
+                s = np.linalg.svd(H, compute_uv=False)
+                verdict = bool(s[-1] > 1e-8 * s[0])
+            self._observes[sensors] = verdict
+        return verdict
+
+    def fusion_operators(self, active) -> tuple:
+        """:class:`FusionEstimator`'s read-only arrays over ``active``, formed
+        at the set's first use. Raises :class:`DecompositionError` when
+        ``active`` is empty or does not observe the state."""
+        active = tuple(active)
+        ops = self._fusion.get(active)
+        if ops is None:
+            if not active:
+                raise DecompositionError("fusion needs at least one sensor")
+            if not self.observes(active):
+                raise DecompositionError(
+                    "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
+                )
+            n = self.ts.n
+            rows = self.rows(active)
+            H = self.H[rows]
+            # [H | zeta]', so that the rows fuse gathers form a Fortran-ordered
+            # right-hand side
+            HzT = np.empty((n + 1, rows.size))
+            HzT[:-1] = H.T
+            ops = (rows, H, H @ H.T, np.eye(n), HzT)
+            for M in ops:
+                M.setflags(write=False)
+            if active == tuple(range(self.ts.m)):
+                ops = (None, *ops[1:])  # fuse gathers no rows
+            self._fusion[active] = ops
+        return ops
 
 
 # ---------------------------------------------------------------------------
@@ -458,61 +508,22 @@ class FusionEstimator:
 
     The bank owns the layout of its joint state; ``active`` lists the fused
     sensors in any order. The rows, ``H``, ``H H'``, the identity and a
-    ``[H | zeta]'`` template depend only on the plant and ``active``: the
-    first estimator on the set forms them read-only in the bank's cache,
-    which lives and dies with the plant (:meth:`LocalFilterBank.restarted`).
-    Every estimator on the set reuses them and copies only the template.
+    ``[H | zeta]'`` template depend only on the plant and ``active``: the bank
+    forms them read-only at the set's first use and caches them with the
+    plant (:meth:`LocalFilterBank.fusion_operators`). Every estimator on the
+    set reuses them and copies only the template.
     """
 
     def __init__(self, bank: LocalFilterBank, active):
-        active = tuple(active)
-        ops = bank._fusion.get(active)
-        if ops is None:
-            if not active:
-                raise DecompositionError("fusion needs at least one sensor")
-            if not self.removal_keeps_observability(bank, active):
-                raise DecompositionError(
-                    "active sensors do not jointly observe the state (stacked T_o' is rank deficient)"
-                )
-            n = bank.ts.n
-            rows = bank.rows(active)
-            H = bank.H[rows]
-            # [H | zeta]', so that the rows fuse gathers form a Fortran-ordered
-            # right-hand side
-            HzT = np.empty((n + 1, rows.size))
-            HzT[:-1] = H.T
-            ops = (rows, H, H @ H.T, np.eye(n), HzT)
-            for M in ops:
-                M.setflags(write=False)
-            if active == tuple(range(bank.ts.m)):
-                ops = (None, *ops[1:])  # fuse gathers no rows
-            bank._fusion[active] = ops
         self.n = bank.ts.n
-        self._rows, self.H, self._HHt, self._eye, HzT = ops
+        self._rows, self.H, self._HHt, self._eye, HzT = bank.fusion_operators(active)
         self._HzT = HzT.copy()  # each fuse writes its zeta into the last row
 
     @classmethod
     def removal_keeps_observability(cls, bank: LocalFilterBank, remaining) -> bool:
-        """Would fusion over ``remaining`` sensors still pin down the state:
-        does their stacked ``T_o'`` have ``sigma_min > 1e-8 sigma_max``?
-
-        The bases ``T_o`` come from SVDs, so entries that are zero in exact
-        arithmetic hold rounding noise; the default rank cutoff,
-        ``max(rows, cols) eps sigma_max``, lies below that noise and can count
-        a direction that no remaining sensor sees. The bank caches the
-        verdict of each set, in the order given: one SVD per set and plant.
-        """
-        remaining = tuple(remaining)
-        verdict = bank._observes.get(remaining)
-        if verdict is None:
-            H = bank.H[bank.rows(remaining)]
-            if H.shape[0] < bank.ts.n:
-                verdict = False
-            else:
-                s = np.linalg.svd(H, compute_uv=False)
-                verdict = bool(s[-1] > 1e-8 * s[0])
-            bank._observes[remaining] = verdict
-        return verdict
+        """The scenario engine's removal test, :meth:`LocalFilterBank.observes`,
+        under the name that perfbench's tracer times."""
+        return bank.observes(remaining)
 
     def fuse(self, zeta_post: np.ndarray, P_post: np.ndarray) -> FusionResult:
         """One fusion step from the bank's joint posterior ``(zeta_post, P_post)``.

@@ -325,12 +325,9 @@ def cross_model_unidentifiability(
     scale = 1.0 + max((abs(e.eigenvalue) for e in spaces1 + spaces2), default=0.0)
     tau_eig = 1e-8 * scale
 
-    shared = [
-        (e1, e2)
-        for e1 in spaces1
-        for e2 in spaces2
-        if abs(e1.eigenvalue - e2.eigenvalue) <= tau_eig
-    ]
+    ev1, ev2 = (np.array([e.eigenvalue for e in spaces], dtype=complex) for spaces in (spaces1, spaces2))
+    hits = np.argwhere(np.abs(ev1[:, None] - ev2) <= tau_eig).tolist()  # in row-major order
+    shared = [(spaces1[i], spaces2[j]) for i, j in hits]
     shared.sort(key=lambda pair_: -abs(pair_[0].eigenvalue))
     shared_vals = tuple(0.5 * (e1.eigenvalue + e2.eigenvalue) for e1, e2 in shared)
 

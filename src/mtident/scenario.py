@@ -31,14 +31,14 @@ against the other's work: on a 2-vCPU Xeon, a clean n = 30 run took about
 long, for the same bytes.
 
 A run happens on a :class:`Plant`: the target set, the noise model and a
-filter bank over every sensor's Kalman decomposition. Generating the example
-plant already decomposes each sensor to validate the draw, and its bank
-keeps those decompositions; an explicit plant is decomposed once when it is
-built. Monte Carlo trials differ from their study only in seeds and schedule
-key, and the plant holds no schedule key, so :func:`monte_carlo` builds
-the plant, with its filter bank's arrays, once and runs every trial on it
-under the trial's own key, possibly in forked worker processes that inherit
-it. A single run builds its own plant and then takes the same path.
+filter bank, which decomposes every sensor when it is built. Generating the
+example plant builds the bank inside its draw's retry, so a draw whose sensor
+does not decompose is drawn again. Monte Carlo trials differ from their
+study only in seeds and schedule key, and the plant holds no schedule key,
+so :func:`monte_carlo` builds the plant, with its filter bank's arrays, once
+and runs every trial on it under the trial's own key, possibly in forked
+worker processes that inherit it. A single run builds its own plant and
+then takes the same path.
 
 When a process forks a helper or workers (:func:`_forked`), and how their
 errors reach the caller, is set out once in the README's "Parallel runs".
@@ -84,7 +84,6 @@ from .estimation import (
     CentralKalmanFilter,
     FusionEstimator,
     LocalFilterBank,
-    kalman_decomposition,
 )
 from .linalg import observable, spectral_radius
 from .matrixio import read_matrix, read_vector
@@ -386,8 +385,8 @@ def generate_example_system(
     the per-sensor filter bank requires. Diagonal blocks are rescaled to a
     spectral radius drawn from ``radius`` (unstable by default). Draws are
     retried until every diagonal block can be rescaled, every pair is
-    observable and every sensor decomposes cleanly, at most 40 draws; the
-    returned plant's bank keeps those decompositions.
+    observable and every sensor decomposes cleanly (the bank is built in
+    the retry), at most 40 draws.
     """
     check_example_size(n, l, "")
     b = n // 5
@@ -428,11 +427,11 @@ def generate_example_system(
             for p in pairs:
                 if not observable(p.A, p.C):
                     raise ConditioningError("pair unobservable")
-            decomps = [kalman_decomposition(ts, s) for s in range(m)]
+            bank = LocalFilterBank(ts, noise)
         except (ConditioningError, DecompositionError, np.linalg.LinAlgError) as exc:
             last_err = exc
             continue
-        return Plant(ts, noise, LocalFilterBank(ts, noise, decomps))
+        return Plant(ts, noise, bank)
     raise ConditioningError(
         f"could not generate a well-posed example system after {attempt + 1} attempts "
         f"(last failure: {last_err})"
@@ -497,11 +496,7 @@ def _read_system(cfg: ScenarioConfig) -> tuple[TargetSet, NoiseModel]:
 
 
 def build_system(cfg: ScenarioConfig) -> Plant:
-    """The configured plant, generated or read from files.
-
-    A generated plant's bank keeps the decompositions that validated its
-    draw; an explicit one is decomposed here.
-    """
+    """The configured plant, generated or read from files."""
     sysd = cfg.system
     if sysd.kind == "generated":
         return generate_example_system(
@@ -514,8 +509,7 @@ def build_system(cfg: ScenarioConfig) -> Plant:
             period=cfg.schedule.period,
         )
     ts, noise = _read_system(cfg)
-    decomps = [kalman_decomposition(ts, s) for s in range(ts.m)]
-    return Plant(ts, noise, LocalFilterBank(ts, noise, decomps))
+    return Plant(ts, noise, LocalFilterBank(ts, noise))
 
 
 def build_target_set(cfg: ScenarioConfig) -> TargetSet:
@@ -687,11 +681,10 @@ def _filter_loop(plant: Plant, models, y_err, neg_w, offset, bank_steps, det: De
     pairs = plant.ts.pairs
     for k in range(T):
         j = models[k]
-        cres = central.step(pairs[j], y_err[k])
+        cres = central.step(pairs[j], y_err[k], neg_w[k])
         x = cres.x_post
         err_central[k] = math.sqrt(x.dot(x))  # |-e_k| = |e_k|
         trace_P[k] = cres.P_prior.trace()
-        central.shift_prediction(neg_w[k])
         r = cres.residue
         test = central_detector.update((r * r).sum())
         if test is not None and test.alarm:
@@ -747,12 +740,9 @@ _RING_SLOTS = 8  # how many steps the helper may run ahead of the filter loop
 
 def _bank_steps(bank: LocalFilterBank, models, y_err, neg_w):
     """The bank pass in line: per step ``k``, ``bank.step(models[k],
-    y_err[k])``, then ``bank.shift_prediction(neg_w[k])``; yields each
-    step's :class:`BankStep`."""
+    y_err[k], neg_w[k])``; yields each step's :class:`BankStep`."""
     for j, y, delta in zip(models, y_err, neg_w):
-        bres = bank.step(j, y)
-        bank.shift_prediction(delta)
-        yield bres
+        yield bank.step(j, y, delta)
 
 
 @contextlib.contextmanager

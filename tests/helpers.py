@@ -270,21 +270,18 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
         j = int(schedule[k])
         pair = ts.pairs[j]
         v = noise.R_factor @ rng_sim.standard_normal(m)
+        w = noise.Q_factor @ rng_sim.standard_normal(n)
         dd = policy.attack.D @ policy.values(k + 1)[k] if policy is not None else np.zeros(m)
         y_err = v + dd
 
-        cres = central.step(pair, y_err)
-        bres = bank.step(j, y_err)
+        cres = central.step(pair, y_err, -w)
+        bres = bank.step(j, y_err, -w)
         fres = fusion.fuse(bres.zeta_post, bres.P_post)
         err_central[k] = float(np.linalg.norm(cres.x_post))
         err_fused[k] = float(np.linalg.norm(fres.x_star))
         trace_P[k] = float(np.trace(cres.P_prior))
         fused_trace[k] = float(np.trace(fres.cov))
         local_z[k] = bres.residues
-
-        w = noise.Q_factor @ rng_sim.standard_normal(n)
-        central.shift_prediction(-w)
-        bank.shift_prediction(-w)
 
         cver = central_det.update(np.sum(cres.residue * cres.residue))
         if cver is not None and cver.alarm:
@@ -302,7 +299,7 @@ def reference_run_scenario(cfg, plant=None) -> RunReport:
             removed = identify_and_remove(
                 candidates,
                 active,
-                lambda rest: FusionEstimator.removal_keeps_observability(bank, rest),
+                bank.observes,
                 alerts,
                 k,
             )
@@ -369,8 +366,9 @@ class ReferenceCentralKalmanFilter(CentralKalmanFilter):
         self.P_prior = sym(pair.A @ P_post @ pair.A.T + self.noise.Q)
         return K, U, C, P
 
-    def step(self, pair: LtiPair, y, active=None) -> CentralStep:
-        """Full measurement update + prediction with the step-k configuration.
+    def step(self, pair: LtiPair, y, shift=None, active=None) -> CentralStep:
+        """Full measurement update + prediction with the step-k configuration,
+        then the known input ``shift``, if given, added to the prediction.
 
         ``y`` is the full m-vector; only the ``active`` sensors' rows are used.
         """
@@ -384,14 +382,18 @@ class ReferenceCentralKalmanFilter(CentralKalmanFilter):
         innov = y - C @ x
         x_post = x + K @ innov
         self.x_prior = pair.A @ x_post
+        if shift is not None:
+            self.x_prior = self.x_prior + np.asarray(shift, dtype=float).reshape(self.n)
         return CentralStep(residue=dtrtrs(U, innov, trans=1)[0], x_post=x_post, P_prior=P_used)
 
 
 class ReferenceLocalFilterBank(LocalFilterBank):
     """The filter bank with its first-written step."""
 
-    def step(self, model_index: int, y) -> BankStep:
-        """Update every sensor filter with its own row of ``y``, then predict.
+    def step(self, model_index: int, y, shift=None) -> BankStep:
+        """Update every sensor filter with its own row of ``y``, predict,
+        then add the known full-state input ``shift``, if given, to every
+        sensor's prediction.
 
         ``y`` is the full m-vector; sensor ``s`` consumes ``y[s]`` only.
         """
@@ -412,6 +414,9 @@ class ReferenceLocalFilterBank(LocalFilterBank):
         P_post = sym(IKC_P + (K @ self._R - IKC_P @ C.T) @ K.T)
         self.zeta_prior = A @ zeta_post
         self.P_prior = sym(A @ P_post @ A.T + self.Q_red)
+        if shift is not None:
+            shift = np.asarray(shift, dtype=float).reshape(self.ts.n)
+            self.zeta_prior = self.zeta_prior + self.H @ shift
         return BankStep(residues=nu / np.sqrt(den), zeta_post=zeta_post, P_post=P_post)
 
 

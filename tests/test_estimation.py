@@ -27,7 +27,6 @@ from mtident import (
     FusionEstimator,
     LocalFilterBank,
     LtiPair,
-    ModelError,
     NoiseModel,
     TargetSet,
     bias_recursion,
@@ -36,7 +35,6 @@ from mtident import (
     sample_schedule,
     simulate_stochastic,
 )
-from mtident.estimation import SensorDecomposition
 from mtident.linalg import numerical_rank
 
 
@@ -152,12 +150,11 @@ def test_central_filter_translation_equivalence():
     for k in range(20):
         pair = ts.pairs[sched[k]]
         a = f_ref.step(pair, traj.outputs[k])
-        b = f_tr.step(pair, traj.outputs[k] - pair.C @ t)
+        # t_{k+1} = A_k t_k + delta_k: the translated filter absorbs delta
+        b = f_tr.step(pair, traj.outputs[k] - pair.C @ t, -deltas[k])
         assert_allclose(b.residue, a.residue, atol=1e-10)
         assert_allclose(b.x_post, a.x_post - t, atol=1e-10)
-        # t_{k+1} = A_k t_k + delta_k: the translated filter absorbs delta
         t = pair.A @ t + deltas[k]
-        f_tr.shift_prediction(-deltas[k])
     assert_allclose(f_tr.x_prior, f_ref.x_prior - t, atol=1e-9)
 
 
@@ -331,8 +328,7 @@ EXAMPLE_11_KEY = "mtident-example-11"
 @functools.lru_cache(maxsize=None)
 def _bank_plant():
     plant = generate_example_system(seed=11, n=10, l=2)
-    ts, noise = plant.ts, plant.noise
-    return ts, noise, [kalman_decomposition(ts, s) for s in range(ts.m)]
+    return plant.ts, plant.noise, plant.bank.decomps
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -345,11 +341,11 @@ def test_local_bank_matches_per_block_reference(data):
     values = st.floats(-5.0, 5.0)
     ys = data.draw(arrays(float, (T, ts.m), elements=values))
     shifts = data.draw(arrays(float, (T, ts.n), elements=values))
-    bank = LocalFilterBank(ts, noise, decomps)
+    bank = LocalFilterBank(ts, noise)
     ref = _BlockBank(ts, noise, sensors, decomps)
     blocks = [bank.rows((s,)) for s in sensors]
     for k in range(T):
-        got = bank.step(sched[k], ys[k])
+        got = bank.step(sched[k], ys[k], shifts[k])
         z, zeta_post, P_post = ref.step(sched[k], ys[k])
         for i, s1 in enumerate(sensors):
             assert_allclose(got.residues[i], z[s1], atol=1e-9)
@@ -357,40 +353,29 @@ def test_local_bank_matches_per_block_reference(data):
             for j in range(i, len(sensors)):
                 blk = P_post[(s1, sensors[j])]
                 assert_allclose(got.P_post[np.ix_(blocks[i], blocks[j])], blk, atol=1e-9)
-        bank.shift_prediction(shifts[k])
         ref.shift_prediction(shifts[k])
 
 
-def test_local_bank_needs_every_sensor_in_sensor_order():
-    ts, noise, decomps = _bank_plant()
-    for partial in (decomps[:-1], decomps[::-1]):
-        with pytest.raises(ModelError, match="sensor order"):
-            LocalFilterBank(ts, noise, partial)
-
-
 def test_restarted_bank_equals_a_fresh_bank_whatever_the_original_did():
-    ts, noise, decomps = _bank_plant()
+    ts, noise, _ = _bank_plant()
     rng = np.random.default_rng(53)
     offset = rng.standard_normal(ts.n)
-    template = LocalFilterBank(ts, noise, decomps)
+    template = LocalFilterBank(ts, noise)
     for k in range(3):  # the template's own steps must not leak into restarts
-        template.step(k % ts.l, rng.standard_normal(ts.m))
-        template.shift_prediction(rng.standard_normal(ts.n))
+        template.step(k % ts.l, rng.standard_normal(ts.m), rng.standard_normal(ts.n))
     restarted = template.restarted(offset)
-    fresh = LocalFilterBank(ts, noise, decomps).restarted(offset)
+    fresh = LocalFilterBank(ts, noise).restarted(offset)
     for k in range(4):
         y, w = rng.standard_normal(ts.m), rng.standard_normal(ts.n)
-        got, want = restarted.step(k % ts.l, y), fresh.step(k % ts.l, y)
+        got, want = restarted.step(k % ts.l, y, w), fresh.step(k % ts.l, y, w)
         for name in ("residues", "zeta_post", "P_post"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        restarted.shift_prediction(w)
-        fresh.shift_prediction(w)
 
 
 def test_a_restarted_bank_writes_to_none_of_its_templates_arrays():
-    ts, noise, decomps = _bank_plant()
+    ts, noise, _ = _bank_plant()
     rng = np.random.default_rng(59)
-    template = LocalFilterBank(ts, noise, decomps)
+    template = LocalFilterBank(ts, noise)
     fusion_template = FusionEstimator(template, range(1, ts.m))
     shared = [
         template.offsets, template.H, *template.A_blk, *template._A_T, *template.C_blk, template._mask,
@@ -401,10 +386,9 @@ def test_a_restarted_bank_writes_to_none_of_its_templates_arrays():
     bank = template.restarted(rng.standard_normal(ts.n))
     fusion = FusionEstimator(bank, range(ts.m))
     for k in range(4):
-        step = bank.step(k % ts.l, rng.standard_normal(ts.m))
+        step = bank.step(k % ts.l, rng.standard_normal(ts.m), rng.standard_normal(ts.n))
         fusion.fuse(step.zeta_post, step.P_post)
         fusion_template.fuse(step.zeta_post, step.P_post)
-        bank.shift_prediction(rng.standard_normal(ts.n))
     assert bank.P_prior is not template.P_prior
     for M, data in zip(shared, before):
         assert M.tobytes() == data
@@ -416,16 +400,17 @@ def test_a_plant_decides_each_active_set_once_for_all_its_restarted_banks(monkey
     # the observability verdict and fusion's operator arrays depend only on
     # the plant and the active set: every bank restarted from one template
     # reuses them, and only the [H | zeta]' buffer is each estimator's own
-    ts, noise, decomps = _bank_plant()
+    ts, noise, _ = _bank_plant()
     svd, svds = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a[0].shape) or svd(*a, **kw))
     active, blind = tuple(range(1, ts.m)), (1, 2, 3, 4)  # sensor 0 alone sees its block
-    for plant_svds in (2, 4):  # a second bank of the same plant is a second cache
-        template = LocalFilterBank(ts, noise, decomps)
+    for _ in range(2):  # a second bank of the same plant is a second cache
+        template = LocalFilterBank(ts, noise)
+        svds.clear()  # the decompositions' SVDs
         first = FusionEstimator(template, active)
         for bank in (template.restarted(np.zeros(ts.n)), template.restarted(np.ones(ts.n))):
             for sensors in (active, blind, active):
-                assert FusionEstimator.removal_keeps_observability(bank, sensors) == (sensors == active)
+                assert bank.observes(sensors) == (sensors == active)
             with pytest.raises(DecompositionError, match="jointly observe"):
                 FusionEstimator(bank, blind)
             second = FusionEstimator(bank, active)
@@ -436,7 +421,7 @@ def test_a_plant_decides_each_active_set_once_for_all_its_restarted_banks(monkey
                     M[...] = 0
             assert second._HzT.flags.writeable and not np.shares_memory(second._HzT, first._HzT)
             assert second._HzT[:-1].tobytes() == first._HzT[:-1].tobytes() == first.H.T.tobytes()
-        assert len(svds) == plant_svds
+        assert len(svds) == 2
 
 
 @functools.lru_cache(maxsize=None)
@@ -456,7 +441,7 @@ def test_step_methods_match_the_reference_steps_bit_for_bit(data):
     plant = _example_plant(data.draw(st.sampled_from((5, 10, 15))), data.draw(st.integers(1, 4)))
     ts, noise = plant.ts, plant.noise
     order = data.draw(st.permutations(range(ts.m)))
-    size = next(i for i in range(1, ts.m + 1) if FusionEstimator.removal_keeps_observability(plant.bank, order[:i]))
+    size = next(i for i in range(1, ts.m + 1) if plant.bank.observes(order[:i]))
     sensors = tuple(order[: data.draw(st.integers(size, ts.m))])
     central_active = None if len(sensors) == ts.m else sensors
     T = 25
@@ -466,22 +451,20 @@ def test_step_methods_match_the_reference_steps_bit_for_bit(data):
     # a removal mid-run restricts both again, to a drawn subset that still
     # observes the state; a stale restricted C or fusion entry shows there
     kept = data.draw(st.permutations(sensors))
-    size = next(i for i in range(1, len(kept) + 1) if FusionEstimator.removal_keeps_observability(plant.bank, kept[:i]))
+    size = next(i for i in range(1, len(kept) + 1) if plant.bank.observes(kept[:i]))
     later, switch = tuple(kept[: data.draw(st.integers(size, len(kept)))]), data.draw(st.integers(1, T - 1))
     central = CentralKalmanFilter(noise, mean_offset=offset)
     if central_active is not None:
         central.restrict(central_active)
     ref_central = ReferenceCentralKalmanFilter(noise, mean_offset=offset)
     bank = plant.bank.restarted(offset)
-    ref_bank = ReferenceLocalFilterBank(ts, noise, plant.bank.decomps).restarted(offset)
+    ref_bank = ReferenceLocalFilterBank(ts, noise).restarted(offset)
     fusion, ref_fusion = FusionEstimator(bank, sensors), ReferenceFusionEstimator(ref_bank, sensors)
 
     def outputs(central, bank, fusion, k, **active):
-        c = central.step(ts.pairs[sched[k]], ys[k], **active)
-        b = bank.step(sched[k], ys[k])
+        c = central.step(ts.pairs[sched[k]], ys[k], ws[k], **active)
+        b = bank.step(sched[k], ys[k], ws[k])
         f = fusion.fuse(b.zeta_post, b.P_post)
-        central.shift_prediction(ws[k])
-        bank.shift_prediction(ws[k])
         return (c.residue, c.x_post, c.P_prior, central.x_prior, central.P_prior,
                 b.residues, b.zeta_post, b.P_post, bank.zeta_prior, bank.P_prior, f.x_star, f.cov, f.rank)
 
@@ -511,7 +494,7 @@ def test_observability_rule_matches_the_coordinates_the_sensors_see(l):
     for size in range(1, ts.m + 1):
         for subset in itertools.combinations(range(ts.m), size):
             covered = set().union(*(sees[s] for s in subset)) == set(range(ts.n))
-            assert FusionEstimator.removal_keeps_observability(bank, subset) == covered, subset
+            assert bank.observes(subset) == covered, subset
 
 
 @settings(max_examples=48, deadline=None, derandomize=True)
@@ -525,7 +508,7 @@ def test_fusion_never_beats_the_central_filter(data):
     plant = _example_plant(data.draw(st.sampled_from((5, 10, 15))), data.draw(st.integers(1, 4)))
     ts, noise = plant.ts, plant.noise
     order = data.draw(st.permutations(range(ts.m)))
-    size = next(i for i in range(1, ts.m + 1) if FusionEstimator.removal_keeps_observability(plant.bank, order[:i]))
+    size = next(i for i in range(1, ts.m + 1) if plant.bank.observes(order[:i]))
     sensors = list(order[: data.draw(st.integers(size, ts.m))])
     sched = data.draw(st.lists(st.integers(0, ts.l - 1), min_size=60, max_size=60))
     central = CentralKalmanFilter(noise)
@@ -586,7 +569,7 @@ def _dense_joint_bank(decomps, sensors, ts, noise, sched, ys):
 def test_local_bank_matches_dense_joint_implementation():
     ts, noise, decomps = _bank_plant()
     sensors = tuple(range(ts.m))
-    bank = LocalFilterBank(ts, noise, decomps)
+    bank = LocalFilterBank(ts, noise)
     sched = sample_schedule(ts, 8, EXAMPLE_11_KEY)
     rng = np.random.default_rng(48)
     ys = rng.standard_normal((8, 10))
@@ -614,8 +597,8 @@ def test_local_bank_blocks_equal_scipy_block_diag(n, l, seed):
 def test_local_bank_covariance_is_calibrated_empirically():
     # the reported joint covariance matches the sample covariance of the
     # actual reduced estimation errors T_o' x - zeta
-    ts, noise, decomps = _bank_plant()
-    template = LocalFilterBank(ts, noise, decomps)
+    ts, noise, _ = _bank_plant()
+    template = LocalFilterBank(ts, noise)
     rows = template.rows((3, 4))
     sched = sample_schedule(ts, 4, EXAMPLE_11_KEY)
     trials = 1200
@@ -653,16 +636,6 @@ def test_local_bank_residues_are_standardized():
 # fusion
 
 
-def _trivial_decomp(sensor, n):
-    return SensorDecomposition(
-        sensor=sensor,
-        T_uo=np.zeros((n, 0)),
-        T_o=np.eye(n),
-        A_red=(np.eye(n),),
-        C_red=(np.ones(n),),
-    )
-
-
 def _design_matrix(decomps, sensors, n):
     """Lifted GLS design: block row ``s`` is ``[0 .. -T_uo,s .. 0  I]``, one
     nuisance column group per sensor and ``x`` last."""
@@ -680,11 +653,15 @@ def _design_matrix(decomps, sensors, n):
 
 def test_fusion_averages_independent_full_estimates():
     # two fully observing sensors with identity covariances and no cross
-    # correlation: the fused estimate is the plain average
+    # correlation: the fused estimate is the plain average. Each sensor sees
+    # the whole state through distinct eigenvalues, so its decomposition is
+    # the trivial one, T_o = I
     n = 3
-    ts = TargetSet(pairs=(LtiPair(np.eye(n), np.ones((2, n))),), period=1)
+    ts = TargetSet(pairs=(LtiPair(np.diag([1.0, 2.0, 3.0]), np.ones((2, n))),), period=1)
     noise = standard_noise(np.random.default_rng(0), n, 2)
-    bank = LocalFilterBank(ts, noise, [_trivial_decomp(0, n), _trivial_decomp(1, n)])
+    bank = LocalFilterBank(ts, noise)
+    for d in bank.decomps:
+        assert d.n_unobs == 0 and np.array_equal(d.T_o, np.eye(n))
     fus = FusionEstimator(bank, (0, 1))
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([5.0, 4.0, 3.0])
@@ -749,8 +726,8 @@ def test_fusion_matches_explicit_gls_oracle_on_bank_covariance():
 
 
 def test_fusion_rejects_a_non_finite_covariance():
-    ts, noise, decomps = _bank_plant()
-    bank = LocalFilterBank(ts, noise, decomps)
+    ts, noise, _ = _bank_plant()
+    bank = LocalFilterBank(ts, noise)
     st = bank.step(0, np.zeros(ts.m))
     P = st.P_post.copy()
     P[3, 5] = P[5, 3] = np.nan
@@ -772,8 +749,7 @@ def test_fusion_of_exact_local_estimates_is_unbiased(data):
     bank = _example_bank()
     ts = bank.ts
     active = data.draw(st.permutations(range(ts.m)))
-    observes = FusionEstimator.removal_keeps_observability
-    size = next(i for i in range(1, ts.m + 1) if observes(bank, active[:i]))
+    size = next(i for i in range(1, ts.m + 1) if bank.observes(active[:i]))
     sensors = tuple(active[: data.draw(st.integers(size, ts.m))])
     N = bank.H.shape[0]
     rank = data.draw(st.integers(0, N))
@@ -793,12 +769,12 @@ def test_fusion_of_exact_local_estimates_is_unbiased(data):
 
 def test_fusion_requires_joint_observability():
     bank = generate_example_system(seed=7, n=10, l=2).bank
-    assert FusionEstimator.removal_keeps_observability(bank, tuple(range(10)))
-    assert FusionEstimator.removal_keeps_observability(bank, (0, 1, 2, 3, 4))
+    assert bank.observes(tuple(range(10)))
+    assert bank.observes((0, 1, 2, 3, 4))
     # dropping sensor 0 from the first bank loses its exclusive block
-    assert not FusionEstimator.removal_keeps_observability(bank, (1, 2, 3, 4))
-    assert not FusionEstimator.removal_keeps_observability(bank, (4,))
-    assert not FusionEstimator.removal_keeps_observability(bank, ())
+    assert not bank.observes((1, 2, 3, 4))
+    assert not bank.observes((4,))
+    assert not bank.observes(())
     with pytest.raises(DecompositionError):
         FusionEstimator(bank, (1, 2, 3, 4))
 
@@ -813,6 +789,6 @@ def test_observability_rule_matches_design_matrix_rank_on_every_subset():
         for subset in itertools.combinations(range(ts.m), size):
             W = _design_matrix(bank.decomps, subset, ts.n)
             by_W = numerical_rank(W) == W.shape[1]
-            assert FusionEstimator.removal_keeps_observability(bank, subset) == by_W, subset
+            assert bank.observes(subset) == by_W, subset
             verdicts.append(by_W)
     assert len(verdicts) == 2**ts.m - 1 and any(verdicts) and not all(verdicts)

@@ -385,6 +385,28 @@ def test_cross_model_shared_eigenvalue_invisible_on_sensor():
     assert not brute_force_unidentifiability_oracle(p1, p2, 0, t=3)
 
 
+def test_cross_model_pairs_shared_eigenvalues_in_loop_order():
+    # the two spectra are paired by one array comparison; the shared
+    # eigenvalues must come in the order of a loop over model 1's eigenspaces,
+    # then model 2's, stably sorted by modulus, so ties (+-2 and a conjugate
+    # pair) keep the loop's order
+    def plant(diagonal):
+        A = np.zeros((5, 5))
+        A[:3, :3] = np.diag(diagonal)
+        A[3:, 3:] = [[1.0, -1.0], [1.0, 1.0]]  # 1 +- 1j
+        return LtiPair(A, np.ones((1, 5)))
+
+    p1, p2 = plant([2.0, -2.0, 0.5]), plant([-2.0, 2.0, 0.7])
+    for q1, q2 in ((p1, p2), (p1, p1)):
+        s1, s2 = jordan_chains(q1.A), jordan_chains(q2.A)
+        tau = 1e-8 * (1.0 + max(abs(e.eigenvalue) for e in s1 + s2))
+        loop = [(e1, e2) for e1 in s1 for e2 in s2 if abs(e1.eigenvalue - e2.eigenvalue) <= tau]
+        loop.sort(key=lambda pair_: -abs(pair_[0].eigenvalue))
+        want = tuple(0.5 * (e1.eigenvalue + e2.eigenvalue) for e1, e2 in loop)
+        assert len(want) == (4 if q2 is p2 else 5)
+        assert cross_model_unidentifiability(q1, q2, sensor=0).shared_eigenvalues == want
+
+
 def test_cross_model_defective_shared_structure():
     rng = np.random.default_rng(32)
     A1, _ = matrix_with_jordan_structure(rng, [(2.0, 2), (0.5, 1)])

@@ -425,7 +425,7 @@ def test_run_scenario_matches_direct_coordinate_filtering():
     x = noise.x0_mean + noise.P0_factor @ rng.standard_normal(n)
 
     f = CentralKalmanFilter(noise)
-    bank = LocalFilterBank(ts, noise, [kalman_decomposition(ts, s) for s in range(m)])
+    bank = LocalFilterBank(ts, noise)
     fusion = FusionEstimator(bank, range(m))
     assert not any(kind == "removed" for _, _, kind in r.events)
     for k in range(cfg.horizon):
@@ -612,9 +612,7 @@ def test_removals_never_lose_joint_observability(system, data):
         assume(False)  # generation refused the draw
     r = run_scenario(cfg, plant)
 
-    def observes(sensors):
-        return FusionEstimator.removal_keeps_observability(plant.bank, sensors)
-
+    observes = plant.bank.observes
     removed_at = {int(s): k for s, k in r.summary["removed"].items()}
     assert observes([s for s in range(plant.ts.m) if s not in removed_at])
     for alert in r.alerts:
@@ -838,9 +836,9 @@ def test_monte_carlo_builds_and_decomposes_the_plant_once(monkeypatch):
     monkeypatch.setattr(
         scenario, "generate_example_system", counted("generate", scenario.generate_example_system)
     )
-    decompose = counted("decompose", estimation.kalman_decomposition)
-    monkeypatch.setattr(scenario, "kalman_decomposition", decompose)
-    monkeypatch.setattr(estimation, "kalman_decomposition", decompose)
+    monkeypatch.setattr(
+        estimation, "kalman_decomposition", counted("decompose", estimation.kalman_decomposition)
+    )
     cfg = config_from_dict(_raw(horizon=10))
     build_system(cfg)
     once = dict(calls)
